@@ -14,7 +14,7 @@ import sys
 
 from . import abelian as ab
 from . import classify, nil2, verify
-from .errors import AlgebraError, InternalInvariant
+from .errors import AlgebraError, InternalInvariant, Unsupported
 
 SUITE_ORDER = ["lemmas", "coproduct", "qmaps", "enum", "classify", "linext",
                "maltsev", "negative"]

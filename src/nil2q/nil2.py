@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
+from operator import add
 
 from . import abelian as ab
 from .errors import (
@@ -41,10 +42,12 @@ class Nil2Group:
     """A nil_2-group as central-extension data over explicit cocycles."""
 
     __slots__ = ("A", "B", "bil", "carry", "provenance",
-                 "_bilc", "_carryc", "_orders", "_borders", "_kappa_cache")
+                 "_bilc", "_carryc", "_orders", "_borders", "_kappa_cache",
+                 "_table")
 
     def __init__(self, A, B, bil, carry, provenance=None, _validated=False):
         self._kappa_cache = {}
+        self._table = None
         self.A, self.B = A, B
         self.bil = tuple(tuple(row) for row in bil)
         self.carry = tuple(carry)
@@ -182,6 +185,12 @@ class Nil2Group:
             for b in self.B.elements():
                 yield Nil2Element(self, a, b)
 
+    def table(self) -> "CayleyTable":
+        """The integer Cayley table, built on first use (finite groups)."""
+        if self._table is None:
+            self._table = CayleyTable(self)
+        return self._table
+
     def exponent(self) -> int:
         if not self.is_finite():
             raise InvalidArgument("exponent of an infinite group")
@@ -209,6 +218,38 @@ class Nil2Group:
             assert acc.a == a
             hit = self._kappa_cache[key] = acc.b
         return hit
+
+
+class CayleyTable:
+    """Integer Cayley table of a finite nil_2-group, built from the group law.
+
+    Element i is the i-th of `group.elements()`, so zero is 0; `index` maps
+    its coordinates (a.coords, b.coords) to i, and `add[i][j]` and `neg[i]`
+    are the indices of sums and negatives.  (a, u) is at pos(a) |B| + pos(u),
+    so `add` comes from the sums in A and B and the cocycle.  Keys are
+    coordinates, not elements, so the table holds no reference to its group.
+    """
+
+    __slots__ = ("index", "add", "neg")
+
+    def __init__(self, group):
+        self.index = {(z.a.coords, z.b.coords): i for i, z in enumerate(group.elements())}
+        A, B = group.A, group.B
+        apos = {a.coords: i for i, a in enumerate(A.elements())}
+        bpos = {u.coords: i for i, u in enumerate(B.elements())}
+
+        def pos(table, orders, coords):
+            return table[tuple(c % d for c, d in zip(coords, orders))]
+
+        asum = [[pos(apos, A.orders, map(add, x, y)) for y in apos] for x in apos]
+        bsum = [[pos(bpos, B.orders, map(add, u, v)) for v in bpos] for u in bpos]
+        coc = [[pos(bpos, B.orders, group._cocycle_coords(x, y)) for y in apos]
+               for x in apos]
+        na, nb = len(apos), len(bpos)
+        self.add = [[asum[i][j] * nb + bsum[bsum[u][v]][coc[i][j]]
+                     for j in range(na) for v in range(nb)]
+                    for i in range(na) for u in range(nb)]
+        self.neg = [row.index(0) for row in self.add]
 
 
 class Nil2Element:
@@ -667,11 +708,7 @@ class GroupOracle:
 
 def table_of(group: Nil2Group) -> GroupOracle:
     """Multiplication table of a finite Nil2Group (elements in lex order)."""
-    elems = list(group.elements())
-    index = {z: i for i, z in enumerate(elems)}
-    table = [[index[x + y] for y in elems] for x in elems]
-    labels = [repr(z) for z in elems]
-    return GroupOracle(labels, table, index[group.zero()])
+    return GroupOracle([repr(z) for z in group.elements()], group.table().add, 0)
 
 
 def semidirect(n: int, m: int, k: int) -> GroupOracle:

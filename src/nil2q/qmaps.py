@@ -10,8 +10,10 @@ stored by generator data:
     delta  : r x r cross matrix  delta[i][j] = (e_i | e_j)_f in [H,H].
 
 Three relation families gate the data (torsion of delta, commutator
-relations, order relations); the exhaustive set-map filter over the
-defining conditions is the independent completeness oracle.
+relations, order relations).  The independent completeness oracle is the
+exhaustive set-map filter over the defining conditions; it and the
+function-level checks run on integer Cayley tables built from the group
+law (`Nil2Group.table`), never from q-map data.
 """
 
 from __future__ import annotations
@@ -90,12 +92,6 @@ class QMap:
             if lhs != rhs:
                 raise NotAQMap(
                     f"order relation fails at generator {i+1}: {lhs!r} != {rhs!r}")
-
-    def check_function_exhaustively(self):
-        """Confirm the evaluated function satisfies the defining conditions
-        (finite sources only)."""
-        if not is_qmap_function(self.eval, self.source, self.target):
-            raise NotAQMap("evaluated function violates the q-map definition")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -231,15 +227,6 @@ class QMap:
 
 # ---------------------------------------------------------------------------
 # Basic constructors.
-
-def qmap_make(source, target, fab, fcomm, gamma, delta, exhaustive=False) -> QMap:
-    q = QMap(source, target, fab, fcomm, gamma, delta)
-    if exhaustive:
-        if not source.is_finite():
-            raise UnsupportedEnumeration("exhaustive cross-check needs a finite source")
-        q.check_function_exhaustively()
-    return q
-
 
 def identity_qmap(g: nil2.Nil2Group) -> QMap:
     bz = g.B.zero()
@@ -631,60 +618,58 @@ def enumerate_homs(g: nil2.Nil2Group, h: nil2.Nil2Group):
 
 
 # ---------------------------------------------------------------------------
-# Function-level oracles (independent of the presentation machinery).
+# Function-level oracles (independent of the presentation machinery): they
+# read only the groups' integer Cayley tables, built from the group law.
 
-def cross_table(fn, g: nil2.Nil2Group):
-    """All cross-effect values of a concrete function on a finite group."""
-    elems = list(g.elements())
-    vals = {z: fn(z) for z in elems}
-    return elems, vals, {(x, y): -(vals[x] + vals[y]) + vals[x + y]
-                         for x in elems for y in elems}
-
-
-def _cross_bilinear(elems, cross) -> bool:
-    for x in elems:
-        for y in elems:
-            cxy = cross[(x, y)]
-            for z in elems:
-                if cross[(x + z, y)] != cxy + cross[(z, y)]:
-                    return False
-                if cross[(x, y + z)] != cxy + cross[(x, z)]:
-                    return False
-    return True
+def _member_mask(h: nil2.Nil2Group, kind: str, ctr: nil2.CenterInfo = None):
+    """good[w] per H-index w: in [H,H] ("qmap") or central ("quadratic")."""
+    if kind == "qmap":
+        return [w.a.is_zero() for w in h.elements()]
+    if kind == "quadratic":
+        ctr = ctr or nil2.center(h)
+        return [ctr.contains(w) for w in h.elements()]
+    raise InvalidArgument(f"unknown filter kind {kind!r}")
 
 
-def _checked_cross_table(fn, g, member):
-    """Cross-effect table, bailing at the first value outside `member`."""
-    elems = list(g.elements())
-    vals = {z: fn(z) for z in elems}
-    cross = {}
-    for x in elems:
-        vx = vals[x]
-        for y in elems:
-            c = -(vx + vals[y]) + vals[x + y]
-            if not member(c):
-                return None, None
-            cross[(x, y)] = c
-    return elems, cross
+def _cross_ok(vals, gadd, hadd, hneg, good, cross) -> bool:
+    """The defining conditions on a value table, vals[x] = H-index of f(x).
+
+    Fills the n x n buffer `cross` with (x|y)_f = -(f(x)+f(y)) + f(x+y),
+    failing at the first value w with not good[w]; then the cross-effect
+    is bilinear iff each row and each column v has v[x+z] = v[x] + v[z].
+    """
+    for x, vx in enumerate(vals):
+        row, gx, hx = cross[x], gadd[x], hadd[vx]
+        for y, vy in enumerate(vals):
+            row[y] = c = hadd[hneg[hx[vy]]][vals[gx[y]]]
+            if not good[c]:
+                return False
+    return all(all([v[s] for s in gx] == [hadd[vx][w] for w in v]
+                   for gx, vx in zip(gadd, v))
+               for v in itertools.chain(cross, zip(*cross)))
+
+
+def _function_ok(fn, g, h, good) -> bool:
+    gt, ht = g.table(), h.table()
+    vals = []
+    for z in g.elements():
+        w = fn(z)
+        if w.group != h:
+            raise InvalidArgument(f"value {w!r} at {z!r} is not in the target group")
+        vals.append(ht.index[w.a.coords, w.b.coords])
+    n = len(vals)
+    return _cross_ok(vals, gt.add, ht.add, ht.neg, good, [[0] * n for _ in range(n)])
 
 
 def is_qmap_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
     """Definition-level check: cross-effect in [H,H] and bilinear."""
-    elems, cross = _checked_cross_table(fn, g, lambda c: c.a.is_zero())
-    if elems is None:
-        return False
-    return _cross_bilinear(elems, cross)
+    return _function_ok(fn, g, h, _member_mask(h, "qmap"))
 
 
 def is_quadratic_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group,
                           ctr: nil2.CenterInfo = None) -> bool:
     """Cross-effect central and bilinear (not necessarily in [H,H])."""
-    if ctr is None:
-        ctr = nil2.center(h)
-    elems, cross = _checked_cross_table(fn, g, ctr.contains)
-    if elems is None:
-        return False
-    return _cross_bilinear(elems, cross)
+    return _function_ok(fn, g, h, _member_mask(h, "quadratic", ctr))
 
 
 def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
@@ -692,57 +677,34 @@ def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
     """Exhaustive filter of all set maps G -> H by the defining conditions.
 
     `kind` = "qmap" requires the cross-effect in [H,H]; "quadratic"
-    requires it central.  Backtracking assigns values in element order and
-    prunes on the membership condition; survivors get the full bilinearity
-    check.  Returns value tables as tuples of H-element indices, sorted.
+    requires it central.  Runs on the integer Cayley tables of G and H,
+    built from the group law and never from q-map data.  Backtracking
+    assigns values in element order and prunes on the membership
+    condition; survivors get the full bilinearity check.  Returns value
+    tables as tuples of H-element indices, sorted.
     """
-    if not (g.is_finite() and h.is_finite()):
-        raise UnsupportedEnumeration("brute-force filter needs finite groups")
-    gel = list(g.elements())
-    hel = list(h.elements())
-    n = len(gel)
-    gidx = {z: i for i, z in enumerate(gel)}
-    sums = [[gidx[x + y] for y in gel] for x in gel]
-    if kind == "qmap":
-        good = [w.a.is_zero() for w in hel]
-    elif kind == "quadratic":
-        ctr = nil2.center(h)
-        good = [ctr.contains(w) for w in hel]
-    else:
-        raise InvalidArgument(f"unknown filter kind {kind!r}")
-    hidx = {z: i for i, z in enumerate(hel)}
-    neg = [hidx[-w] for w in hel]
-    hsums = [[hidx[x + y] for y in hel] for x in hel]
-
+    gadd, ht = g.table().add, h.table()
+    good = _member_mask(h, kind)
+    hadd, hneg = ht.add, ht.neg
+    n = len(gadd)
     by_max = [[] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            k = sums[i][j]
+        for j, k in enumerate(gadd[i]):
             by_max[max(i, j, k)].append((i, j, k))
-
-    values = [None] * n
+    values = [0] * n
+    cross = [[0] * n for _ in range(n)]
     out = []
-
-    def crosses_ok(i, j, k):
-        c = hsums[neg[hsums[values[i]][values[j]]]][values[k]]
-        return good[c]
 
     def rec(pos):
         if pos == n:
-            def fn(z):
-                return hel[values[gidx[z]]]
-            if kind == "qmap":
-                if is_qmap_function(fn, g, h):
-                    out.append(tuple(values))
-            else:
-                if is_quadratic_function(fn, g, h):
-                    out.append(tuple(values))
+            if _cross_ok(values, gadd, hadd, hneg, good, cross):
+                out.append(tuple(values))
             return
-        for v in range(len(hel)):
+        for v in range(len(hadd)):
             values[pos] = v
-            if all(crosses_ok(i, j, k) for (i, j, k) in by_max[pos]):
+            if all(good[hadd[hneg[hadd[values[i]][values[j]]]][values[k]]]
+                   for i, j, k in by_max[pos]):
                 rec(pos + 1)
-        values[pos] = None
 
     rec(0)
     return sorted(out)

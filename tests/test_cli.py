@@ -133,3 +133,13 @@ def test_selftest_negative_suite():
     code, text = run(["selftest", "--suite", "negative"])
     assert code == 0
     assert "PASS not-isomorphic-in-niq Z2^3|Z2vZ2" in text
+
+
+def test_info_infinite_file_group_without_guarantee(tmp_path):
+    # an infinite group with no structural q-split answer: the verdict is
+    # reported as unknown, not a traceback
+    f = tmp_path / "k.txt"
+    f.write_text("group K { abelianization = [0,0]; commutator = [2]; bil[1][2] = [1]; }\n")
+    code, text = run(["--file", str(f), "info", "K"])
+    assert code == 0
+    assert "q-split: unknown (infinite, no structural guarantee)\n" in text

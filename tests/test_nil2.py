@@ -44,6 +44,22 @@ def test_group_axioms_exhaustive_small():
         assert group_axioms_hold(g)
 
 
+def test_cayley_table_matches_element_law():
+    # the integer table agrees with element arithmetic, index for index
+    for g in SMALL + [nil2.product(Q8, catalog.cyclic(2)), catalog.abelian_group([])]:
+        t = g.table()
+        assert t is g.table()
+        elems = list(g.elements())
+        index = {z: i for i, z in enumerate(elems)}
+        assert t.index == {(z.a.coords, z.b.coords): i for z, i in index.items()}
+        for i, x in enumerate(elems):
+            assert t.neg[i] == index[-x]
+            for j, y in enumerate(elems):
+                assert t.add[i][j] == index[x + y]
+    with pytest.raises(UnsupportedEnumeration):
+        nil2.free(2).table()
+
+
 def test_group_axioms_order_27():
     for g in [HEIS3, G27]:
         assert group_axioms_hold(g)

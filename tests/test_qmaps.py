@@ -2,6 +2,7 @@
 structure on qw(G,H), composition, enumeration vs. the set-map filter."""
 
 import itertools
+import random
 
 import pytest
 
@@ -400,6 +401,84 @@ def test_enumeration_matches_bruteforce_small():
                       for q in qmaps.enumerate_qmaps(g, h))
         assert enum == brute, f"mismatch for {g} -> {h}"
         assert len(set(enum)) == len(enum)
+
+
+def reference_definition_check(fn, g, member):
+    """The q-map definition on element objects, as a reference for the
+    integer kernel: every cross-effect value (x|y) = -(f(x)+f(y)) + f(x+y)
+    satisfies `member`, and (x|y) is additive in each argument."""
+    elems = list(g.elements())
+    vals = {z: fn(z) for z in elems}
+    cross = {}
+    for x in elems:
+        for y in elems:
+            c = -(vals[x] + vals[y]) + vals[x + y]
+            if not member(c):
+                return False
+            cross[(x, y)] = c
+    for x in elems:
+        for y in elems:
+            cxy = cross[(x, y)]
+            for z in elems:
+                if cross[(x + z, y)] != cxy + cross[(z, y)]:
+                    return False
+                if cross[(x, y + z)] != cxy + cross[(x, z)]:
+                    return False
+    return True
+
+
+def _kernel_agrees_with_reference(g, h, tables):
+    gel = list(g.elements())
+    ctr = nil2.center(h)
+    verdicts = set()
+    for table in tables:
+        fn = dict(zip(gel, table)).__getitem__
+        want_q = reference_definition_check(fn, g, lambda c: c.a.is_zero())
+        want_u = reference_definition_check(fn, g, ctr.contains)
+        assert qmaps.is_qmap_function(fn, g, h) == want_q, (g, h, table)
+        assert qmaps.is_quadratic_function(fn, g, h) == want_u, (g, h, table)
+        verdicts.add((want_q, want_u))
+    return verdicts
+
+
+def test_function_checks_agree_with_reference():
+    for g, h in [(Z4, Q8), (V4, D4), (Q8, Z2)]:
+        hel = list(h.elements())
+        maps = [value_table(q) for q in qmaps.enumerate_qmaps(g, h)]
+        assert _kernel_agrees_with_reference(g, h, maps) == {(True, True)}
+        # one value changed per map, at a position and by a shift that vary
+        perturbed = []
+        for k, table in enumerate(maps):
+            pos = k % len(table)
+            shift = 1 + k % (len(hel) - 1)
+            t = list(table)
+            t[pos] = hel[(hel.index(t[pos]) + shift) % len(hel)]
+            perturbed.append(tuple(t))
+        verdicts = _kernel_agrees_with_reference(g, h, perturbed)
+        assert (False, False) in verdicts
+    # fixed-seed random set maps V4 -> Q8
+    rng = random.Random(20240)
+    hel = list(Q8.elements())
+    sample = [tuple(rng.choice(hel) for _ in range(V4.order())) for _ in range(400)]
+    verdicts = _kernel_agrees_with_reference(V4, Q8, sample)
+    assert {(True, True), (False, False)} <= verdicts
+
+
+def test_function_checks_reject_values_outside_target():
+    # values in another group are an input error, not a verdict
+    with pytest.raises(InvalidArgument):
+        qmaps.is_qmap_function(lambda z: Q8.zero(), Z2, D4)
+    with pytest.raises(InvalidArgument):
+        qmaps.is_quadratic_function(lambda z: Q8.zero(), Z2, D4)
+    # a structurally equal copy of the target is the same group
+    assert qmaps.is_qmap_function(lambda z: Q8.zero(), Z2, catalog.quaternion())
+
+
+def test_bruteforce_quadratic_contains_qmaps_d4_q8():
+    qw = qmaps.quadratic_functions_bruteforce(D4, Q8, kind="qmap")
+    qu = qmaps.quadratic_functions_bruteforce(D4, Q8, kind="quadratic")
+    assert len(qw) == 256
+    assert set(qw) <= set(qu)
 
 
 def test_trivial_source_and_target():
