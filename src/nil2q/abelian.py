@@ -204,6 +204,24 @@ def presented(ngens: int, relations) -> "FGAbelian":
     return FGAbelian(orders)
 
 
+def _bilinear_into(acc, x, y, mat):
+    """acc += sum_ij x_i y_j mat[i][j] on coordinate lists; each entry of
+    `mat` is a coordinate tuple, or None for zero.  Returns acc."""
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = mat[i]
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            e = row[j]
+            if e is not None:
+                c = xi * yj
+                for t, et in enumerate(e):
+                    acc[t] += c * et
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Groups, elements, homomorphisms.
 
@@ -214,9 +232,11 @@ class FGAbelian:
 
     def __init__(self, orders):
         for d in orders:
+            if type(d) is not int:
+                raise InvalidArgument(f"generator order {d!r} is not an integer")
             if d < 0:
                 raise InvalidArgument(f"negative generator order {d}")
-        self.orders = tuple(int(d) for d in orders if d != 1)
+        self.orders = tuple(d for d in orders if d != 1)
 
     @property
     def rank(self) -> int:
@@ -237,18 +257,23 @@ class FGAbelian:
     def is_trivial(self) -> bool:
         return not self.orders
 
-    def _canonical(self, coords):
-        out = []
-        for x, d in zip(coords, self.orders):
-            out.append(x % d if d > 0 else x)
-        return tuple(out)
+    def _trusted(self, coords) -> "AbElement":
+        """Element from `rank` Python ints: reduced mod each finite order,
+        free (order-0) coordinates kept as they are, nothing else checked."""
+        return AbElement(self, tuple([x % d if d else x
+                                      for x, d in zip(coords, self.orders)]))
+
+    def _bilinear(self, x, y, mat) -> "AbElement":
+        """sum_ij x_i y_j mat[i][j]: integer vectors x, y, elements mat[i][j]."""
+        return self._trusted(_bilinear_into([0] * self.rank, x, y,
+                                            [[e.coords for e in row] for row in mat]))
 
     def element(self, coords) -> "AbElement":
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.rank:
             raise InvalidArgument(
                 f"coordinate length {len(coords)} != rank {self.rank}")
-        return AbElement(self, self._canonical(coords))
+        return self._trusted(coords)
 
     def zero(self) -> "AbElement":
         return AbElement(self, (0,) * self.rank)
@@ -302,25 +327,25 @@ class AbElement:
         self.coords = coords
 
     def _check(self, other):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise InvalidArgument(
                 f"elements of different groups: {self.group} vs {other.group}")
 
     def __add__(self, other):
         self._check(other)
-        return self.group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self.group._trusted([a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         self._check(other)
-        return self.group.element(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self.group._trusted([a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return self.group.element(tuple(-a for a in self.coords))
+        return self.group._trusted([-a for a in self.coords])
 
     def __mul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return self.group.element(tuple(n * a for a in self.coords))
+        return self.group._trusted([n * a for a in self.coords])
 
     __rmul__ = __mul__
 
@@ -340,7 +365,8 @@ class AbElement:
 
     def __eq__(self, other):
         return (isinstance(other, AbElement)
-                and self.group == other.group and self.coords == other.coords)
+                and (self.group is other.group or self.group == other.group)
+                and self.coords == other.coords)
 
     def __hash__(self):
         return hash((self.group.orders, self.coords))
@@ -393,7 +419,7 @@ class AbHom:
         return cls(source, target, matrix)
 
     def column(self, j: int) -> AbElement:
-        return self.target.element(tuple(row[j] for row in self.matrix))
+        return self.target._trusted([row[j] for row in self.matrix])
 
     def columns(self):
         return [self.column(j) for j in range(self.source.rank)]
@@ -401,7 +427,7 @@ class AbHom:
     def apply(self, x: AbElement) -> AbElement:
         if x.group != self.source:
             raise InvalidArgument("element not in the source group")
-        return self.target.element(mat_vec(self.matrix, x.coords))
+        return self.target._trusted(mat_vec(self.matrix, x.coords))
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self o other (apply `other` first)."""

@@ -81,13 +81,17 @@ def parse_definitions(text: str, defs: dict = None) -> dict:
     return defs
 
 
-def _parse_int_list(value: str):
+def _parse_int_list(value: str, nested=False):
+    """A list of integers, or with `nested` a list of integer lists."""
     try:
         parsed = ast.literal_eval(value.strip())
     except (ValueError, SyntaxError) as exc:
         raise InputError(f"malformed list {value!r}: {exc}")
-    if not isinstance(parsed, list):
-        raise InputError(f"expected a list, got {value!r}")
+    rows = parsed if nested and isinstance(parsed, list) else [parsed]
+    if not all(isinstance(row, list) and all(type(v) is int for v in row)
+               for row in rows):
+        kind = "a list of integer lists" if nested else "a list of integers"
+        raise InputError(f"expected {kind}, got {value.strip()!r}")
     return parsed
 
 
@@ -112,7 +116,7 @@ def _build_from_block(body: str) -> nil2.Nil2Group:
         elif key == "commutator":
             commutator = _parse_int_list(value)
         elif key == "carry":
-            carry = _parse_int_list(value)
+            carry = _parse_int_list(value, nested=True)
         else:
             m = _BIL_RE.match(key)
             if not m:

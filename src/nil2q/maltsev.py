@@ -87,14 +87,8 @@ class LieElement:
     def bracket(self, other) -> "LieElement":
         self._check(other)
         r = self.ring
-        acc = r.B.zero()
-        for i, xi in enumerate(self.a.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(other.a.coords):
-                if yj:
-                    acc = acc + (xi * yj) * r.bracket[i][j]
-        return LieElement(r, r.A.zero(), acc)
+        return LieElement(r, r.A.zero(),
+                          r.B._bilinear(self.a.coords, other.a.coords, r.bracket))
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
@@ -259,14 +253,7 @@ class LogCorrespondence:
         self._half = half
 
     def _chi(self, a: ab.AbElement) -> ab.AbElement:
-        acc = self.group.B.zero()
-        for i, xi in enumerate(a.coords):
-            if xi == 0:
-                continue
-            for j, xj in enumerate(a.coords):
-                if xj:
-                    acc = acc + (xi * xj) * self._sym[i][j]
-        return self._half * acc
+        return self._half * self.group.B._bilinear(a.coords, a.coords, self._sym)
 
     def to_lie(self, z: nil2.Nil2Element) -> LieElement:
         if z.group != self.group:
@@ -346,14 +333,7 @@ class QMapDecomposition:
         return acc
 
     def h_value(self, a: ab.AbElement, b: ab.AbElement) -> nil2.Nil2Element:
-        acc = self.target.B.zero()
-        for i, xi in enumerate(a.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(b.coords):
-                if yj:
-                    acc = acc + (xi * yj) * self.h[i][j]
-        return self.target.central(acc)
+        return self.target.central(self.target.B._bilinear(a.coords, b.coords, self.h))
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
         half = _group_half(self.target)

@@ -156,19 +156,7 @@ class Nil2Group:
         return self.B.element(self._cocycle_coords(x.coords, y.coords))
 
     def _cocycle_coords(self, x, y):
-        acc = [0] * len(self._borders)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self._bilc[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                e = row[j]
-                if e is not None:
-                    c = xi * yj
-                    for t, et in enumerate(e):
-                        acc[t] += c * et
+        acc = ab._bilinear_into([0] * len(self._borders), x, y, self._bilc)
         for i, di in enumerate(self._orders):
             if di > 0 and x[i] + y[i] >= di:
                 e = self._carryc[i]
@@ -269,17 +257,18 @@ class Nil2Element:
     def __add__(self, other):
         self._check(other)
         g = self.group
-        bsum = [p + q for p, q in zip(self.b.coords, other.b.coords)]
-        coc = g._cocycle_coords(self.a.coords, other.a.coords)
-        return Nil2Element(g, self.a + other.a,
-                           g.B.element([p + q for p, q in zip(bsum, coc)]))
+        x, y = self.a.coords, other.a.coords
+        coc = g._cocycle_coords(x, y)
+        return Nil2Element(g, g.A._trusted([p + q for p, q in zip(x, y)]),
+                           g.B._trusted([p + q + c for p, q, c
+                                         in zip(self.b.coords, other.b.coords, coc)]))
 
     def __neg__(self):
         g = self.group
         na = -self.a
         coc = g._cocycle_coords(self.a.coords, na.coords)
         return Nil2Element(g, na,
-                           g.B.element([-p - q for p, q in zip(self.b.coords, coc)]))
+                           g.B._trusted([-p - q for p, q in zip(self.b.coords, coc)]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -321,7 +310,8 @@ class Nil2Element:
         return 0 if k == 0 else m * k
 
     def __eq__(self, other):
-        return (isinstance(other, Nil2Element) and self.group == other.group
+        return (isinstance(other, Nil2Element)
+                and (self.group is other.group or self.group == other.group)
                 and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
@@ -813,17 +803,13 @@ def _abelian_basis(table, identity):
 class Canonicalization:
     """Result of canonicalizing a finite class-two table."""
 
-    def __init__(self, group, oracle, to_oracle, from_oracle):
+    def __init__(self, group, oracle, to_oracle):
         self.group = group
         self.oracle = oracle
         self._to = to_oracle
-        self._from = from_oracle
 
     def to_oracle(self, z: Nil2Element) -> int:
         return self._to[z]
-
-    def from_oracle(self, idx: int) -> Nil2Element:
-        return self._from[idx]
 
 
 def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
@@ -882,7 +868,6 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
             to_oracle[group.element(acoords, bco)] = x
     if len(set(to_oracle.values())) != n:
         raise NotAGroup("canonicalization bijection failed")  # pragma: no cover
-    from_oracle = {v: k for k, v in to_oracle.items()}
     elems = list(group.elements())
     for x in elems:
         for y in elems:
@@ -890,4 +875,4 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
                 raise NotAGroup(
                     "canonicalized data does not reproduce the table at "
                     f"({x!r}, {y!r})")  # pragma: no cover
-    return Canonicalization(group, oracle, to_oracle, from_oracle)
+    return Canonicalization(group, oracle, to_oracle)

@@ -10,10 +10,15 @@ stored by generator data:
     delta  : r x r cross matrix  delta[i][j] = (e_i | e_j)_f in [H,H].
 
 Three relation families gate the data (torsion of delta, commutator
-relations, order relations).  The independent completeness oracle is the
-exhaustive set-map filter over the defining conditions; it and the
-function-level checks run on integer Cayley tables built from the group
-law (`Nil2Group.table`), never from q-map data.
+relations, order relations).  Evaluation runs on integer coordinates
+along the fixed ascending generator expansion: each map caches the
+coordinates of its generator multiples f(m e_i) (negative m included, for
+free generators), adds the cocycle, the delta cross terms and
+fcomm(z.b - kappa(z.a)) into one unreduced B vector, and reduces it once.
+The independent completeness oracle is the exhaustive set-map filter over
+the defining conditions; it and the function-level checks run on integer
+Cayley tables built from the group law (`Nil2Group.table`), never from
+q-map data.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class QMap:
     """Finite presentation of a q-map between nil_2-groups."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
-                 "_mult_cache")
+                 "_mult_cache", "_upper")
 
     def __init__(self, source, target, fab, fcomm, gamma, delta,
                  _validated=False):
@@ -57,6 +62,9 @@ class QMap:
             raise InvalidArgument("delta must be an r x r matrix over [H,H]")
         if not _validated:
             self._validate()
+        # strictly upper triangle of delta, as coordinates, for eval
+        self._upper = [[e.coords if p < i else None for i, e in enumerate(row)]
+                       for p, row in enumerate(self.delta)]
 
     # -- validation ----------------------------------------------------------
 
@@ -99,44 +107,39 @@ class QMap:
         """f(e_i-lift) = (fab(e_i), gamma_i)."""
         return self.target.pair(self.fab.column(i), self.gamma[i])
 
-    def _gen_multiple(self, i: int, m: int) -> nil2.Nil2Element:
-        key = (i, m)
-        hit = self._mult_cache.get(key)
-        if hit is None:
-            hit = (m * self.gen_image(i)
-                   + (m * (m - 1) // 2) * self.target.central(self.delta[i][i]))
-            self._mult_cache[key] = hit
-        return hit
-
     def cross_data(self, acoords, bcoords) -> ab.AbElement:
         """Bilinear cross-effect through delta on canonical A-coordinates."""
-        acc = self.target.B.zero()
-        for i, xi in enumerate(acoords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(bcoords):
-                if yj:
-                    acc = acc + (xi * yj) * self.delta[i][j]
-        return acc
+        return self.target.B._bilinear(acoords, bcoords, self.delta)
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
-        """Evaluate by the fixed generator expansion (ascending index)."""
-        if z.group != self.source:
-            raise InvalidArgument("element not in the source group")
+        """Evaluate by the fixed generator expansion (ascending index), on
+        coordinates; A stays canonical, so the cocycle reads representatives."""
         G, H = self.source, self.target
+        if z.group is not G and z.group != G:
+            raise InvalidArgument("element not in the source group")
         x = z.a.coords
-        acc = H.zero()
+        horders = H.A.orders
+        a = [0] * len(horders)
+        b = ab._bilinear_into([0] * H.B.rank, x, x, self._upper)
+        cache = self._mult_cache
         for i, m in enumerate(x):
             if m == 0:
                 continue
-            term = self._gen_multiple(i, m)
-            cross = self.target.B.zero()
-            for p in range(i):
-                if x[p]:
-                    cross = cross + (x[p] * m) * self.delta[p][i]
-            acc = acc + term + H.central(cross)
-        rest = z.b - G.kappa(z.a)
-        return acc + H.central(self.fcomm.apply(rest))
+            hit = cache.get((i, m))
+            if hit is None:
+                # f(m e_i) = m f(e_i) + (m(m-1)/2) delta[i][i], B unreduced
+                w, c = m * self.gen_image(i), m * (m - 1) // 2
+                hit = cache[i, m] = (w.a.coords, [u + c * e for u, e in
+                                                  zip(w.b.coords, self.delta[i][i].coords)])
+            ta, tb = hit
+            for t, c in enumerate(H._cocycle_coords(a, ta)):
+                b[t] += c + tb[t]
+            a = [(p + q) % d if d else p + q for p, q, d in zip(a, ta, horders)]
+        rest = [u - k for u, k in zip(z.b.coords, G.kappa(z.a).coords)]
+        if any(rest):
+            for t, row in enumerate(self.fcomm.matrix):
+                b[t] += sum(c * u for c, u in zip(row, rest))
+        return nil2.Nil2Element(H, ab.AbElement(H.A, tuple(a)), H.B._trusted(b))
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""
@@ -691,20 +694,21 @@ def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
     for i in range(n):
         for j, k in enumerate(gadd[i]):
             by_max[max(i, j, k)].append((i, j, k))
-    values = [0] * n
+    values = [-1] * n          # -1: no value tried yet at this position
     cross = [[0] * n for _ in range(n)]
     out = []
-
-    def rec(pos):
+    pos = 0
+    while pos >= 0:
         if pos == n:
             if _cross_ok(values, gadd, hadd, hneg, good, cross):
                 out.append(tuple(values))
-            return
-        for v in range(len(hadd)):
-            values[pos] = v
-            if all(good[hadd[hneg[hadd[values[i]][values[j]]]][values[k]]]
-                   for i, j, k in by_max[pos]):
-                rec(pos + 1)
-
-    rec(0)
+            pos -= 1
+            continue
+        values[pos] += 1
+        if values[pos] == len(hadd):
+            values[pos] = -1
+            pos -= 1
+        elif all(good[hadd[hneg[hadd[values[i]][values[j]]]][values[k]]]
+                 for i, j, k in by_max[pos]):
+            pos += 1
     return sorted(out)

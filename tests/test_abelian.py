@@ -340,3 +340,23 @@ def test_kernel_matches_bruteforce_on_finite():
         members = {incl.apply(x) for x in k.elements()}
         brute = {x for x in h.source.elements() if h.apply(x).is_zero()}
         assert members == brute
+
+
+def test_orders_must_be_integers():
+    # no silent truncation of 2.5 to Z/2, and no bool posing as an order
+    for bad in ([2.5], [True, 2], ["a"], [None]):
+        with pytest.raises(InvalidArgument):
+            ab.FGAbelian(bad)
+
+
+def test_element_ops_keep_free_coordinates_unreduced():
+    g = ab.FGAbelian([0, 3, 0])
+    x, y = g.element([5, 2, -7]), g.element([4, 2, 3])
+    assert (x + y).coords == (9, 1, -4)
+    assert (x - y).coords == (1, 0, -10)
+    assert (-x).coords == (-5, 1, 7)
+    assert (3 * x).coords == (15, 0, -21)
+    assert (x * -2).coords == (-10, 2, 14)
+    # results of the ops are canonical, as from the validating constructor
+    for z in (x + y, x - y, -x, 3 * x, x * -2):
+        assert z == g.element(z.coords) and z.group is g

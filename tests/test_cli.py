@@ -143,3 +143,24 @@ def test_info_infinite_file_group_without_guarantee(tmp_path):
     code, text = run(["--file", str(f), "info", "K"])
     assert code == 0
     assert "q-split: unknown (infinite, no structural guarantee)\n" in text
+
+
+@pytest.mark.parametrize("body", [
+    "abelianization = [2.5];",
+    "abelianization = [True, 2];",
+    'abelianization = ["a"];',
+    "abelianization = [[2]];",
+    "abelianization = [2, 2]; commutator = [2.0]; bil[1][2] = [1];",
+    "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1.5];",
+    "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [[1]];",
+    "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1]; carry = [1, 0];",
+    "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1]; carry = [[1], [False]];",
+    "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1]; carry = [[1], 'a'];",
+])
+def test_group_file_rejects_non_integers(tmp_path, body):
+    # wrong types are input errors (exit 2), never truncated or a traceback
+    f = tmp_path / "bad.txt"
+    f.write_text("group K { " + body + " }\n")
+    code, text = run(["--file", str(f), "info", "K"])
+    assert code == 2
+    assert text.startswith("error:")

@@ -1,6 +1,7 @@
 """Tests for the q-map calculus: validation, evaluation, the group
 structure on qw(G,H), composition, enumeration vs. the set-map filter."""
 
+import gc
 import itertools
 import random
 
@@ -582,3 +583,74 @@ def test_product_projections_inclusions():
     s = i1.compose(p1) + i2.compose(p2)
     for z in p.elements():
         assert s.eval(z) == z
+
+
+def reference_eval(q, z):
+    """The object-level generator expansion, as a reference for the
+    coordinate-level `QMap.eval`: ascending generator index, each step
+    adding m f(e_i) + (m(m-1)/2) delta[i][i] and the cross terms
+    x_p m delta[p][i] (p < i), then fcomm(z.b - kappa(z.a))."""
+    G, H = q.source, q.target
+    x = z.a.coords
+    acc = H.zero()
+    for i, m in enumerate(x):
+        if m == 0:
+            continue
+        term = m * q.gen_image(i) + (m * (m - 1) // 2) * H.central(q.delta[i][i])
+        cross = H.B.zero()
+        for p in range(i):
+            if x[p]:
+                cross = cross + (x[p] * m) * q.delta[p][i]
+        acc = acc + term + H.central(cross)
+    return acc + H.central(q.fcomm.apply(z.b - G.kappa(z.a)))
+
+
+def _assert_eval_matches_reference(q, points):
+    for z in points:
+        got = q.eval(z)
+        want = reference_eval(q, z)
+        assert got == want, (q, z, got, want)
+        assert got.a.coords == want.a.coords and got.b.coords == want.b.coords
+
+
+def test_eval_agrees_with_reference_expansion():
+    q8z2 = nil2.product(Q8, Z2)
+    count = 0
+    for g, h in [(Z4, Q8), (D4, Q8), (Q8, D4), (q8z2, V4)]:
+        pts = list(g.elements())
+        for q in qmaps.enumerate_qmaps(g, h):
+            _assert_eval_matches_reference(q, pts)
+            count += 1
+    assert count == 16 + 256 + 256 + 64
+    for g in (D4, HEIS3):
+        for n in (-3, -1, 2):
+            _assert_eval_matches_reference(qmaps.power_qmap(g, n), g.elements())
+    # infinite sources: negative multiples of free generators
+    z1 = nil2.free(1)
+    pts1 = [z1.element([n], []) for n in range(-3, 4)]
+    for a in Q8.elements():
+        for b in Q8.B.elements():
+            _assert_eval_matches_reference(
+                qmaps.qmap_from_z(Q8, a, Q8.central(b)), pts1)
+    f2 = nil2.free(2)
+    pts2 = [f2.element([s, t], [u]) for s in range(-3, 4)
+            for t in range(-3, 4) for u in range(-3, 4)]
+    bz, one = Q8.B.zero(), Q8.B.element([1])
+    for a1 in Q8.elements():
+        a2 = Q8.gen(1)
+        fab = ab.AbHom.from_columns(f2.A, Q8.A, [a1.a, a2.a])
+        fcomm = ab.AbHom.from_columns(f2.B, Q8.B, [one])
+        d21 = Q8.commutator_pairing(a1.a, a2.a) - one  # commutator relation
+        q = qmaps.QMap(f2, Q8, fab, fcomm, [a1.b, a2.b], [[one, bz], [d21, one]])
+        _assert_eval_matches_reference(q, pts2)
+    _assert_eval_matches_reference(qmaps.identity_qmap(f2), pts2)
+    _assert_eval_matches_reference(qmaps.power_qmap(f2, -3), pts2)
+
+
+def test_bruteforce_leaves_no_cyclic_garbage():
+    # the backtracking keeps no reference cycle: its working lists are
+    # freed by reference counting when the call returns
+    gc.collect()
+    for kind in ("qmap", "quadratic"):
+        qmaps.quadratic_functions_bruteforce(Z4, Z2, kind=kind)
+        assert gc.collect() == 0
