@@ -768,30 +768,28 @@ def direct_sum(a: FGAbelian, b: FGAbelian) -> FGAbelian:
 # ---------------------------------------------------------------------------
 # Enumeration of homomorphisms.
 
-def _torsion_annihilator_elements(target: FGAbelian, d: int):
-    """Elements y with d * y = 0, in lexicographic order (d = 0: all)."""
+def _annihilator(group: FGAbelian, *ds):
+    """Elements killed by every nonzero d in ds, in lexicographic order."""
     ranges = []
-    for dt in target.orders:
-        if d == 0:
-            if dt == 0:
+    for e in group.orders:
+        if e == 0:
+            if not any(ds):
                 raise UnsupportedEnumeration(
-                    "infinitely many homomorphisms: free source generator "
-                    "against a free target factor")
-            ranges.append(range(dt))
-        elif dt == 0:
-            ranges.append(range(1))
-        else:
-            g = gcd(dt, d)
-            step = dt // g
-            ranges.append(range(0, dt, step))
-    for coords in itertools.product(*ranges):
-        yield target.element(coords)
+                    "infinitely many choices: a free coordinate that no "
+                    "nonzero order constrains (e.g. homomorphisms Z -> Z)")
+            ranges.append([0])
+            continue
+        m = 1
+        for d in ds:
+            if d:
+                m = lcm(m, e // gcd(e, d))
+        ranges.append(range(0, e, m))
+    return [group.element(c) for c in itertools.product(*ranges)]
 
 
 def enumerate_homs(source: FGAbelian, target: FGAbelian):
     """All homomorphisms source -> target in a fixed deterministic order."""
-    col_choices = [list(_torsion_annihilator_elements(target, d))
-                   for d in source.orders]
+    col_choices = [_annihilator(target, d) for d in source.orders]
     for cols in itertools.product(*col_choices):
         yield AbHom.from_columns(source, target, list(cols))
 

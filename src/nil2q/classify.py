@@ -2,9 +2,10 @@
 Niq-isomorphism, the ~ and == equivalences on q-maps, and verifiers for
 the linear-extension structure.
 
-q-splitness of a finite group is decided by exhaustive search over
-section candidates (gamma, delta) of the projection onto the
-abelianization; infinite groups are reported structurally when they were
+q-splitness of a finite group is decided by exhaustive search for a
+section of the projection onto the abelianization: the first fab = id,
+fcomm = 0 presentation of a q-map G_ab -> G (the q-map solver of
+`qmaps`); infinite groups are reported structurally when they were
 built by the constructions known to preserve q-splitness (abelian
 groups, products, coproducts, free groups).
 """
@@ -125,21 +126,6 @@ def abelianization_projection(g: nil2.Nil2Group) -> qmaps.QMap:
 
 
 @dataclass(frozen=True)
-class SectionCandidate:
-    """Candidate quadratic section of G -> G_ab: corrections gamma and a
-    cross-effect matrix delta over B, with fab the identity."""
-
-    gamma: tuple
-    delta: tuple
-
-    def to_qmap(self, g: nil2.Nil2Group) -> qmaps.QMap:
-        src = nil2.from_abelian(g.A)
-        return qmaps.QMap(src, g, ab.AbHom.identity(g.A),
-                          ab.AbHom.zero(src.B, g.B),
-                          list(self.gamma), [list(row) for row in self.delta])
-
-
-@dataclass(frozen=True)
 class QSplitResult:
     verdict: bool
     mode: str                      # "search" or "structural"
@@ -150,66 +136,25 @@ class QSplitResult:
 
 
 def _section_search(g: nil2.Nil2Group):
-    """First valid section candidate in deterministic order, or None.
-
-    delta diagonals and upper triangle run lexicographically over the
-    torsion-compatible elements; the lower triangle is forced by the
-    commutator relations and gamma by the order relations.
-    """
-    r = g.rank
-    orders = g.A.orders
-    diag_choices = [qmaps._annihilator(g.B, d) for d in orders]
-    upper_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    upper_choices = [qmaps._annihilator(g.B, orders[i], orders[j])
-                     for i, j in upper_pairs]
-    pairing = {(i, j): g.commutator_pairing(g.A.gen(i), g.A.gen(j))
-               for i, j in upper_pairs}
-    power_b = [(orders[i] * g.gen(i)).b for i in range(r)]
-    for diag in itertools.product(*diag_choices):
-        gamma_choices = []
-        for i in range(r):
-            d = orders[i]
-            tgt = -power_b[i] - (d * (d - 1) // 2) * diag[i]
-            sols = qmaps._scalar_solutions(d, tgt)
-            if not sols:
-                gamma_choices = None
-                break
-            gamma_choices.append(sols)
-        if gamma_choices is None:
-            continue
-        for upper in itertools.product(*upper_choices):
-            delta = [[g.B.zero()] * r for _ in range(r)]
-            ok = True
-            for pos, (i, j) in enumerate(upper_pairs):
-                dij = upper[pos]
-                delta[i][j] = dij
-                dji = dij + pairing[(i, j)]
-                if not ((orders[i] * dji).is_zero()
-                        and (orders[j] * dji).is_zero()):
-                    ok = False
-                    break
-                delta[j][i] = dji
-            if not ok:
-                continue
-            for i in range(r):
-                delta[i][i] = diag[i]
-            for gamma in itertools.product(*gamma_choices):
-                return SectionCandidate(tuple(gamma),
-                                        tuple(tuple(row) for row in delta))
-    return None
+    """Generator data (fab, fcomm, gamma, delta) of the first section of
+    G -> G_ab, or None: the first fab = id, fcomm = 0 presentation of a
+    q-map G_ab -> G in enumeration order."""
+    src = nil2.from_abelian(g.A)
+    return next(qmaps._presentations(src, g, [ab.AbHom.identity(g.A)],
+                                     [ab.AbHom.zero(src.B, g.B)]), None)
 
 
 def is_qsplit(g: nil2.Nil2Group) -> QSplitResult:
     """Does the projection G -> G_ab admit a quadratic section?
 
-    Finite groups are decided by exhaustive candidate search; infinite
+    Finite groups are decided by exhaustive section search; infinite
     groups only when built by constructions that preserve q-splitness.
     """
     if g.is_finite():
-        cand = _section_search(g)
-        if cand is None:
+        data = _section_search(g)
+        if data is None:
             return QSplitResult(False, "search")
-        section = cand.to_qmap(g)
+        section = qmaps.QMap(nil2.from_abelian(g.A), g, *data)
         proj = abelianization_projection(g)
         composite = proj.compose(section)
         if composite != qmaps.identity_qmap(proj.target):

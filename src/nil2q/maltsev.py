@@ -68,19 +68,7 @@ class LieElement:
         return self + (-other)
 
     def __mul__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        z = self
-        if n < 0:
-            z, n = -z, -n
-        acc = self.ring.zero()
-        while n:
-            if n & 1:
-                acc = acc + z
-            n >>= 1
-            if n:
-                z = z + z
-        return acc
+        return nil2._multiple(self, n, self.ring.zero)
 
     __rmul__ = __mul__
 
@@ -402,6 +390,26 @@ class PairIsoWitness:
         return acc
 
 
+def _generator_choices(lg: Nil2LieRing, lh: Nil2LieRing, helems, bgen_imgs):
+    """The relations an additive map lg -> lh must keep, per generator.
+
+    For B-generator images y = `bgen_imgs`: None if some e_j y_j != 0
+    (B's orders); otherwise, per A-generator i, the x in `helems` (order
+    kept) with d_i x = sum_t carry[i]_t y_t.  The product of these lists
+    is the lexicographic run of A-generator images that pass.
+    """
+    if any(not (e * y).is_zero() for e, y in zip(lg.B.orders, bgen_imgs)):
+        return None
+    choices = []
+    for d, carry in zip(lg.A.orders, lg.carry):
+        need = lh.zero()
+        for c, y in zip(carry.coords, bgen_imgs):
+            if c:
+                need = need + c * y
+        choices.append([x for x in helems if d * x == need])
+    return choices
+
+
 def _additive_iso_search(lg: Nil2LieRing, lh: Nil2LieRing):
     """Generator-image search for an additive isomorphism of the underlying
     abelian groups carrying B onto B.  Lexicographic; first hit."""
@@ -410,34 +418,20 @@ def _additive_iso_search(lg: Nil2LieRing, lh: Nil2LieRing):
     if lg.additive_invariants() != lh.additive_invariants():
         return None
     n = lh.order()
-    r, s = lg.A.rank, lg.B.rank
     helems = list(lh.elements())
     belems = [lh.central(b) for b in lh.B.elements()]
     gelems = list(lg.elements())
-
-    def relations_hold(gen_imgs, bgen_imgs):
-        for i, d in enumerate(lg.A.orders):
-            need = lh.zero()
-            for t, c in enumerate(lg.carry[i].coords):
-                if c:
-                    need = need + c * bgen_imgs[t]
-            if d * gen_imgs[i] != need:
-                return False
-        for j, e in enumerate(lg.B.orders):
-            if not (e * bgen_imgs[j]).is_zero():
-                return False
-        return True
-
-    for bgen_imgs in itertools.product(belems, repeat=s):
+    for bgen_imgs in itertools.product(belems, repeat=lg.B.rank):
         # the B generators must map onto B
         img = {lh.zero()}
         for y in bgen_imgs:
             img = {w + c * y for w in img for c in range(max(lh.B.orders, default=1))}
         if len(img) != lg.B.order():
             continue
-        for gen_imgs in itertools.product(helems, repeat=r):
-            if not relations_hold(gen_imgs, bgen_imgs):
-                continue
+        choices = _generator_choices(lg, lh, helems, bgen_imgs)
+        if choices is None:
+            continue
+        for gen_imgs in itertools.product(*choices):
             w = PairIsoWitness(lg, lh, gen_imgs, bgen_imgs)
             image = {w.apply(z) for z in gelems}
             if len(image) == n:

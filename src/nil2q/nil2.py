@@ -240,6 +240,23 @@ class CayleyTable:
         self.neg = [row.index(0) for row in self.add]
 
 
+def _multiple(z, n, zero):
+    """n z by double-and-add, for any element type with + and unary -;
+    `zero()` gives the identity.  NotImplemented unless n is an int."""
+    if not isinstance(n, int):
+        return NotImplemented
+    if n < 0:
+        z, n = -z, -n
+    acc = zero()
+    while n:
+        if n & 1:
+            acc = acc + z
+        n >>= 1
+        if n:
+            z = z + z
+    return acc
+
+
 class Nil2Element:
     """Element (a, u) of a Nil2Group, both components canonical."""
 
@@ -274,19 +291,7 @@ class Nil2Element:
         return self + (-other)
 
     def __mul__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        z = self
-        if n < 0:
-            z, n = -z, -n
-        acc = self.group.zero()
-        while n:
-            if n & 1:
-                acc = acc + z
-            n >>= 1
-            if n:
-                z = z + z
-        return acc
+        return _multiple(self, n, self.group.zero)
 
     __rmul__ = __mul__
 

@@ -10,11 +10,14 @@ stored by generator data:
     delta  : r x r cross matrix  delta[i][j] = (e_i | e_j)_f in [H,H].
 
 Three relation families gate the data (torsion of delta, commutator
-relations, order relations).  Evaluation runs on integer coordinates
-along the fixed ascending generator expansion: each map caches the
-coordinates of its generator multiples f(m e_i) (negative m included, for
-free generators), adds the cocycle, the delta cross terms and
-fcomm(z.b - kappa(z.a)) into one unreduced B vector, and reduces it once.
+relations, order relations).  One solver, `_presentations`, walks them
+for q-map enumeration, homomorphism enumeration (delta pinned to zero)
+and q-split section search (fab = id, fcomm = 0 out of G_ab).
+Evaluation runs on integer coordinates along the fixed ascending
+generator expansion: each map caches the coordinates of its generator
+multiples f(m e_i) (negative m included, for free generators), adds the
+cocycle, the delta cross terms and fcomm(z.b - kappa(z.a)) into one
+unreduced B vector, and reduces it once.
 The independent completeness oracle is the exhaustive set-map filter over
 the defining conditions; it and the function-level checks run on integer
 Cayley tables built from the group law (`Nil2Group.table`), never from
@@ -24,7 +27,7 @@ q-map data.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd
 
 from . import abelian as ab
 from . import nil2
@@ -499,125 +502,85 @@ def _scalar_solutions(d: int, t: ab.AbElement):
     return [t.group.element(c) for c in itertools.product(*per_coord)]
 
 
-def _annihilator(group: ab.FGAbelian, *ds):
-    """Elements killed by every nonzero d in ds, lexicographic order."""
-    ranges = []
-    for e in group.orders:
-        if e == 0:
-            if any(ds):
-                ranges.append([0])
-            else:
-                raise UnsupportedEnumeration("unconstrained free coordinate")
-            continue
-        m = 1
-        for d in ds:
-            if d:
-                m = lcm(m, e // gcd(e, d))
-        ranges.append(range(0, e, m))
-    return [group.element(c) for c in itertools.product(*ranges)]
+def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
+                   homs=False):
+    """Generator data (fab, fcomm, gamma, delta) of every q-map G -> H with
+    fab from `fabs` and fcomm from the list `fcomms`, for finite G and H.
+
+    The one solver of the three relation families: the diagonal and the
+    upper triangle of delta run lexicographically over the elements killed
+    by the source orders (torsion), the lower triangle is forced by the
+    commutator relations and gamma by the order relations.  Order: fab,
+    fcomm, delta's diagonal, its upper triangle, gamma.  `homs` pins delta
+    to zero and skips an fcomm whose commutator relations fail before
+    gamma is solved.
+    """
+    r = g.rank
+    orders = g.A.orders
+    zero = h.B.zero()
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    torsion_b = [(d * g.gen(i)).b for i, d in enumerate(orders)]
+    if homs:
+        diag_choices, upper_choices = [[zero]] * r, [[zero]] * len(pairs)
+    else:
+        diag_choices = [ab._annihilator(h.B, d) for d in orders]
+        upper_choices = [ab._annihilator(h.B, orders[i], orders[j])
+                         for i, j in pairs]
+    for fab in fabs:
+        cols = [fab.column(i) for i in range(r)]
+        pair_comm = [h.commutator_pairing(cols[i], cols[j]) for i, j in pairs]
+        power_b = [(d * h.pair(c, zero)).b for d, c in zip(orders, cols)]
+        for fcomm in fcomms:
+            # delta[j][i] - delta[i][j], forced by the commutator relations
+            skew = [pc - fcomm.apply(g.bil[i][j] - g.bil[j][i])
+                    for pc, (i, j) in zip(pair_comm, pairs)]
+            if homs and not all(s.is_zero() for s in skew):
+                continue
+            rhs = [fcomm.apply(t) - p for t, p in zip(torsion_b, power_b)]
+            for diag in itertools.product(*diag_choices):
+                gamma_choices = []
+                for d, t, e in zip(orders, rhs, diag):
+                    sols = _scalar_solutions(d, t - (d * (d - 1) // 2) * e)
+                    if not sols:
+                        break
+                    gamma_choices.append(sols)
+                else:
+                    for upper in itertools.product(*upper_choices):
+                        delta = [[zero] * r for _ in range(r)]
+                        for i, e in enumerate(diag):
+                            delta[i][i] = e
+                        for (i, j), dij, s in zip(pairs, upper, skew):
+                            dji = dij + s
+                            if not ((orders[i] * dji).is_zero()
+                                    and (orders[j] * dji).is_zero()):
+                                break
+                            delta[i][j], delta[j][i] = dij, dji
+                        else:
+                            for gamma in itertools.product(*gamma_choices):
+                                yield fab, fcomm, gamma, delta
 
 
 def enumerate_qmaps(g: nil2.Nil2Group, h: nil2.Nil2Group):
-    """All q-maps G -> H, deterministic order.
+    """All q-maps G -> H, deterministic order (see `_presentations`).
 
-    Iterates (fab, fcomm), derives the lower delta triangle from the
-    commutator relations, solves the order relations for gamma, and
-    yields validated presentations.  Complete against the brute-force
-    set-map filter (acceptance property).
+    Complete against the brute-force set-map filter (acceptance property).
     """
     if not (g.is_finite() and h.is_finite()):
         raise UnsupportedEnumeration("q-map enumeration needs finite groups")
-    r = g.rank
-    orders = g.A.orders
-    torsion_b = [(d * g.gen(i)).b for i, d in enumerate(orders)]
-    diag_choices = [_annihilator(h.B, d) for d in orders]
-    upper_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    upper_choices = [_annihilator(h.B, orders[i], orders[j]) for i, j in upper_pairs]
-    all_b = list(h.B.elements())
-    for fab in ab.enumerate_homs(g.A, h.A):
-        cols = [fab.column(i) for i in range(r)]
-        pair_comm = {(i, j): h.commutator_pairing(cols[i], cols[j])
-                     for i, j in upper_pairs}
-        power_b = [(orders[i] * h.pair(cols[i], h.B.zero())).b for i in range(r)]
-        for fcomm in ab.enumerate_homs(g.B, h.B):
-            anti = {(i, j): fcomm.apply(g.bil[i][j] - g.bil[j][i])
-                    for i, j in upper_pairs}
-            for diag in itertools.product(*diag_choices):
-                gamma_choices = []
-                for i in range(r):
-                    d = orders[i]
-                    if d == 0:
-                        gamma_choices.append(all_b)
-                        continue
-                    tgt = (fcomm.apply(torsion_b[i]) - power_b[i]
-                           - (d * (d - 1) // 2) * diag[i])
-                    sols = _scalar_solutions(d, tgt)
-                    if not sols:
-                        gamma_choices = None
-                        break
-                    gamma_choices.append(sols)
-                if gamma_choices is None:
-                    continue
-                for upper in itertools.product(*upper_choices):
-                    delta = [[h.B.zero()] * r for _ in range(r)]
-                    ok = True
-                    for pos, (i, j) in enumerate(upper_pairs):
-                        dij = upper[pos]
-                        delta[i][j] = dij
-                        dji = dij + pair_comm[(i, j)] - anti[(i, j)]
-                        if not ((orders[i] * dji).is_zero()
-                                and (orders[j] * dji).is_zero()):
-                            ok = False
-                            break
-                        delta[j][i] = dji
-                    if not ok:
-                        continue
-                    for i in range(r):
-                        delta[i][i] = diag[i]
-                    for gamma in itertools.product(*gamma_choices):
-                        yield QMap(g, h, fab, fcomm, list(gamma), delta,
-                                   _validated=True)
+    fcomms = list(ab.enumerate_homs(g.B, h.B))
+    for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A), fcomms):
+        yield QMap(g, h, *data, _validated=True)
 
 
 def enumerate_homs(g: nil2.Nil2Group, h: nil2.Nil2Group):
-    """All group homomorphisms G -> H (q-maps with zero cross-effect).
-
-    Same order as filtering enumerate_qmaps by is_hom, but skips the
-    delta loops: with delta pinned to zero the commutator relations
-    constrain (fab, fcomm) directly.
-    """
+    """All group homomorphisms G -> H (q-maps with zero cross-effect), in
+    the order of filtering enumerate_qmaps by is_hom."""
     if not (g.is_finite() and h.is_finite()):
         raise UnsupportedEnumeration("homomorphism enumeration needs finite groups")
-    r = g.rank
-    orders = g.A.orders
-    torsion_b = [(d * g.gen(i)).b for i, d in enumerate(orders)]
-    upper_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    zero_delta = [[h.B.zero()] * r for _ in range(r)]
-    for fab in ab.enumerate_homs(g.A, h.A):
-        cols = [fab.column(i) for i in range(r)]
-        pair_comm = {p: h.commutator_pairing(cols[p[0]], cols[p[1]])
-                     for p in upper_pairs}
-        power_b = [(orders[i] * h.pair(cols[i], h.B.zero())).b for i in range(r)]
-        for fcomm in ab.enumerate_homs(g.B, h.B):
-            if any(fcomm.apply(g.bil[i][j] - g.bil[j][i]) != pair_comm[(i, j)]
-                   for i, j in upper_pairs):
-                continue
-            gamma_choices = []
-            for i in range(r):
-                d = orders[i]
-                if d == 0:
-                    gamma_choices.append(list(h.B.elements()))
-                    continue
-                sols = _scalar_solutions(d, fcomm.apply(torsion_b[i]) - power_b[i])
-                if not sols:
-                    gamma_choices = None
-                    break
-                gamma_choices.append(sols)
-            if gamma_choices is None:
-                continue
-            for gamma in itertools.product(*gamma_choices):
-                yield QMap(g, h, fab, fcomm, list(gamma), zero_delta,
-                           _validated=True)
+    fcomms = list(ab.enumerate_homs(g.B, h.B))
+    for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A), fcomms,
+                               homs=True):
+        yield QMap(g, h, *data, _validated=True)
 
 
 # ---------------------------------------------------------------------------

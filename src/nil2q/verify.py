@@ -11,6 +11,7 @@ recorded in the result details.
 from __future__ import annotations
 
 import itertools
+from math import gcd, prod
 
 from . import abelian as ab
 from . import catalog, classify, maltsev, nil2, qmaps
@@ -472,21 +473,9 @@ def _count_linear_symmetric_pairs(g: nil2.Nil2Group, h: nil2.Nil2Group) -> int:
     belems = [lh.central(b) for b in lh.B.elements()]
     count_g = 0
     for bgen_imgs in itertools.product(belems, repeat=s):
-        if any(not (e * y).is_zero() for e, y in zip(lg.B.orders, bgen_imgs)):
-            continue
-        for gen_imgs in itertools.product(helems, repeat=r):
-            ok = True
-            for i, d in enumerate(lg.A.orders):
-                need = lh.zero()
-                for t, c in enumerate(lg.carry[i].coords):
-                    if c:
-                        need = need + c * bgen_imgs[t]
-                if d * gen_imgs[i] != need:
-                    ok = False
-                    break
-            if ok:
-                count_g += 1
-    from math import gcd
+        choices = maltsev._generator_choices(lg, lh, helems, bgen_imgs)
+        if choices is not None:
+            count_g += prod(len(c) for c in choices)
     count_h = 1
     for i in range(r):
         for j in range(i, r):

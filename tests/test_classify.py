@@ -55,6 +55,16 @@ def test_qsplit_q8_witness_matches_known_section():
     assert s.eval(omega_hat + tau_hat) == Q8.gen(0) + Q8.gen(1)
 
 
+def test_section_search_is_first_identity_qmap():
+    # section search returns the first fab = id, fcomm = 0 q-map G_ab -> G
+    for name, g in catalog.standard_catalog(27):
+        ident = ab.AbHom.identity(g.A)
+        first = next((q for q in qmaps.enumerate_qmaps(nil2.from_abelian(g.A), g)
+                      if q.fab == ident and q.fcomm.is_zero()), None)
+        assert (first is None) == (name == "G27")
+        assert classify.is_qsplit(g).section == first, name
+
+
 def test_qsplit_negative():
     assert not classify.is_qsplit(G27).verdict
     assert not classify.is_qsplit(catalog.modular_semidirect(5)).verdict
