@@ -88,13 +88,6 @@ class SmithForm:
                 r[j] += q * r[k]
             vinv[k] = [a - q * b for a, b in zip(vinv[k], vinv[j])]
 
-        def col_neg(j):
-            for r in d:
-                r[j] = -r[j]
-            for r in v:
-                r[j] = -r[j]
-            vinv[j] = [-a for a in vinv[j]]
-
         t = 0
         limit = min(nrows, ncols)
         while t < limit:
@@ -454,10 +447,6 @@ class AbHom:
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.matrix)
 
-    def is_identity(self) -> bool:
-        return (self.source == self.target
-                and self == AbHom.identity(self.source))
-
     def __eq__(self, other):
         return (isinstance(other, AbHom) and self.source == other.source
                 and self.target == other.target and self.matrix == other.matrix)
@@ -655,18 +644,41 @@ def isomorphism(a: FGAbelian, b: FGAbelian):
 # Multilinear constructions with fixed generator indexing.
 
 class IndexedGroup:
-    """An FGAbelian together with a pairing of index pairs to coordinates.
+    """An FGAbelian generated by symbols (i, j) for the index pairs `pairs`,
+    in that order, the symbol (i, j) of order `order(i, j)`.
 
-    Generators of order 1 are dropped from the group but keep an index
-    entry mapping to None, so that `pure` stays well-defined.
+    Pairs of order 1 are dropped from the group but keep a `positions`
+    entry mapping to None, so that `position`, `columns` and `at` stay
+    well-defined on them.
     """
 
-    def __init__(self, group: FGAbelian, positions: dict):
-        self.group = group
-        self.positions = positions
+    def __init__(self, pairs, order):
+        self.positions, orders = {}, []
+        for i, j in pairs:
+            d = order(i, j)
+            self.positions[(i, j)] = None if d == 1 else len(orders)
+            if d != 1:
+                orders.append(d)
+        self.group = FGAbelian(orders)
 
     def position(self, i, j):
         return self.positions.get((i, j))
+
+    def columns(self, value):
+        """[value(i, j)] over the kept pairs, in generator order."""
+        return [value(i, j) for (i, j), p in self.positions.items() if p is not None]
+
+    def at(self, hom: "AbHom", i, j) -> AbElement:
+        """hom on the generator of (i, j); zero for a dropped pair."""
+        p = self.positions.get((i, j))
+        return hom.target.zero() if p is None else hom.column(p)
+
+    def _unit(self, i, j, sign=1):
+        """sign times the coordinates of the generator of (i, j), or None."""
+        p = self.positions.get((i, j))
+        if p is None:
+            return None
+        return tuple(sign if t == p else 0 for t in range(self.group.rank))
 
 
 class TensorProduct(IndexedGroup):
@@ -674,32 +686,17 @@ class TensorProduct(IndexedGroup):
 
     def __init__(self, a: FGAbelian, b: FGAbelian):
         self.left, self.right = a, b
-        orders, positions = [], {}
-        pos = 0
-        for i, di in enumerate(a.orders):
-            for j, dj in enumerate(b.orders):
-                g = gcd(di, dj)
-                if g == 1:
-                    positions[(i, j)] = None
-                else:
-                    positions[(i, j)] = pos
-                    orders.append(g)
-                    pos += 1
-        super().__init__(FGAbelian(orders), positions)
+        super().__init__(itertools.product(range(a.rank), range(b.rank)),
+                         lambda i, j: gcd(a.orders[i], b.orders[j]))
+        self._units = [[self._unit(i, j) for j in range(b.rank)]
+                       for i in range(a.rank)]
 
     def pure(self, x: AbElement, y: AbElement) -> AbElement:
         """The elementary tensor x (x) y."""
         if x.group != self.left or y.group != self.right:
             raise InvalidArgument("pure tensor arguments in the wrong groups")
-        coords = [0] * self.group.rank
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.coords):
-                p = self.positions[(i, j)]
-                if p is not None and yj != 0:
-                    coords[p] += xi * yj
-        return self.group.element(coords)
+        return self.group._trusted(_bilinear_into([0] * self.group.rank,
+                                                  x.coords, y.coords, self._units))
 
 
 class ExteriorSquare(IndexedGroup):
@@ -707,27 +704,16 @@ class ExteriorSquare(IndexedGroup):
 
     def __init__(self, a: FGAbelian):
         self.base = a
-        orders, positions = [], {}
-        pos = 0
-        for i in range(a.rank):
-            for j in range(i + 1, a.rank):
-                g = gcd(a.orders[i], a.orders[j])
-                if g == 1:
-                    positions[(i, j)] = None
-                else:
-                    positions[(i, j)] = pos
-                    orders.append(g)
-                    pos += 1
-        super().__init__(FGAbelian(orders), positions)
+        n = a.rank
+        super().__init__(itertools.combinations(range(n), 2),
+                         lambda i, j: gcd(a.orders[i], a.orders[j]))
+        # (j, i) holds minus the generator of (i, j); the diagonal is zero
+        self._units = [[self._unit(i, j) if i <= j else self._unit(j, i, -1)
+                        for j in range(n)] for i in range(n)]
 
     def wedge(self, x: AbElement, y: AbElement) -> AbElement:
-        coords = [0] * self.group.rank
-        for i in range(self.base.rank):
-            for j in range(i + 1, self.base.rank):
-                p = self.positions[(i, j)]
-                if p is not None:
-                    coords[p] += x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]
-        return self.group.element(coords)
+        return self.group._trusted(_bilinear_into([0] * self.group.rank,
+                                                  x.coords, y.coords, self._units))
 
 
 class SymmetricSquare(IndexedGroup):
@@ -735,18 +721,9 @@ class SymmetricSquare(IndexedGroup):
 
     def __init__(self, a: FGAbelian):
         self.base = a
-        orders, positions = [], {}
-        pos = 0
-        for i in range(a.rank):
-            for j in range(i, a.rank):
-                g = a.orders[i] if i == j else gcd(a.orders[i], a.orders[j])
-                if g == 1:
-                    positions[(i, j)] = None
-                else:
-                    positions[(i, j)] = pos
-                    orders.append(g)
-                    pos += 1
-        super().__init__(FGAbelian(orders), positions)
+        # gcd(d_i, d_i) = d_i on the diagonal
+        super().__init__(itertools.combinations_with_replacement(range(a.rank), 2),
+                         lambda i, j: gcd(a.orders[i], a.orders[j]))
 
 
 def tensor(a: FGAbelian, b: FGAbelian) -> TensorProduct:

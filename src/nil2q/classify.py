@@ -73,14 +73,13 @@ def find_group_isomorphism(o1: nil2.GroupOracle, o2: nil2.GroupOracle):
     n = len(o1)
     if n != len(o2):
         return None
-    stats1 = sorted(o1.element_order(x) for x in range(n))
-    stats2 = sorted(o2.element_order(x) for x in range(n))
-    if stats1 != stats2:
+    orders1 = nil2._element_orders(o1.table, o1.identity)
+    orders2 = nil2._element_orders(o2.table, o2.identity)
+    if sorted(orders1) != sorted(orders2):
         return None
     gens = _generating_set(o1)
-    gen_orders = [o1.element_order(g) for g in gens]
-    candidates = [[y for y in range(n) if o2.element_order(y) == d]
-                  for d in gen_orders]
+    candidates = [[y for y in range(n) if orders2[y] == orders1[g]]
+                  for g in gens]
     for images in itertools.product(*candidates):
         phi = _extend_hom(o1, o2, gens, images)
         if phi is None or len(set(phi)) != n:
@@ -224,9 +223,6 @@ class IsoDecision:
     paths: dict
     witness: tuple = None
 
-    def path_names(self):
-        return sorted(self.paths)
-
 
 def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
                    search_guard: int = 64) -> IsoDecision:
@@ -278,14 +274,9 @@ def translate_qmap(f: qmaps.QMap, alpha: ab.AbHom) -> qmaps.QMap:
     if alpha.source != tens.group or alpha.target != h.B:
         raise InvalidArgument("alpha must map G_ab (x) G_ab into [H,H]")
     r = g.rank
-
-    def a_val(i, j):
-        p = tens.position(i, j)
-        return alpha.column(p) if p is not None else h.B.zero()
-
-    gamma = [f.gamma[i] + a_val(i, i) for i in range(r)]
-    delta = [[f.delta[i][j] + a_val(i, j) + a_val(j, i) for j in range(r)]
-             for i in range(r)]
+    gamma = [f.gamma[i] + tens.at(alpha, i, i) for i in range(r)]
+    delta = [[f.delta[i][j] + tens.at(alpha, i, j) + tens.at(alpha, j, i)
+              for j in range(r)] for i in range(r)]
     return qmaps.QMap(g, h, f.fab, f.fcomm, gamma, delta)
 
 
@@ -316,17 +307,9 @@ def qmap_sim_equiv(f: qmaps.QMap, g: qmaps.QMap):
             if ddelta[i][j] != ddelta[j][i]:
                 return False, None
     tens = ab.tensor(src.A, src.A)
-    cols = []
-    for i in range(r):
-        for j in range(r):
-            if tens.position(i, j) is None:
-                continue
-            if i == j:
-                cols.append(dgamma[i])
-            elif i < j:
-                cols.append(ddelta[i][j])
-            else:
-                cols.append(tgt.B.zero())
+    zero = tgt.B.zero()
+    cols = tens.columns(lambda i, j: dgamma[i] if i == j
+                        else ddelta[i][j] if i < j else zero)
     try:
         alpha = ab.AbHom.from_columns(tens.group, tgt.B, cols)
     except InvalidHomomorphism:
@@ -351,16 +334,11 @@ def qmap_approx_equiv(f: qmaps.QMap, g: qmaps.QMap) -> bool:
 def _null_tensor_hom(alpha: ab.AbHom, src: nil2.Nil2Group, tens) -> bool:
     """Does alpha vanish on all squares x^ (x) x^?"""
     r = src.rank
-
-    def a_val(i, j):
-        p = tens.position(i, j)
-        return alpha.column(p) if p is not None else alpha.target.zero()
-
     for i in range(r):
-        if not a_val(i, i).is_zero():
+        if not tens.at(alpha, i, i).is_zero():
             return False
         for j in range(i + 1, r):
-            if not (a_val(i, j) + a_val(j, i)).is_zero():
+            if not (tens.at(alpha, i, j) + tens.at(alpha, j, i)).is_zero():
                 return False
     return True
 
@@ -410,14 +388,8 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
             return f.fcomm.compose(b)
 
         def pull(gq, a):
-            cols = []
-            for i in range(g.rank):
-                for j in range(g.rank):
-                    p = tens_g.position(i, j)
-                    if p is None:
-                        continue
-                    val = tens_h.pure(gq.fab.column(i), gq.fab.column(j))
-                    cols.append(a.apply(val))
+            cols = tens_g.columns(lambda i, j: a.apply(
+                tens_h.pure(gq.fab.column(i), gq.fab.column(j))))
             return ab.AbHom.from_columns(tens_g.group, k.B, cols)
     else:
         raise InvalidArgument(f"unknown level {level!r}")

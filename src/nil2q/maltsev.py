@@ -332,11 +332,8 @@ def lie_qmap_decompose(q: qmaps.QMap) -> QMapDecomposition:
     """g(a) = 2 f(a) - half f(2a), h(a^, b^) = f(a + b) - f(a) - f(b),
     with all operations on the Lie side."""
     G, H = q.source, q.target
-    half = _group_half(H)
+    g_fn = linear_part(q)
     _group_half(G)
-
-    def g_fn(z):
-        return lie_sub(2 * q.eval(z), half * q.eval(2 * z))
 
     def h_fn(x, y):
         w = lie_sub(lie_sub(q.eval(lie_add(x, y)), q.eval(x)), q.eval(y))
@@ -412,30 +409,29 @@ def _generator_choices(lg: Nil2LieRing, lh: Nil2LieRing, helems, bgen_imgs):
 
 def _additive_iso_search(lg: Nil2LieRing, lh: Nil2LieRing):
     """Generator-image search for an additive isomorphism of the underlying
-    abelian groups carrying B onto B.  Lexicographic; first hit."""
+    abelian groups carrying B onto B.  Lexicographic; first hit.
+
+    A B-image tuple is kept when it generates lh.B.  A candidate that
+    passes `_generator_choices` is additive and carries B onto B; since
+    |lg| = |lh| it is bijective exactly when the A-parts of its generator
+    images generate lh.A.  Both questions go to Smith-form subgroup
+    generation in `abelian`; no element is swept.
+    """
     if lg.order() != lh.order() or lg.B.order() != lh.B.order():
         return None
     if lg.additive_invariants() != lh.additive_invariants():
         return None
-    n = lh.order()
     helems = list(lh.elements())
     belems = [lh.central(b) for b in lh.B.elements()]
-    gelems = list(lg.elements())
     for bgen_imgs in itertools.product(belems, repeat=lg.B.rank):
-        # the B generators must map onto B
-        img = {lh.zero()}
-        for y in bgen_imgs:
-            img = {w + c * y for w in img for c in range(max(lh.B.orders, default=1))}
-        if len(img) != lg.B.order():
+        if not ab.subgroup_generated([y.b for y in bgen_imgs], lh.B).is_whole():
             continue
         choices = _generator_choices(lg, lh, helems, bgen_imgs)
         if choices is None:
             continue
         for gen_imgs in itertools.product(*choices):
-            w = PairIsoWitness(lg, lh, gen_imgs, bgen_imgs)
-            image = {w.apply(z) for z in gelems}
-            if len(image) == n:
-                return w
+            if ab.subgroup_generated([x.a for x in gen_imgs], lh.A).is_whole():
+                return PairIsoWitness(lg, lh, gen_imgs, bgen_imgs)
     return None
 
 

@@ -45,7 +45,7 @@ class Nil2Group:
                  "_bilc", "_carryc", "_orders", "_borders", "_kappa_cache",
                  "_table")
 
-    def __init__(self, A, B, bil, carry, provenance=None, _validated=False):
+    def __init__(self, A, B, bil, carry, provenance=None):
         self._kappa_cache = {}
         self._table = None
         self.A, self.B = A, B
@@ -63,8 +63,7 @@ class Nil2Group:
                     raise InvalidArgument(f"bil[{i+1}][{j+1}] not in B")
             if self.carry[i].group != B:
                 raise InvalidArgument(f"carry[{i+1}] not in B")
-        if not _validated:
-            self._validate()
+        self._validate()
         # flat coordinate caches for the hot cocycle path
         self._orders = A.orders
         self._borders = B.orders
@@ -484,9 +483,6 @@ class P2Extension:
     def p2(self, g: Nil2Element) -> P2Element:
         return P2Element(self, self.tensor.group.zero(), g)
 
-    def iota(self, xi) -> P2Element:
-        return P2Element(self, xi, self.base.zero())
-
     def proj(self, el: P2Element) -> Nil2Element:
         return el.g
 
@@ -592,12 +588,6 @@ class GroupOracle:
     def __len__(self):
         return len(self.labels)
 
-    def mul(self, x, y):
-        return self.table[x][y]
-
-    def inv(self, x):
-        return self._inv[x]
-
     def comm(self, x, y):
         """[x, y] = -x - y + x + y in additive convention."""
         t = self.table
@@ -610,13 +600,6 @@ class GroupOracle:
         for _ in range(n):
             acc = self.table[acc][x]
         return acc
-
-    def element_order(self, x):
-        n, y = 1, x
-        while y != self.identity:
-            y = self.table[y][x]
-            n += 1
-        return n
 
     def subgroup_closure(self, gens):
         seen = {self.identity}
@@ -745,6 +728,23 @@ def _element_orders(table, identity):
     return out
 
 
+def _quotient(table, sub):
+    """Left cosets x + sub of the subgroup `sub` of a finite table, as
+    (coset_of, reps, qtable): the coset index of each element, the
+    smallest element of each coset, and the quotient table on indices."""
+    coset_of = [None] * len(table)
+    reps = []
+    for x in range(len(table)):
+        if coset_of[x] is None:
+            # x is the smallest element not yet in a coset, so it is the
+            # smallest element of its own coset
+            for y in (table[x][s] for s in sub):
+                coset_of[y] = len(reps)
+            reps.append(x)
+    qtable = [[coset_of[table[c1][c2]] for c2 in reps] for c1 in reps]
+    return coset_of, reps, qtable
+
+
 def _abelian_basis(table, identity):
     """Basis of a finite abelian multiplication table.
 
@@ -768,20 +768,8 @@ def _abelian_basis(table, identity):
     if d == n:
         coords = {p: (i,) for i, p in enumerate(powers)}
         return [q], [d], coords
-    sub = set(powers)
-    coset_of = [None] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] is None:
-            members = sorted(table[x][s] for s in sub)
-            cid = len(reps)
-            reps.append(members[0])
-            for y in members:
-                coset_of[y] = cid
-    qtable = [[coset_of[table[reps[c1]][reps[c2]]] for c2 in range(len(reps))]
-              for c1 in range(len(reps))]
-    qid = coset_of[identity]
-    qgens, qorders, qcoords = _abelian_basis(qtable, qid)
+    coset_of, reps, qtable = _quotient(table, powers)
+    qgens, qorders, _ = _abelian_basis(qtable, coset_of[identity])
     gens, gorders = [q], [d]
     for cg, m in zip(qgens, qorders):
         h = reps[cg]
@@ -838,17 +826,7 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
     def bcoords(x):
         return B.element(ccoords[cindex[x]])
 
-    coset_of = [None] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] is None:
-            members = sorted(oracle.table[x][s] for s in celems)
-            cid = len(reps)
-            reps.append(members[0])
-            for y in members:
-                coset_of[y] = cid
-    qtable = [[coset_of[oracle.table[reps[c1]][reps[c2]]] for c2 in range(len(reps))]
-              for c1 in range(len(reps))]
+    coset_of, reps, qtable = _quotient(oracle.table, celems)
     qgens, qorders, _ = _abelian_basis(qtable, coset_of[oracle.identity])
     lifts = [reps[c] for c in qgens]
     A = ab.FGAbelian(qorders)

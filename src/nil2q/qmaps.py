@@ -163,11 +163,6 @@ class QMap:
                         return False
         return True
 
-    def is_bijective(self) -> bool:
-        if not self.source.is_finite() or self.source.order() != self.target.order():
-            return False
-        return len({self.eval(z) for z in self.source.elements()}) == self.source.order()
-
     # -- group structure on qw(G, H) ------------------------------------------
 
     def __add__(self, other):
@@ -293,11 +288,11 @@ def qmap_from_z(h: nil2.Nil2Group, a: nil2.Nil2Element, b: nil2.Nil2Element) -> 
     return QMap(src, h, fab, fcomm, [a.b], [[b.b]])
 
 
-def qmap_from_function(source, target, fn, verify=True) -> QMap:
+def qmap_from_function(source, target, fn) -> QMap:
     """Read generator data off a concrete function and validate it.
 
-    With `verify` (finite sources) the evaluated presentation is checked
-    to reproduce `fn` pointwise.
+    On a finite source the evaluated presentation is checked to reproduce
+    `fn` pointwise.
     """
     try:
         fab = ab.AbHom.from_columns(
@@ -326,7 +321,7 @@ def qmap_from_function(source, target, fn, verify=True) -> QMap:
                     f"cross-effect at generators ({i+1}, {j+1}) leaves [H,H]")
             delta[i][j] = c.b
     q = QMap(source, target, fab, fcomm, gamma, delta)
-    if verify and source.is_finite():
+    if source.is_finite():
         for z in source.elements():
             if q.eval(z) != fn(z):
                 raise NotAQMap(
@@ -387,13 +382,8 @@ class P2Factorization:
         self.qmap = qmap
         self.extension = nil2.p2_extension(qmap.source)
         tens = self.extension.tensor
-        cols = []
-        src = qmap.source
-        for i in range(src.A.rank):
-            for j in range(src.A.rank):
-                if tens.position(i, j) is not None:
-                    cols.append(qmap.delta[i][j])
-        self.cross_hom = ab.AbHom.from_columns(tens.group, qmap.target.B, cols)
+        self.cross_hom = ab.AbHom.from_columns(
+            tens.group, qmap.target.B, tens.columns(lambda i, j: qmap.delta[i][j]))
 
     def eval(self, el: nil2.P2Element) -> nil2.Nil2Element:
         return (self.qmap.target.central(self.cross_hom.apply(el.xi))
@@ -465,12 +455,8 @@ def coproduct_couniversal(c: nil2.Nil2Group, u: QMap, v: QMap) -> QMap:
     fab = ab.AbHom(c.A, x.A,
                    [list(u.fab.matrix[i]) + list(v.fab.matrix[i])
                     for i in range(x.A.rank)])
-    tens_cols = []
-    for i in range(g1.A.rank):
-        for j in range(g2.A.rank):
-            if tens.position(i, j) is not None:
-                tens_cols.append(
-                    x.commutator_pairing(u.fab.column(i), v.fab.column(j)))
+    tens_cols = tens.columns(
+        lambda i, j: x.commutator_pairing(u.fab.column(i), v.fab.column(j)))
     fcomm_cols = ([u.fcomm.column(j) for j in range(g1.B.rank)]
                   + [v.fcomm.column(j) for j in range(g2.B.rank)]
                   + tens_cols)

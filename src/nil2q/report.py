@@ -22,6 +22,3 @@ class CheckResult:
 def all_ok(results) -> bool:
     return all(r.ok for r in results)
 
-
-def render(results) -> str:
-    return "\n".join(r.line() for r in results)

@@ -254,3 +254,17 @@ def test_log_criterion_decide_positive():
 def test_log_criterion_requires_odd_order():
     with pytest.raises(Unsupported):
         maltsev.log_criterion_decide(catalog.quaternion(), catalog.quaternion())
+
+
+def test_log_criterion_non_chain_commutator_orders():
+    # H is G with B = Z/15 written as Z/3 + Z/5, orders not a divisibility
+    # chain; the isomorphism sends the B generator 1 to (1, 1)
+    def group(b_orders, one):
+        a, b = ab.FGAbelian([15, 15]), ab.FGAbelian(b_orders)
+        z, u = b.zero(), b.element(one)
+        return nil2.Nil2Group(a, b, [[z, u], [z, z]], [u, z])
+
+    g, h = group([15], [1]), group([3, 5], [1, 1])
+    ok, w = maltsev.log_criterion_decide(g, h)
+    assert ok and w is not None
+    assert ab.subgroup_generated([y.b for y in w.bgen_images], h.B).is_whole()
