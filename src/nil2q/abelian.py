@@ -604,10 +604,6 @@ def cokernel(h: AbHom):
     return c, AbHom(tgt, c, proj_rows)
 
 
-def image(h: AbHom) -> Subgroup:
-    return Subgroup(h.target, h.columns())
-
-
 # ---------------------------------------------------------------------------
 # Canonical decomposition and isomorphism witnesses.
 
@@ -764,11 +760,62 @@ def _annihilator(group: FGAbelian, *ds):
     return [group.element(c) for c in itertools.product(*ranges)]
 
 
+def _scalar_solutions(d: int, t: AbElement):
+    """All y with d y = t in t's group, lexicographic; empty list if none."""
+    per_coord = []
+    for e, tc in zip(t.group.orders, t.coords):
+        if e == 0:
+            if tc % d:
+                return []
+            per_coord.append([tc // d])
+        else:
+            g = gcd(d, e)
+            if tc % g:
+                return []
+            step = e // g
+            y0 = ((tc // g) * pow(d // g, -1, step)) % step if step > 1 else 0
+            per_coord.append([y0 + k * step for k in range(g)])
+    return [t.group.element(c) for c in itertools.product(*per_coord)]
+
+
 def enumerate_homs(source: FGAbelian, target: FGAbelian):
     """All homomorphisms source -> target in a fixed deterministic order."""
     col_choices = [_annihilator(target, d) for d in source.orders]
     for cols in itertools.product(*col_choices):
         yield AbHom.from_columns(source, target, list(cols))
+
+
+def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None):
+    """All isomorphisms source -> target of finite groups, in the order of
+    `enumerate_homs`, generator i's image drawn from `choices[i]` (default:
+    the elements killed by d_i).
+
+    Generator-image backtracking: images x_1..x_k are kept only when
+    target / <x_1..x_k> has the invariants of Z/d_{k+1} + ... + Z/d_n.
+    Every prefix of an isomorphism passes; at k = n the test makes the map
+    onto, so bijective as |source| = |target|.
+    """
+    if source.order() != target.order():
+        return iter(())
+    orders = source.orders
+    if choices is None:
+        choices = [_annihilator(target, d) for d in orders]
+    want = [FGAbelian(orders[k:]).invariant_factors() for k in range(len(orders) + 1)]
+    return (AbHom.from_columns(source, target, cols) for cols in
+            _iso_columns(target.rank, _relation_columns(target), choices, want, []))
+
+
+def _iso_columns(rank, rels, choices, want, images):
+    """The extensions of `images` by `choices` whose every prefix of length
+    k presents, with the relations `rels`, a group of invariants want[k]."""
+    k = len(images)
+    if presented(rank, rels + [y.coords for y in images]).orders != want[k]:
+        return
+    if k == len(choices):
+        yield images
+        return
+    for x in choices[k]:
+        yield from _iso_columns(rank, rels, choices, want, images + [x])
 
 
 def hom_count(source: FGAbelian, target: FGAbelian) -> int:

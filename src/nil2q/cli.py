@@ -302,6 +302,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_order < 1:
+            raise InputError(f"--max-order must be a positive integer, not {args.max_order}")
         defs = parse_definitions(BUILTIN_DEFS)
         if args.file:
             try:

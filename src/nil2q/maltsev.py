@@ -13,8 +13,6 @@ log(exp(L)) the literal identity on data.
 
 from __future__ import annotations
 
-import itertools
-
 from . import abelian as ab
 from . import nil2
 from . import qmaps
@@ -387,23 +385,21 @@ class PairIsoWitness:
         return acc
 
 
-def _generator_choices(lg: Nil2LieRing, lh: Nil2LieRing, helems, bgen_imgs):
+def _generator_choices(lg: Nil2LieRing, lh: Nil2LieRing, bgen_imgs):
     """The relations an additive map lg -> lh must keep, per generator.
 
-    For B-generator images y = `bgen_imgs`: None if some e_j y_j != 0
-    (B's orders); otherwise, per A-generator i, the x in `helems` (order
-    kept) with d_i x = sum_t carry[i]_t y_t.  The product of these lists
-    is the lexicographic run of A-generator images that pass.
+    For B-generator images y = `bgen_imgs` in lh.B, killed by lg.B's
+    orders: per A-generator i, the x = (a, b) of lh with d_i x = sum_t
+    carry[i]_t y_t, as a dict a -> [b, ...], both lexicographic.  Since
+    d_i (a, b) = d_i (a, 0) + (0, d_i b), a runs over the elements of lh.A
+    killed by d_i and b over the solutions of one scalar equation.
     """
-    if any(not (e * y).is_zero() for e, y in zip(lg.B.orders, bgen_imgs)):
-        return None
-    choices = []
+    choices, zero = [], lh.B.zero()
     for d, carry in zip(lg.A.orders, lg.carry):
-        need = lh.zero()
-        for c, y in zip(carry.coords, bgen_imgs):
-            if c:
-                need = need + c * y
-        choices.append([x for x in helems if d * x == need])
+        need = sum((c * y for c, y in zip(carry.coords, bgen_imgs)), zero)
+        lifts = {a: ab._scalar_solutions(d, need - (d * lh.pair(a, zero)).b)
+                 for a in ab._annihilator(lh.A, d)}
+        choices.append({a: sols for a, sols in lifts.items() if sols})
     return choices
 
 
@@ -411,27 +407,23 @@ def _additive_iso_search(lg: Nil2LieRing, lh: Nil2LieRing):
     """Generator-image search for an additive isomorphism of the underlying
     abelian groups carrying B onto B.  Lexicographic; first hit.
 
-    A B-image tuple is kept when it generates lh.B.  A candidate that
-    passes `_generator_choices` is additive and carries B onto B; since
-    |lg| = |lh| it is bijective exactly when the A-parts of its generator
-    images generate lh.A.  Both questions go to Smith-form subgroup
-    generation in `abelian`; no element is swept.
+    The B-images run over the isomorphisms lg.B -> lh.B.  A candidate that
+    keeps the relations of `_generator_choices` is additive and carries B
+    onto B; since |lg| = |lh| it is bijective exactly when its A-parts
+    form an isomorphism lg.A -> lh.A.  So the A-parts run over
+    `abelian.isomorphisms` with the liftable choices, each lifted by its
+    first b: bijectivity does not depend on b.
     """
     if lg.order() != lh.order() or lg.B.order() != lh.B.order():
         return None
     if lg.additive_invariants() != lh.additive_invariants():
         return None
-    helems = list(lh.elements())
-    belems = [lh.central(b) for b in lh.B.elements()]
-    for bgen_imgs in itertools.product(belems, repeat=lg.B.rank):
-        if not ab.subgroup_generated([y.b for y in bgen_imgs], lh.B).is_whole():
-            continue
-        choices = _generator_choices(lg, lh, helems, bgen_imgs)
-        if choices is None:
-            continue
-        for gen_imgs in itertools.product(*choices):
-            if ab.subgroup_generated([x.a for x in gen_imgs], lh.A).is_whole():
-                return PairIsoWitness(lg, lh, gen_imgs, bgen_imgs)
+    for bhom in ab.isomorphisms(lg.B, lh.B):
+        lifts = _generator_choices(lg, lh, bhom.columns())
+        fab = next(ab.isomorphisms(lg.A, lh.A, [list(c) for c in lifts]), None)
+        if fab is not None:
+            gen_imgs = [lh.pair(a, c[a][0]) for a, c in zip(fab.columns(), lifts)]
+            return PairIsoWitness(lg, lh, gen_imgs, [lh.central(y) for y in bhom.columns()])
     return None
 
 

@@ -27,7 +27,6 @@ q-map data.
 from __future__ import annotations
 
 import itertools
-from math import gcd
 
 from . import abelian as ab
 from . import nil2
@@ -470,24 +469,6 @@ def coproduct_couniversal(c: nil2.Nil2Group, u: QMap, v: QMap) -> QMap:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
-def _scalar_solutions(d: int, t: ab.AbElement):
-    """All y with d y = t in t's group, lexicographic; empty list if none."""
-    per_coord = []
-    for e, tc in zip(t.group.orders, t.coords):
-        if e == 0:
-            if tc % d:
-                return []
-            per_coord.append([tc // d])
-        else:
-            g = gcd(d, e)
-            if tc % g:
-                return []
-            step = e // g
-            y0 = ((tc // g) * pow(d // g, -1, step)) % step if step > 1 else 0
-            per_coord.append([y0 + k * step for k in range(g)])
-    return [t.group.element(c) for c in itertools.product(*per_coord)]
-
-
 def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
                    homs=False):
     """Generator data (fab, fcomm, gamma, delta) of every q-map G -> H with
@@ -496,10 +477,11 @@ def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
     The one solver of the three relation families: the diagonal and the
     upper triangle of delta run lexicographically over the elements killed
     by the source orders (torsion), the lower triangle is forced by the
-    commutator relations and gamma by the order relations.  Order: fab,
-    fcomm, delta's diagonal, its upper triangle, gamma.  `homs` pins delta
-    to zero and skips an fcomm whose commutator relations fail before
-    gamma is solved.
+    commutator relations and gamma by the order relations.  Each relation
+    involves one coordinate, so each coordinate's valid values are listed
+    before their product is taken.  Order: fab, fcomm, delta's diagonal,
+    its upper triangle, gamma.  `homs` pins delta to zero and skips an
+    fcomm whose commutator relations fail before gamma is solved.
     """
     r = g.rank
     orders = g.A.orders
@@ -523,27 +505,22 @@ def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
             if homs and not all(s.is_zero() for s in skew):
                 continue
             rhs = [fcomm.apply(t) - p for t, p in zip(torsion_b, power_b)]
-            for diag in itertools.product(*diag_choices):
-                gamma_choices = []
-                for d, t, e in zip(orders, rhs, diag):
-                    sols = _scalar_solutions(d, t - (d * (d - 1) // 2) * e)
-                    if not sols:
-                        break
-                    gamma_choices.append(sols)
-                else:
-                    for upper in itertools.product(*upper_choices):
-                        delta = [[zero] * r for _ in range(r)]
-                        for i, e in enumerate(diag):
-                            delta[i][i] = e
-                        for (i, j), dij, s in zip(pairs, upper, skew):
-                            dji = dij + s
-                            if not ((orders[i] * dji).is_zero()
-                                    and (orders[j] * dji).is_zero()):
-                                break
-                            delta[i][j], delta[j][i] = dij, dji
-                        else:
-                            for gamma in itertools.product(*gamma_choices):
-                                yield fab, fcomm, gamma, delta
+            diag_lists = [[(e, sols) for e in choices
+                           if (sols := ab._scalar_solutions(d, t - (d * (d - 1) // 2) * e))]
+                          for d, t, choices in zip(orders, rhs, diag_choices)]
+            upper_lists = [[(dij, dij + s) for dij in choices
+                            if (orders[i] * (dij + s)).is_zero()
+                            and (orders[j] * (dij + s)).is_zero()]
+                           for (i, j), s, choices in zip(pairs, skew, upper_choices)]
+            for diag in itertools.product(*diag_lists):
+                for upper in itertools.product(*upper_lists):
+                    delta = [[zero] * r for _ in range(r)]
+                    for i, (e, _) in enumerate(diag):
+                        delta[i][i] = e
+                    for (i, j), (dij, dji) in zip(pairs, upper):
+                        delta[i][j], delta[j][i] = dij, dji
+                    for gamma in itertools.product(*(sols for _, sols in diag)):
+                        yield fab, fcomm, gamma, delta
 
 
 def enumerate_qmaps(g: nil2.Nil2Group, h: nil2.Nil2Group):

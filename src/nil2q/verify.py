@@ -468,14 +468,11 @@ def _count_linear_symmetric_pairs(g: nil2.Nil2Group, h: nil2.Nil2Group) -> int:
     """Number of pairs (g0, h0): g0 additive on the logs carrying [G,G]
     into [H,H], h0 symmetric bilinear into [H,H]."""
     lg, lh = maltsev.lie_log(g), maltsev.lie_log(h)
-    r, s = lg.A.rank, lg.B.rank
-    helems = list(lh.elements())
-    belems = [lh.central(b) for b in lh.B.elements()]
+    r = lg.A.rank
     count_g = 0
-    for bgen_imgs in itertools.product(belems, repeat=s):
-        choices = maltsev._generator_choices(lg, lh, helems, bgen_imgs)
-        if choices is not None:
-            count_g += prod(len(c) for c in choices)
+    for bhom in ab.enumerate_homs(lg.B, lh.B):
+        choices = maltsev._generator_choices(lg, lh, bhom.columns())
+        count_g += prod(sum(map(len, c.values())) for c in choices)
     count_h = 1
     for i in range(r):
         for j in range(i, r):

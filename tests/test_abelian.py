@@ -176,6 +176,38 @@ def test_hom_enumeration_counts():
 # ---------------------------------------------------------------------------
 # Isomorphism
 
+def _bijective(h):
+    return len({h.apply(x) for x in h.source.elements()}) == h.source.order()
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 2], [2, 4], [4, 4], [3, 9], [2, 3, 4]])
+def test_isomorphisms_match_filtered_homs(orders):
+    # the backtracking enumerator yields exactly the bijective homs, in
+    # enumerate_homs order, also onto a differently written target
+    a = ab.FGAbelian(orders)
+    for b in (a, ab.FGAbelian(list(reversed(orders)))):
+        expect = [h for h in ab.enumerate_homs(a, b) if _bijective(h)]
+        assert expect
+        assert list(ab.isomorphisms(a, b)) == expect
+    # given image choices (reversed, zero dropped): the same filter over
+    # their product, in its order
+    choices = [list(reversed(ab._annihilator(a, d)))[:-1] for d in a.orders]
+    expect = [h for h in (ab.AbHom.from_columns(a, a, list(cols))
+                          for cols in itertools.product(*choices)) if _bijective(h)]
+    assert expect
+    assert list(ab.isomorphisms(a, a, choices)) == expect
+
+
+def test_isomorphisms_edge_cases():
+    assert list(ab.isomorphisms(Z2Z4, ab.FGAbelian([2, 2, 2]))) == []
+    assert list(ab.isomorphisms(Z2Z4, ab.FGAbelian([8]))) == []
+    assert list(ab.isomorphisms(Z2, Z3)) == []
+    trivial = ab.FGAbelian([])
+    assert list(ab.isomorphisms(trivial, trivial)) == [ab.AbHom.identity(trivial)]
+    with pytest.raises(UnsupportedEnumeration):
+        list(ab.isomorphisms(Z, Z))
+
+
 def test_isomorphic_basic():
     assert not ab.isomorphic(Z2Z4, ab.FGAbelian([8]))
     assert ab.isomorphic(ab.FGAbelian([2, 3]), Z6)

@@ -154,6 +154,49 @@ def test_bijective_qmap_with_non_qmap_inverse_is_rejected():
     assert not dec.verdict
 
 
+def reference_niq_witness(g, h):
+    """The earlier witness search: the first q-map in enumeration order
+    with onto fab, injective fcomm, bijective values and a q-map inverse."""
+    if g.order() != h.order():
+        return None
+    elems = list(g.elements())
+    fab_ok, fcomm_ok = {}, {}
+    for q in qmaps.enumerate_qmaps(g, h):
+        if q.fab not in fab_ok:
+            fab_ok[q.fab] = ab.subgroup_generated(q.fab.columns(), h.A).is_whole()
+        if q.fcomm not in fcomm_ok:
+            fcomm_ok[q.fcomm] = ab.kernel(q.fcomm)[0].is_trivial()
+        if not (fab_ok[q.fab] and fcomm_ok[q.fcomm]):
+            continue
+        table = {q.eval(z): z for z in elems}
+        if len(table) != len(elems):
+            continue
+        if qmaps.is_qmap_function(table.__getitem__, h, g):
+            return q, qmaps.qmap_from_function(h, g, table.__getitem__)
+    return None
+
+
+def test_niq_witness_matches_reference_filter():
+    groups = dict(catalog.standard_catalog(32))
+    groups.update({
+        "Z8": catalog.cyclic(8),
+        "Z2Z4": catalog.abelian_group([2, 4]),
+        "Z2^3": catalog.abelian_group([2, 2, 2]),
+        "D4xZ2": nil2.product(D4, Z2),
+        "Z2vZ4": nil2.coproduct(Z2, Z4),
+        "Z2vZ2": nil2.coproduct(Z2, Z2),
+    })
+    pairs = [(g, h) for g in groups.values() for h in groups.values()
+             if g.order() == h.order()]
+    assert len(pairs) == 54
+    found = 0
+    for g, h in pairs:
+        expect = reference_niq_witness(g, h)
+        assert classify.find_niq_iso_witness(g, h) == expect
+        found += expect is not None
+    assert 0 < found < len(pairs)
+
+
 def test_sim_equiv_basics():
     f = qmaps.identity_qmap(Q8)
     ok, wit = classify.qmap_sim_equiv(f, f)

@@ -50,6 +50,19 @@ def test_info_guard_skips_large_search():
     assert "q-split: no (search)" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-order", "-3", "info", "Q8"],
+    ["--max-order", "0", "iso", "D4", "Q8"],
+    ["--max-order", "0", "selftest", "--suite", "negative"],
+])
+def test_max_order_must_be_positive(argv):
+    # a non-positive guard is an input error, not a skipped or silently
+    # dropped search
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error: --max-order")
+
+
 def test_iso_commands():
     code, text = run(["iso", "D4", "Q8", "--category", "niq", "--witness"])
     assert code == 0

@@ -268,3 +268,16 @@ def test_log_criterion_non_chain_commutator_orders():
     ok, w = maltsev.log_criterion_decide(g, h)
     assert ok and w is not None
     assert ab.subgroup_generated([y.b for y in w.bgen_images], h.B).is_whole()
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_log_criterion_heis3_times_cyclic(n):
+    g = nil2.product(HEIS3, catalog.cyclic(n))
+    ok, w = maltsev.log_criterion_decide(g, g)
+    assert ok and w is not None
+    if n == 3:
+        # the witness is an additive bijection of the underlying groups
+        elems = list(w.source_ring.elements())
+        image = {x: w.apply(x) for x in elems}
+        assert len(set(image.values())) == g.order()
+        assert all(w.apply(x + y) == image[x] + image[y] for x in elems for y in elems)
