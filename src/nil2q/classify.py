@@ -31,18 +31,6 @@ from .report import CheckResult
 # ---------------------------------------------------------------------------
 # Plain group isomorphism between finite multiplication tables.
 
-def _generating_set(oracle: nil2.GroupOracle):
-    gens = []
-    closure = {oracle.identity}
-    for x in range(len(oracle)):
-        if x not in closure:
-            gens.append(x)
-            closure = oracle.subgroup_closure(gens)
-            if len(closure) == len(oracle):
-                break
-    return gens
-
-
 def _extend_hom(o1, o2, gens, images):
     """Extend generator images to a full map by right multiplication, or None."""
     n = len(o1)
@@ -79,7 +67,7 @@ def find_group_isomorphism(o1: nil2.GroupOracle, o2: nil2.GroupOracle):
     orders2 = nil2._element_orders(o2.table, o2.identity)
     if sorted(orders1) != sorted(orders2):
         return None
-    gens = _generating_set(o1)
+    gens = o1.generating_set()
     candidates = [[y for y in range(n) if orders2[y] == orders1[g]]
                   for g in gens]
     for images in itertools.product(*candidates):

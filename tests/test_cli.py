@@ -50,6 +50,17 @@ def test_info_guard_skips_large_search():
     assert "q-split: no (search)" in text
 
 
+def test_info_order_343_semidirect():
+    code, text = run(["info", "semidirect(49,7,8)"])
+    assert code == 0
+    assert "order: 343" in text
+    assert "abelianization: [7, 7]" in text
+    assert "commutator: [7]" in text
+    assert "exponent: 49" in text
+    assert "center: order 7" in text
+    assert "q-split: skipped (order 343 exceeds --max-order 64)" in text
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-order", "-3", "info", "Q8"],
     ["--max-order", "0", "iso", "D4", "Q8"],
@@ -120,6 +131,22 @@ def test_group_file_oracle(tmp_path):
     code, text = run(["--file", str(f), "info", "C4"])
     assert code == 0
     assert "order: 4" in text and "abelianization: [4]" in text
+
+
+def test_group_file_oracle_class_three_rejected(tmp_path):
+    # D16 = Z/8 x| Z/2 acting by 7 is a group of nilpotence class three
+    elems = [(a, b) for a in range(8) for b in range(2)]
+    label = {(a, b): f"g{a}_{b}" for a, b in elems}
+    o = ["elements = " + " ".join(label[z] for z in elems), "id = g0_0"]
+    for a, b in elems:
+        for a2, b2 in elems:
+            o.append(f"{label[a, b]} * {label[a2, b2]} = "
+                     f"{label[(a + 7 ** b * a2) % 8, (b + b2) % 2]}")
+    f = tmp_path / "d16.txt"
+    f.write_text("group D16 = oracle {\n" + "\n".join(o) + "\n}\n")
+    code, text = run(["--file", str(f), "info", "D16"])
+    assert code == 2
+    assert text == "error: table has nilpotence class greater than two\n"
 
 
 def test_duplicate_names_rejected(tmp_path):

@@ -11,6 +11,7 @@ from nil2q.errors import (
     CommutatorMismatch,
     InvalidArgument,
     InvalidCocycle,
+    NotAGroup,
     NotAnAction,
     NotClassTwo,
     UnsupportedEnumeration,
@@ -384,6 +385,117 @@ def test_canonicalize_round_trip():
         res = nil2.canonicalize_finite(nil2.table_of(g))
         from nil2q.classify import find_group_isomorphism
         assert find_group_isomorphism(nil2.table_of(res.group), nil2.table_of(g)) is not None
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose first row and column are
+    0, 1, ..., n-1 in order (so 0 is a two-sided identity)."""
+    sq = [[i if r == 0 else (r if i == 0 else None) for i in range(n)]
+          for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in sq]
+            return
+        r, c = cells[k]
+        used = set(sq[r][:c]) | {sq[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                sq[r][c] = v
+                yield from fill(k + 1)
+        sq[r][c] = None
+
+    yield from fill(0)
+
+
+def reference_is_group(table, identity):
+    """The all-triples check: total, identity, two-sided inverses and
+    associativity over all n^3 triples."""
+    n = len(table)
+    if any(len(row) != n or any(not 0 <= v < n for v in row) for row in table):
+        return False
+    e = identity
+    if any(table[e][x] != x or table[x][e] != x for x in range(n)):
+        return False
+    if not all(any(table[x][y] == e and table[y][x] == e for y in range(n))
+               for x in range(n)):
+        return False
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def accepts(table, identity):
+    try:
+        nil2.GroupOracle([str(i) for i in range(len(table))], table, identity)
+    except NotAGroup:
+        return False
+    return True
+
+
+def test_oracle_validation_matches_reference():
+    # Light's test checks associativity only at a generating set
+    for n, squares, groups in [(4, 4, 4), (5, 56, 6), (6, 9408, 80)]:
+        seen = accepted = 0
+        for sq in reduced_latin_squares(n):
+            seen += 1
+            ok = accepts(sq, 0)
+            assert ok == reference_is_group(sq, 0), sq
+            accepted += ok
+        assert (seen, accepted) == (squares, groups)
+    oracles = [catalog.quaternion_oracle(), catalog.dihedral4_oracle(),
+               catalog.heisenberg_oracle(3), nil2.semidirect(9, 3, 4),
+               nil2.semidirect(25, 5, 6), nil2.semidirect(4, 2, 3)]
+    for o in oracles:
+        assert reference_is_group(o.table, o.identity)
+        # swapping two products off the identity and inverse positions
+        # keeps identity and inverses but breaks associativity
+        e, inv = o.identity, o._inv
+        bad = [list(row) for row in o.table]
+        x = next(x for x in range(len(o)) if x != e)
+        y, z = [y for y in range(len(o)) if y not in (e, inv[x])][:2]
+        bad[x][y], bad[x][z] = bad[x][z], bad[x][y]
+        assert not accepts(bad, e) and not reference_is_group(bad, e)
+
+
+def dihedral16_oracle():
+    """Z/8 x| Z/2 acting by 7: nilpotence class three."""
+    elems = [(a, b) for a in range(8) for b in range(2)]
+    index = {z: i for i, z in enumerate(elems)}
+    table = [[index[((a + 7 ** b * a2) % 8, (b + b2) % 2)] for a2, b2 in elems]
+             for a, b in elems]
+    return nil2.GroupOracle([f"({a},{b})" for a, b in elems], table, 0)
+
+
+def reference_class_two(o):
+    """Class two and [G, G] from all n^2 commutators."""
+    n = len(o)
+    comms = {o.comm(x, y) for x in range(n) for y in range(n)}
+    central = all(o.table[c][z] == o.table[z][c] for c in comms for z in range(n))
+    return central, o.subgroup_closure(sorted(comms - {o.identity}))
+
+
+def test_class_two_check_matches_reference():
+    oracles = [nil2.GroupOracle([str(i) for i in range(6)], sq, 0)
+               for sq in reduced_latin_squares(6) if reference_is_group(sq, 0)]
+    assert len(oracles) == 80
+    oracles.append(dihedral16_oracle())
+    oracles += [nil2.table_of(g) for _, g in catalog.standard_catalog(64)]
+    verdicts = []
+    for o in oracles:
+        central, comm = reference_class_two(o)
+        assert o.is_class_two() == central
+        if central:
+            assert o.commutator_subgroup() == comm
+        verdicts.append(central)
+    # the order-6 tables label Z6 (class one) 5!/|Aut| = 60 ways and S3
+    # (not nilpotent) 20 ways; the S3 labelings are the nonabelian ones
+    s3 = [o for o in oracles[:80] if any(o.table[x][y] != o.table[y][x]
+                                         for x in range(6) for y in range(6))]
+    assert len(s3) == 20 and not any(o.is_class_two() for o in s3)
+    assert verdicts[80] is False and all(verdicts[81:])
+    with pytest.raises(NotClassTwo):
+        nil2.canonicalize_finite(dihedral16_oracle())
 
 
 def test_oracle_text_round_trip():
