@@ -7,6 +7,11 @@ vectors in canonical form, homomorphisms are integer matrices validated
 for torsion compatibility, and the multilinear constructions (tensor,
 exterior square, symmetric square) come with a fixed generator indexing.
 
+Every quotient, kernel, decomposition and subgroup question is answered by
+one Smith-form presentation, `_present`: a group given by generators and
+relations, in invariant-factor form, with the maps to and from it.  A
+`Subgroup` builds nothing until it is asked a question.
+
 All arithmetic uses Python integers, so it is exact at every scale and
 cannot wrap; the "overflow must raise" requirement is met vacuously.
 """
@@ -14,6 +19,7 @@ cannot wrap; the "overflow must raise" requirement is met vacuously.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import InvalidArgument, InvalidHomomorphism, UnsupportedEnumeration
@@ -176,25 +182,30 @@ class SmithForm:
         return cols
 
 
-def presented(ngens: int, relations) -> "FGAbelian":
-    """Cokernel of a relation matrix: the group <ngens generators | rows>.
+def _present(ngens: int, relations):
+    """The group <ngens generators | rows of `relations`> from one Smith form.
 
-    Each row of `relations` is one relation vector over the generators.
-    Returns the invariant-factor decomposition (canonical order: finite
-    factors in ascending divisibility, then free factors).
+    Returns (C, proj, section): C in invariant-factor form (finite factors
+    in ascending divisibility, then free factors), `proj` the rows of the
+    map Z^ngens -> C, and `section` the ngens x rank(C) matrix whose
+    columns are C's generators in Z^ngens.
     """
     rels = [list(r) for r in relations]
     for r in rels:
         if len(r) != ngens:
             raise InvalidArgument(f"relation length {len(r)} != {ngens} generators")
-    if not rels:
-        return FGAbelian([0] * ngens)
-    # relations as columns of an ngens x k matrix
-    cols = [[rels[k][i] for k in range(len(rels))] for i in range(ngens)]
-    snf = SmithForm(cols, ngens, len(rels))
-    orders = [d for d in snf.diag if d != 1]
-    orders += [0] * (ngens - len(snf.diag))
-    return FGAbelian(orders)
+    # relations as the columns of an ngens x len(rels) matrix
+    snf = SmithForm([[r[i] for r in rels] for i in range(ngens)], ngens, len(rels))
+    diag = snf.diag + [0] * (ngens - len(snf.diag))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    return (FGAbelian([diag[i] for i in keep]), [snf.u[i] for i in keep],
+            [[row[i] for i in keep] for row in snf.uinv])
+
+
+def presented(ngens: int, relations) -> "FGAbelian":
+    """Cokernel of a relation matrix: the group <ngens generators | rows>,
+    in invariant-factor form (see `_present`)."""
+    return _present(ngens, relations)[0]
 
 
 def _bilinear_into(acc, x, y, mat):
@@ -286,14 +297,7 @@ class FGAbelian:
 
     def invariant_factors(self) -> tuple:
         """Canonical invariant factors (ascending divisibility, 0s last)."""
-        r = self.rank
-        if r == 0:
-            return ()
-        diag = [[self.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-        snf = SmithForm(diag, r, r)
-        fin = [d for d in snf.diag if d not in (0, 1)]
-        free = sum(1 for d in snf.diag if d == 0)
-        return tuple(fin) + (0,) * free
+        return presented(self.rank, _relation_columns(self)).orders
 
     def __eq__(self, other):
         return isinstance(other, FGAbelian) and self.orders == other.orders
@@ -463,31 +467,28 @@ class AbHom:
 
 def _relation_columns(group: FGAbelian):
     """Columns d_i * e_i spanning the relation lattice (finite factors only)."""
-    cols = []
-    for i, d in enumerate(group.orders):
-        if d > 0:
-            cols.append([d if j == i else 0 for j in range(group.rank)])
-    return cols
+    return [[d if j == i else 0 for j in range(group.rank)]
+            for i, d in enumerate(group.orders) if d > 0]
 
 
 def _preimage_lattice(matrix_rows, target: FGAbelian, nsrc: int):
     """Basis of {c in Z^nsrc : M c lies in the relation lattice of target}."""
     rel = _relation_columns(target)
-    ncols = nsrc + len(rel)
-    stacked = [[matrix_rows[i][j] for j in range(nsrc)] + [-rel[k][i] for k in range(len(rel))]
+    stacked = [[matrix_rows[i][j] for j in range(nsrc)] + [-col[i] for col in rel]
                for i in range(target.rank)]
-    if target.rank == 0:
-        # everything maps to zero
-        return _identity(nsrc)
-    snf = SmithForm(stacked, target.rank, ncols)
-    basis = []
-    for col in snf.kernel_basis():
-        basis.append(col[:nsrc])
-    return [list(c) for c in basis]
+    snf = SmithForm(stacked, target.rank, nsrc + len(rel))
+    return [col[:nsrc] for col in snf.kernel_basis()]
 
 
 class Subgroup:
-    """Subgroup of an FGAbelian group generated by a list of elements."""
+    """Subgroup of an FGAbelian group generated by a list of elements.
+
+    The constructor computes nothing.  `is_whole` and `index` read the
+    quotient ambient / subgroup, one `_present` Smith form; `contains`
+    builds its membership solver on first use; `group` (and so `order`
+    and `invariants`) presents Z^k modulo the preimage of the ambient
+    relation lattice on first use.  Each is cached.
+    """
 
     def __init__(self, ambient: FGAbelian, elements):
         elements = list(elements)
@@ -496,20 +497,29 @@ class Subgroup:
                 raise InvalidArgument("generator not in the ambient group")
         self.ambient = ambient
         self.generators = elements
-        k = len(elements)
-        # columns of the generator matrix
-        self._gen_cols = [[e.coords[i] for e in elements] for i in range(ambient.rank)]
-        # membership: solve [V | -rel] z = x over Z
-        rel = _relation_columns(ambient)
-        stacked = [[self._gen_cols[i][j] for j in range(k)] + [rel[t][i] for t in range(len(rel))]
-                   for i in range(ambient.rank)]
-        self._solver = SmithForm(stacked, ambient.rank, k + len(rel)) if ambient.rank else None
-        # abstract structure: Z^k modulo the preimage of the relation lattice
-        ker = _preimage_lattice(self._gen_cols, ambient, k) if k else []
-        self.group = presented(k, [[col[i] for i in range(k)] for col in ker])
+
+    @cached_property
+    def _quotient(self) -> FGAbelian:
+        """ambient / subgroup."""
+        return presented(self.ambient.rank, _relation_columns(self.ambient)
+                         + [e.coords for e in self.generators])
+
+    @cached_property
+    def _solver(self) -> SmithForm:
+        """Membership: solve [generators | relations] z = x over Z."""
+        cols = [e.coords for e in self.generators] + _relation_columns(self.ambient)
+        rank = self.ambient.rank
+        return SmithForm([[c[i] for c in cols] for i in range(rank)], rank, len(cols))
+
+    @cached_property
+    def group(self) -> FGAbelian:
+        """The subgroup as an abstract group, in invariant-factor form."""
+        k, rank = len(self.generators), self.ambient.rank
+        gen_rows = [[e.coords[i] for e in self.generators] for i in range(rank)]
+        return presented(k, _preimage_lattice(gen_rows, self.ambient, k))
 
     def invariants(self) -> tuple:
-        return self.group.invariant_factors()
+        return self.group.orders
 
     def order(self) -> int:
         return self.group.order()
@@ -517,27 +527,14 @@ class Subgroup:
     def contains(self, x: AbElement) -> bool:
         if x.group != self.ambient:
             raise InvalidArgument("element not in the ambient group")
-        if self.ambient.rank == 0:
-            return True
         return self._solver.solve(list(x.coords)) is not None
 
     def is_whole(self) -> bool:
-        return all(self.contains(g) for g in self.ambient.gens())
+        return self._quotient.is_trivial()
 
     def index(self) -> int:
         """Index in the ambient group; 0 when infinite."""
-        a, s = self.ambient.order(), self.order()
-        if a and s:
-            return a // s
-        if self.ambient.rank == 0:
-            return 1
-        # quotient ambient / (subgroup + torsion); its order is the index
-        rel = _relation_columns(self.ambient)
-        rows = ([[self._gen_cols[i][j] for i in range(self.ambient.rank)]
-                 for j in range(len(self.generators))] +
-                [[rel[t][i] for i in range(self.ambient.rank)] for t in range(len(rel))])
-        q = presented(self.ambient.rank, rows)
-        return q.order()
+        return self._quotient.order()
 
 
 def subgroup_generated(elements, ambient: FGAbelian = None) -> Subgroup:
@@ -553,55 +550,22 @@ def kernel(h: AbHom):
     """Kernel of h as (group K, inclusion K -> source)."""
     src = h.source
     r = src.rank
-    if r == 0:
-        k = FGAbelian([])
-        return k, AbHom(k, src, [])
-    cols = [[h.matrix[i][j] for j in range(r)] for i in range(h.target.rank)]
-    lat = _preimage_lattice(cols, h.target, r)  # columns, each length r
-    s = len(lat)
+    lat = _preimage_lattice(h.matrix, h.target, r)  # columns, each length r
     # express the source relation lattice in terms of the kernel lattice basis
-    w = [[lat[j][i] for j in range(s)] for i in range(r)]  # r x s
-    wsnf = SmithForm(w, r, s)
-    rel_in_w = []
-    for colvec in _relation_columns(src):
-        sol = wsnf.solve(colvec)
-        assert sol is not None, "source relations must lie in the kernel lattice"
-        rel_in_w.append(sol)
-    # K = Z^s / <rel_in_w>, with generators expressed back in the source
-    if s == 0:
-        k = FGAbelian([])
-        return k, AbHom(k, src, [[] for _ in range(r)])
-    csnf = SmithForm([[rel[i] for rel in rel_in_w] for i in range(s)], s, len(rel_in_w))
-    diag = csnf.diag + [0] * (s - len(csnf.diag))
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    k = FGAbelian([diag[i] for i in keep])
-    incl_cols = []
-    for i in keep:
-        y = [csnf.uinv[t][i] for t in range(s)]
-        incl_cols.append(src.element(mat_vec(w, y)))
-    return k, AbHom.from_columns(k, src, incl_cols)
+    w = [[col[i] for col in lat] for i in range(r)]  # r x s
+    wsnf = SmithForm(w, r, len(lat))
+    rel_in_w = [wsnf.solve(col) for col in _relation_columns(src)]
+    assert None not in rel_in_w, "source relations must lie in the kernel lattice"
+    # K = Z^s / <rel_in_w>, its generators mapped back to the source through W
+    k, _, section = _present(len(lat), rel_in_w)
+    return k, AbHom(k, src, mat_mul(w, section))
 
 
 def cokernel(h: AbHom):
     """Cokernel of h as (group C, projection target -> C)."""
     tgt = h.target
-    r = tgt.rank
-    if r == 0:
-        c = FGAbelian([])
-        return c, AbHom(tgt, c, [])
-    # columns: target relations plus image columns
-    cols = _relation_columns(tgt)
-    cols += [[h.matrix[i][j] for i in range(r)] for j in range(h.source.rank)]
-    if not cols:
-        c = FGAbelian([0] * r)
-        return c, AbHom(tgt, c, _identity(r))
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
-    snf = SmithForm(mat, r, len(cols))
-    diag = snf.diag + [0] * (r - len(snf.diag))
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    c = FGAbelian([diag[i] for i in keep])
-    proj_rows = [snf.u[i] for i in keep]
-    return c, AbHom(tgt, c, proj_rows)
+    c, proj, _ = _present(tgt.rank, _relation_columns(tgt) + [y.coords for y in h.columns()])
+    return c, AbHom(tgt, c, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +573,8 @@ def cokernel(h: AbHom):
 
 def canonical_decomposition(group: FGAbelian):
     """(C, to_c, from_c) with C the invariant-factor form of `group`."""
-    r = group.rank
-    if r == 0:
-        c = FGAbelian([])
-        return c, AbHom(group, c, []), AbHom(c, group, [])
-    diag = [[group.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    snf = SmithForm(diag, r, r)
-    full = snf.diag
-    keep = [i for i, d in enumerate(full) if d != 1]
-    c = FGAbelian([full[i] for i in keep])
-    to_c = AbHom(group, c, [snf.u[i] for i in keep])
-    from_c = AbHom(c, group, [[snf.uinv[i][j] for j in keep] for i in range(r)])
-    return c, to_c, from_c
+    c, proj, section = _present(group.rank, _relation_columns(group))
+    return c, AbHom(group, c, proj), AbHom(c, group, section)
 
 
 def isomorphic(a: FGAbelian, b: FGAbelian) -> bool:

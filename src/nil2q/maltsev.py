@@ -178,7 +178,7 @@ class Nil2LieRing:
             row = [0] * (r + s)
             row[r + j] = e
             rels.append(row)
-        return ab.presented(r + s, rels).invariant_factors()
+        return ab.presented(r + s, rels).orders
 
     def __eq__(self, other):
         return (isinstance(other, Nil2LieRing) and self.A == other.A

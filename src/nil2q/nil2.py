@@ -96,8 +96,6 @@ class Nil2Group:
                 raise CommutatorMismatch(
                     "commutators generate a proper subgroup of B with invariants "
                     f"{list(sub.invariants())}, B = {self.B}")
-        elif r == 0:
-            pass
 
     # -- structure ---------------------------------------------------------
 
@@ -569,14 +567,16 @@ class GroupOracle:
         for x in range(n):
             if self.table[e][x] != x or self.table[x][e] != x:
                 raise NotAGroup(f"'{self.labels[e]}' is not an identity")
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.table[x][y] == e and self.table[y][x] == e:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise NotAGroup(f"'{self.labels[x]}' has no inverse")
+        # the first y with xy = e = yx, scanning only where row x holds e
+        inv = []
+        for x, row in enumerate(self.table):
+            try:
+                y = row.index(e)
+                while self.table[y][x] != e:
+                    y = row.index(e, y + 1)
+            except ValueError:
+                raise NotAGroup(f"'{self.labels[x]}' has no inverse") from None
+            inv.append(y)
         self._inv = tuple(inv)
         # Light's test: {a : (xa)y = x(ay) for all x, y} holds e and is closed
         # under the product, so it is everything once it holds a generating set

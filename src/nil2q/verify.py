@@ -17,6 +17,15 @@ from . import abelian as ab
 from . import catalog, classify, maltsev, nil2, qmaps
 from .report import CheckResult
 
+# The fixed scales of the suites; only the catalog order caps vary by caller.
+MULTIPLE_RANGE = range(-5, 6)     # the n of the multiple identity
+QMAP_IDENTITY_CAP = 120           # q-maps per pair in the identity family
+COPRODUCT_TARGET_ORDER = 16       # targets of the universal-property sweep
+COUPLE_CAP = 30                   # sampled q-maps per pair in the algebra suite
+POINTWISE_COUPLES = 6             # of those, the ones summed pointwise
+LINEXT_MAX_QUADS = 300            # quadruples per linear-extension instance
+ROUNDTRIP_SAMPLE = 60             # sampled q-maps per decompose round trip
+
 
 def _stride_sample(seq, cap):
     seq = list(seq)
@@ -29,7 +38,7 @@ def _stride_sample(seq, cap):
 # ---------------------------------------------------------------------------
 # Element identities on catalog groups.
 
-def suite_element_identities(max_order: int = 32, n_range=range(-5, 6)):
+def suite_element_identities(max_order: int = 32):
     """Commutator and multiple identities, exhaustive on all element pairs."""
     results = []
     for name, g in catalog.standard_catalog(max_order):
@@ -54,11 +63,11 @@ def suite_element_identities(max_order: int = 32, n_range=range(-5, 6)):
         for x in elems:
             for y in elems:
                 c = x.comm(y)
-                for n in n_range:
+                for n in MULTIPLE_RANGE:
                     if n * x + n * y != n * (x + y) + (n * (n - 1) // 2) * c:
                         ok_mult = False
         results.append(CheckResult("multiple-identity", name, ok_mult,
-                                   f"n in {list(n_range)}"))
+                                   f"n in {list(MULTIPLE_RANGE)}"))
         ok_triple = all(x.comm(g.central(b)).is_zero()
                         for x in elems for b in g.B.elements())
         results.append(CheckResult("triple-commutator-trivial", name, ok_triple))
@@ -77,17 +86,15 @@ def _catalog_map(max_order=200):
     return dict(catalog.standard_catalog(max_order))
 
 
-def suite_qmap_identities(pair_names=None, per_pair_cap: int = 120):
+def suite_qmap_identities():
     """The weakly-quadratic identity family, pointwise over all element
     pairs, for deterministically sampled q-maps of each catalog pair."""
     cat = _catalog_map()
-    if pair_names is None:
-        pair_names = QMAP_PAIRS_SMALL + QMAP_PAIRS_27
     results = []
-    for gn, hn in pair_names:
+    for gn, hn in QMAP_PAIRS_SMALL + QMAP_PAIRS_27:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        qs = list(itertools.islice(qmaps.enumerate_qmaps(g, h), per_pair_cap))
+        qs = list(itertools.islice(qmaps.enumerate_qmaps(g, h), QMAP_IDENTITY_CAP))
         elems = list(g.elements())
         bees = [g.central(b) for b in g.B.elements()]
         ok_zero = ok_neg = ok_shift = ok_comm = ok_cross = ok_triple = True
@@ -128,7 +135,7 @@ def suite_qmap_identities(pair_names=None, per_pair_cap: int = 120):
 # ---------------------------------------------------------------------------
 # Coproduct correctness.
 
-def suite_coproduct(max_target_order: int = 16):
+def suite_coproduct():
     results = []
     z2 = catalog.cyclic(2)
     w = nil2.coproduct(z2, z2)
@@ -136,8 +143,8 @@ def suite_coproduct(max_target_order: int = 16):
     iso = classify.find_group_isomorphism(nil2.table_of(w), nil2.table_of(d4))
     results.append(CheckResult("coproduct-z2-z2-is-d4", "Z2vZ2", iso is not None))
 
-    cat = _catalog_map(max_target_order)
-    targets = [(n, g) for n, g in cat.items() if g.order() <= max_target_order]
+    cat = _catalog_map(COPRODUCT_TARGET_ORDER)
+    targets = [(n, g) for n, g in cat.items() if g.order() <= COPRODUCT_TARGET_ORDER]
     factor_pairs = [(catalog.cyclic(2), catalog.cyclic(2)),
                     (catalog.cyclic(2), catalog.cyclic(4))]
     ok_univ = True
@@ -183,18 +190,15 @@ def suite_coproduct(max_target_order: int = 16):
 # ---------------------------------------------------------------------------
 # q-map algebra closure.
 
-def suite_qmap_algebra(pair_names=None, couple_cap: int = 30,
-                       pointwise_couples: int = 6):
+def suite_qmap_algebra():
     """Closure of qw(G,H) under + and -, the cross-effect sum formulas
     pointwise, composition and left distributivity on small triples."""
     cat = _catalog_map()
-    if pair_names is None:
-        pair_names = QMAP_PAIRS_SMALL
     results = []
-    for gn, hn in pair_names:
+    for gn, hn in QMAP_PAIRS_SMALL:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), couple_cap)
+        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), COUPLE_CAP)
         elems = list(g.elements())
         ok_add = ok_neg = ok_cross = True
         for i, f in enumerate(qs):
@@ -211,8 +215,8 @@ def suite_qmap_algebra(pair_names=None, couple_cap: int = 30,
                 except Exception:
                     ok_add = False
                     break
-            if i < pointwise_couples:
-                for q2 in qs[:pointwise_couples]:
+            if i < POINTWISE_COUPLES:
+                for q2 in qs[:POINTWISE_COUPLES]:
                     s = f + q2
                     for x in elems:
                         if s.eval(x) != f.eval(x) + q2.eval(x):
@@ -266,12 +270,10 @@ BRUTE_PAIRS = [("Z2", "Z4"), ("Z4", "Z4"), ("Z2", "Q8"), ("Z4", "Q8"),
                ("V4", "Q8"), ("Q8", "Z4"), ("D4", "Q8"), ("Q8", "D4")]
 
 
-def suite_enumeration(pair_names=None):
+def suite_enumeration():
     cat = _catalog_map()
-    if pair_names is None:
-        pair_names = BRUTE_PAIRS
     results = []
-    for gn, hn in pair_names:
+    for gn, hn in BRUTE_PAIRS:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
         hel = list(h.elements())
@@ -380,14 +382,12 @@ LINEXT_INSTANCES = [("nil", "Q8", "Q8"), ("nil", "Z4", "Q8"), ("nil", "D4", "D4"
                     ("niq", "D4", "D4"), ("niq", "Z4", "Q8"), ("niq", "Q8", "Q8")]
 
 
-def suite_linext(instances=None, max_quads: int = 300):
+def suite_linext():
     cat = _catalog_map()
-    if instances is None:
-        instances = LINEXT_INSTANCES
     results = []
-    for level, gn, hn in instances:
+    for level, gn, hn in LINEXT_INSTANCES:
         results.extend(classify.linear_extension_verify(
-            level, cat[gn], cat[hn], max_quads=max_quads,
+            level, cat[gn], cat[hn], max_quads=LINEXT_MAX_QUADS,
             instance=f"{level}:{gn}|{hn}"))
     results.extend(classify.weak_coproduct_verify(
         cat["Z2"], cat["Z2"], cat["Z2"], instance="Z2|Z2->Z2"))
@@ -399,7 +399,7 @@ def suite_linext(instances=None, max_quads: int = 300):
 # ---------------------------------------------------------------------------
 # Maltsev correspondence.
 
-def suite_maltsev(max_order: int = 125, roundtrip_sample: int = 60):
+def suite_maltsev(max_order: int = 125):
     cat = _catalog_map(200)
     results = []
     odd = [(n, g) for n, g in cat.items()
@@ -442,7 +442,7 @@ def suite_maltsev(max_order: int = 125, roundtrip_sample: int = 60):
         gh = _count_linear_symmetric_pairs(g, h)
         results.append(CheckResult("qmap-count-equals-gh-pairs", f"{gn}->{hn}",
                                    total == gh, f"{total} vs {gh}"))
-        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), roundtrip_sample)
+        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), ROUNDTRIP_SAMPLE)
         ok_rt = True
         for q in qs:
             d = maltsev.lie_qmap_decompose(q)

@@ -391,6 +391,12 @@ def test_subgroup_examples():
     assert s2.contains(Z4.element([2]))
     s3 = ab.subgroup_generated([ZZ.element([2, 0]), ZZ.element([0, 3])])
     assert s3.index() == 6
+    # index in a finite ambient, infinite index, and the rank-0 ambient
+    assert s2.index() == 2 and s.index() == 1
+    assert ab.subgroup_generated([Z2Z4.element([1, 2])]).index() == 4
+    assert ab.subgroup_generated([ZZ.element([1, 0])]).index() == 0
+    assert ab.subgroup_generated([ab.FGAbelian([0, 2]).element([0, 1])]).index() == 0
+    assert ab.subgroup_generated([], ab.FGAbelian([])).index() == 1
     # brute-force membership oracle on a finite group
     g = ab.FGAbelian([4, 6])
     gens = [g.element([2, 3])]
@@ -461,3 +467,188 @@ def test_element_ops_keep_free_coordinates_unreduced():
     # results of the ops are canonical, as from the validating constructor
     for z in (x + y, x - y, -x, 3 * x, x * -2):
         assert z == g.element(z.coords) and z.group is g
+
+
+# ---------------------------------------------------------------------------
+# The presentation layer against the eager constructions it replaced
+
+def reference_presented(ngens, rels):
+    if not rels:
+        return ab.FGAbelian([0] * ngens)
+    cols = [[rels[k][i] for k in range(len(rels))] for i in range(ngens)]
+    snf = ab.SmithForm(cols, ngens, len(rels))
+    return ab.FGAbelian([d for d in snf.diag if d != 1]
+                        + [0] * (ngens - len(snf.diag)))
+
+
+def reference_invariant_factors(group):
+    r = group.rank
+    if r == 0:
+        return ()
+    diag = [[group.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
+    snf = ab.SmithForm(diag, r, r)
+    return (tuple(d for d in snf.diag if d not in (0, 1))
+            + (0,) * sum(1 for d in snf.diag if d == 0))
+
+
+def reference_preimage_lattice(matrix_rows, target, nsrc):
+    rel = ab._relation_columns(target)
+    if target.rank == 0:
+        return [[int(i == j) for j in range(nsrc)] for i in range(nsrc)]
+    stacked = [[matrix_rows[i][j] for j in range(nsrc)] + [-rel[k][i] for k in range(len(rel))]
+               for i in range(target.rank)]
+    snf = ab.SmithForm(stacked, target.rank, nsrc + len(rel))
+    return [col[:nsrc] for col in snf.kernel_basis()]
+
+
+class ReferenceSubgroup:
+    """Solver, preimage lattice and presentation, all built up front."""
+
+    def __init__(self, ambient, elements):
+        self.ambient = ambient
+        k = len(elements)
+        self.gen_cols = [[e.coords[i] for e in elements] for i in range(ambient.rank)]
+        rel = ab._relation_columns(ambient)
+        stacked = [self.gen_cols[i] + [rel[t][i] for t in range(len(rel))]
+                   for i in range(ambient.rank)]
+        self.solver = ab.SmithForm(stacked, ambient.rank, k + len(rel)) if ambient.rank else None
+        ker = reference_preimage_lattice(self.gen_cols, ambient, k) if k else []
+        self.group = reference_presented(k, ker)
+        self.k = k
+
+    def contains(self, x):
+        return self.ambient.rank == 0 or self.solver.solve(list(x.coords)) is not None
+
+    def index(self):
+        a, s = self.ambient.order(), self.group.order()
+        if a and s:
+            return a // s
+        if self.ambient.rank == 0:
+            return 1
+        rel = ab._relation_columns(self.ambient)
+        rows = ([[self.gen_cols[i][j] for i in range(self.ambient.rank)]
+                 for j in range(self.k)] + rel)
+        return reference_presented(self.ambient.rank, rows).order()
+
+
+def reference_kernel(h):
+    src, r = h.source, h.source.rank
+    if r == 0:
+        k = ab.FGAbelian([])
+        return k, ab.AbHom(k, src, [])
+    lat = reference_preimage_lattice(h.matrix, h.target, r)
+    s = len(lat)
+    w = [[lat[j][i] for j in range(s)] for i in range(r)]
+    wsnf = ab.SmithForm(w, r, s)
+    rel_in_w = [wsnf.solve(col) for col in ab._relation_columns(src)]
+    if s == 0:
+        k = ab.FGAbelian([])
+        return k, ab.AbHom(k, src, [[] for _ in range(r)])
+    csnf = ab.SmithForm([[rel[i] for rel in rel_in_w] for i in range(s)], s, len(rel_in_w))
+    diag = csnf.diag + [0] * (s - len(csnf.diag))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    k = ab.FGAbelian([diag[i] for i in keep])
+    cols = [src.element(ab.mat_vec(w, [csnf.uinv[t][i] for t in range(s)])) for i in keep]
+    return k, ab.AbHom.from_columns(k, src, cols)
+
+
+def reference_cokernel(h):
+    tgt, r = h.target, h.target.rank
+    if r == 0:
+        c = ab.FGAbelian([])
+        return c, ab.AbHom(tgt, c, [])
+    cols = ab._relation_columns(tgt)
+    cols += [[h.matrix[i][j] for i in range(r)] for j in range(h.source.rank)]
+    if not cols:
+        c = ab.FGAbelian([0] * r)
+        return c, ab.AbHom(tgt, c, ab._identity(r))
+    snf = ab.SmithForm([[col[i] for col in cols] for i in range(r)], r, len(cols))
+    diag = snf.diag + [0] * (r - len(snf.diag))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    c = ab.FGAbelian([diag[i] for i in keep])
+    return c, ab.AbHom(tgt, c, [snf.u[i] for i in keep])
+
+
+def reference_canonical_decomposition(group):
+    r = group.rank
+    if r == 0:
+        c = ab.FGAbelian([])
+        return c, ab.AbHom(group, c, []), ab.AbHom(c, group, [])
+    diag = [[group.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
+    snf = ab.SmithForm(diag, r, r)
+    keep = [i for i, d in enumerate(snf.diag) if d != 1]
+    c = ab.FGAbelian([snf.diag[i] for i in keep])
+    return (c, ab.AbHom(group, c, [snf.u[i] for i in keep]),
+            ab.AbHom(c, group, [[snf.uinv[i][j] for j in keep] for i in range(r)]))
+
+
+def _points(group, box=range(-2, 3)):
+    """Every element of a finite group; a coordinate box of an infinite one."""
+    if group.is_finite():
+        return list(group.elements())
+    return [group.element(c) for c in itertools.product(box, repeat=group.rank)]
+
+
+def test_presentation_layer_matches_reference():
+    finite = [ab.FGAbelian(o) for o in
+              ([], [2], [3], [4], [6], [8], [9], [2, 2], [2, 4], [4, 2], [3, 3],
+               [2, 6], [4, 6], [9, 3])]
+    infinite = [ab.FGAbelian(o) for o in
+                ([0], [0, 2], [2, 0], [0, 3, 0], [0, 0], [4, 0, 6])]
+    for g in finite + infinite:
+        assert g.invariant_factors() == reference_invariant_factors(g)
+        c, to_c, from_c = ab.canonical_decomposition(g)
+        rc, rto, rfrom = reference_canonical_decomposition(g)
+        assert (c, to_c.matrix, from_c.matrix) == (rc, rto.matrix, rfrom.matrix)
+        # subgroups on one and on two generators
+        pts = _points(g)
+        gen_sets = [[x] for x in pts] + [list(p) for p in itertools.combinations(pts[:12], 2)]
+        gen_sets.append([])
+        for gens in gen_sets:
+            s, ref = ab.Subgroup(g, gens), ReferenceSubgroup(g, gens)
+            assert (s.order(), s.invariants(), s.index(), s.is_whole()) == (
+                ref.group.order(), ref.group.invariant_factors(), ref.index(),
+                all(ref.contains(e) for e in g.gens()))
+            assert [s.contains(x) for x in pts] == [ref.contains(x) for x in pts]
+    homs = [h for a in finite for b in finite if ab.hom_count(a, b) <= 64
+            for h in ab.enumerate_homs(a, b)]
+    for a, b in itertools.product(infinite, finite + infinite):
+        # the homs sending generator i to i + 1 times the ith point of a box
+        pts = _points(b, range(-1, 2))
+        for shift in range(3):
+            cols = [(i + 1) * pts[(i + shift) % len(pts)] for i in range(a.rank)]
+            try:
+                homs.append(ab.AbHom.from_columns(a, b, cols))
+            except InvalidHomomorphism:
+                pass
+    assert len(homs) > 1000
+    for h in homs:
+        k, incl = ab.kernel(h)
+        rk, rincl = reference_kernel(h)
+        assert (k, incl.matrix) == (rk, rincl.matrix)
+        c, proj = ab.cokernel(h)
+        rc, rproj = reference_cokernel(h)
+        assert (c, proj.matrix) == (rc, rproj.matrix)
+
+
+def test_subgroup_questions_build_one_smith_form(monkeypatch):
+    built = []
+    init = ab.SmithForm.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ab.SmithForm, "__init__", counting_init)
+    g = ab.FGAbelian([4, 6, 0])
+    gens = [g.element([2, 3, 0]), g.element([1, 0, 2])]
+    box = _points(g, range(-1, 2))
+
+    def smith_forms(question):
+        built.clear()
+        question(ab.subgroup_generated(gens))
+        return len(built)
+
+    assert smith_forms(lambda s: s.is_whole()) == 1
+    assert smith_forms(lambda s: [s.contains(x) for x in box]) == 1
+    assert smith_forms(lambda s: s.index()) == 1

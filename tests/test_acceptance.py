@@ -21,8 +21,8 @@ def test_c1_identity_suite():
     # element identities exhaustively on all pairs of the named catalog
     # groups (including both order-125 members), n in -5..5; the weakly
     # quadratic identity family pointwise for sampled q-maps per pair
-    results = verify.suite_element_identities(max_order=125,
-                                              n_range=range(-5, 6))
+    assert verify.MULTIPLE_RANGE == range(-5, 6)
+    results = verify.suite_element_identities(max_order=125)
     results += verify.suite_qmap_identities()
     _finish("C1 identity-suite", results)
 
@@ -31,7 +31,8 @@ def test_c2_coproduct_correctness():
     # Z/2 v Z/2 is D4 via an explicit isomorphism; the universal property
     # over all enumerated homomorphism pairs into targets of order <= 16;
     # the free-group central extension for ranks 1..3
-    _finish("C2 coproduct", verify.suite_coproduct(max_target_order=16))
+    assert verify.COPRODUCT_TARGET_ORDER == 16
+    _finish("C2 coproduct", verify.suite_coproduct())
 
 
 def test_c3_qmap_algebra():

@@ -456,6 +456,15 @@ def test_oracle_validation_matches_reference():
         y, z = [y for y in range(len(o)) if y not in (e, inv[x])][:2]
         bad[x][y], bad[x][z] = bad[x][z], bad[x][y]
         assert not accepts(bad, e) and not reference_is_group(bad, e)
+    # non-Latin magmas: the first right inverse of 2 (namely 1) is not
+    # two-sided, but 2 itself is, so only associativity can fail; then a
+    # magma where no right inverse of 2 is two-sided
+    later = [[0, 1, 2], [1, 0, 1], [2, 0, 0]]
+    none = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
+    for magma, message in [(later, "associativity fails"), (none, "'2' has no inverse")]:
+        assert accepts(magma, 0) == reference_is_group(magma, 0)
+        with pytest.raises(NotAGroup, match=message):
+            nil2.GroupOracle(["0", "1", "2"], magma, 0)
 
 
 def dihedral16_oracle():
