@@ -483,11 +483,11 @@ def _preimage_lattice(matrix_rows, target: FGAbelian, nsrc: int):
 class Subgroup:
     """Subgroup of an FGAbelian group generated by a list of elements.
 
-    The constructor computes nothing.  `is_whole` and `index` read the
-    quotient ambient / subgroup, one `_present` Smith form; `contains`
-    builds its membership solver on first use; `group` (and so `order`
-    and `invariants`) presents Z^k modulo the preimage of the ambient
-    relation lattice on first use.  Each is cached.
+    The constructor computes nothing.  `is_whole`, `index` and `contains`
+    read the quotient ambient / subgroup, one `_present` Smith form: x is
+    a member exactly when its image there is zero.  `group` (and so
+    `order` and `invariants`) presents Z^k modulo the preimage of the
+    ambient relation lattice on first use.  Each is cached.
     """
 
     def __init__(self, ambient: FGAbelian, elements):
@@ -499,17 +499,10 @@ class Subgroup:
         self.generators = elements
 
     @cached_property
-    def _quotient(self) -> FGAbelian:
-        """ambient / subgroup."""
-        return presented(self.ambient.rank, _relation_columns(self.ambient)
-                         + [e.coords for e in self.generators])
-
-    @cached_property
-    def _solver(self) -> SmithForm:
-        """Membership: solve [generators | relations] z = x over Z."""
-        cols = [e.coords for e in self.generators] + _relation_columns(self.ambient)
-        rank = self.ambient.rank
-        return SmithForm([[c[i] for c in cols] for i in range(rank)], rank, len(cols))
+    def _quotient(self):
+        """(ambient / subgroup, the rows of the projection onto it)."""
+        return _present(self.ambient.rank, _relation_columns(self.ambient)
+                        + [e.coords for e in self.generators])[:2]
 
     @cached_property
     def group(self) -> FGAbelian:
@@ -527,14 +520,15 @@ class Subgroup:
     def contains(self, x: AbElement) -> bool:
         if x.group != self.ambient:
             raise InvalidArgument("element not in the ambient group")
-        return self._solver.solve(list(x.coords)) is not None
+        quotient, proj = self._quotient
+        return quotient._trusted(mat_vec(proj, x.coords)).is_zero()
 
     def is_whole(self) -> bool:
-        return self._quotient.is_trivial()
+        return self._quotient[0].is_trivial()
 
     def index(self) -> int:
         """Index in the ambient group; 0 when infinite."""
-        return self._quotient.order()
+        return self._quotient[0].order()
 
 
 def subgroup_generated(elements, ambient: FGAbelian = None) -> Subgroup:

@@ -315,8 +315,7 @@ def _null_tensor_hom(alpha: ab.AbHom, src: nil2.Nil2Group, tens) -> bool:
 
 
 def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
-                            k: nil2.Nil2Group = None, max_quads: int = 400,
-                            instance: str = None):
+                            max_quads: int = 400, instance: str = None):
     """Verify the linear-extension axioms on enumerated morphisms.
 
     level "nil": homomorphisms with Hom(G_ab, [H,H]) acting; the fibers
@@ -325,11 +324,9 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
     effective group is the quotient by the null subgroup (homomorphisms
     vanishing on all squares), and the fibers are the ~ classes, checked
     against the pairwise decision procedure.
-    The distributivity law is checked on composable quadruples, capped
-    deterministically by `max_quads`; `k` is the third group (default h).
+    The distributivity law is checked on composable quadruples through
+    G -> H -> H, the first `max_quads` in product order.
     """
-    if k is None:
-        k = h
     inst = instance or f"{level}:{g}|{h}"
     results = []
     if level == "nil":
@@ -337,11 +334,8 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
         actors = list(ab.enumerate_homs(g.A, h.B))
         act = translate_hom
         null_size = 1
-        morphisms_hk = list(qmaps.enumerate_homs(h, k))
-        actors_hk = list(ab.enumerate_homs(h.A, k.B))
-
-        def push(f, b):
-            return f.fcomm.compose(b)
+        morphisms_hh = list(qmaps.enumerate_homs(h, h))
+        actors_hh = list(ab.enumerate_homs(h.A, h.B))
 
         def pull(gq, a):
             return a.compose(gq.fab)
@@ -351,19 +345,19 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
         actors = list(ab.enumerate_homs(tens_g.group, h.B))
         act = translate_qmap
         null_size = sum(1 for a in actors if _null_tensor_hom(a, g, tens_g))
-        morphisms_hk = list(qmaps.enumerate_qmaps(h, k))
+        morphisms_hh = list(qmaps.enumerate_qmaps(h, h))
         tens_h = ab.tensor(h.A, h.A)
-        actors_hk = list(ab.enumerate_homs(tens_h.group, k.B))
-
-        def push(f, b):
-            return f.fcomm.compose(b)
+        actors_hh = list(ab.enumerate_homs(tens_h.group, h.B))
 
         def pull(gq, a):
             cols = tens_g.columns(lambda i, j: a.apply(
                 tens_h.pure(gq.fab.column(i), gq.fab.column(j))))
-            return ab.AbHom.from_columns(tens_g.group, k.B, cols)
+            return ab.AbHom.from_columns(tens_g.group, h.B, cols)
     else:
         raise InvalidArgument(f"unknown level {level!r}")
+
+    def push(f, b):
+        return f.fcomm.compose(b)
 
     morph_set = set(morphisms)
     closed = True
@@ -412,53 +406,35 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
         results.append(CheckResult("orbits-match-sim-decision", inst, agree))
 
     # distributivity: (f + a)(g' + b) = f g' + f_* b + g'^* a
-    ok = True
-    quads = 0
-    detail = ""
-    for f in morphisms_hk:
-        for gq in morphisms:
-            for a in actors_hk:
-                for b in actors:
-                    lhs = act(f, a).compose(act(gq, b))
-                    rhs = act(f.compose(gq), push(f, b) + pull(gq, a))
-                    quads += 1
-                    if lhs != rhs:
-                        ok = False
-                        detail = f"violated at quadruple {quads}"
-                    if quads >= max_quads or not ok:
-                        break
-                if quads >= max_quads or not ok:
-                    break
-            if quads >= max_quads or not ok:
-                break
-        if quads >= max_quads or not ok:
+    ok, quads = True, 0
+    for f, gq, a, b in itertools.islice(
+            itertools.product(morphisms_hh, morphisms, actors_hh, actors), max_quads):
+        quads += 1
+        if act(f, a).compose(act(gq, b)) != act(f.compose(gq), push(f, b) + pull(gq, a)):
+            ok = False
             break
     results.append(CheckResult("distributivity", inst, ok,
-                               detail or f"{quads} quadruples"))
+                               f"{quads} quadruples" if ok
+                               else f"violated at quadruple {quads}"))
     return results
 
 
 def weak_coproduct_verify(x1: nil2.Nil2Group, x2: nil2.Nil2Group,
                           z: nil2.Nil2Group, max_pairs: int = 400,
                           instance: str = None):
-    """W = X1 x X2 with f = f1 p1 + f2 p2 satisfies f i_k = f_k for all
-    enumerated pairs (deterministically sampled beyond `max_pairs`)."""
+    """W = X1 x X2 with f = f1 p1 + f2 p2 satisfies f i_k = f_k for the
+    first `max_pairs` enumerated pairs (f1, f2) in product order."""
     w = nil2.product(x1, x2)
     p1, p2 = qmaps.product_projection(w, 0), qmaps.product_projection(w, 1)
     i1, i2 = qmaps.product_inclusion(w, 0), qmaps.product_inclusion(w, 1)
     f1s = list(qmaps.enumerate_qmaps(x1, z))
     f2s = list(qmaps.enumerate_qmaps(x2, z))
     inst = instance or f"{x1}|{x2}->{z}"
-    ok = True
-    count = 0
-    for f1 in f1s:
-        for f2 in f2s:
-            f = f1.compose(p1) + f2.compose(p2)
-            if f.compose(i1) != f1 or f.compose(i2) != f2:
-                ok = False
-            count += 1
-            if count >= max_pairs or not ok:
-                break
-        if count >= max_pairs or not ok:
+    ok, count = True, 0
+    for f1, f2 in itertools.islice(itertools.product(f1s, f2s), max_pairs):
+        f = f1.compose(p1) + f2.compose(p2)
+        count += 1
+        if f.compose(i1) != f1 or f.compose(i2) != f2:
+            ok = False
             break
     return [CheckResult("weak-coproduct", inst, ok, f"{count} pairs")]

@@ -1,14 +1,16 @@
 """Class-two Lie rings over odd-torsion abelian groups and the exp/log
 correspondence with odd-order nil_2-groups.
 
-A Lie ring is stored as (A, B, carry, bracket): the underlying abelian
-group is the central extension of A by B along the carry cocycle alone,
-and the bracket is an antisymmetric matrix over B whose values generate
-B.  exp keeps the data and sets the group cocycle's bilinear part to
-half the bracket; log antisymmetrizes the group's bilinear part and
-discharges the symmetric residue into the element identification
-(subtracting the coboundary of a -> half * sym(a, a)), which makes
-log(exp(L)) the literal identity on data.
+A Lie ring is stored as (A, B, carry, bracket): its additive group is
+`nil2`'s central extension of A by B with zero bilinear part, so the
+carry cocycle alone, and its elements use `nil2.Nil2Element`'s
+arithmetic.  The bracket is an antisymmetric matrix over B whose values
+generate B; the group commutator of the additive group is zero.  exp
+keeps the data and sets the group cocycle's bilinear part to half the
+bracket; log antisymmetrizes the group's bilinear part and discharges
+the symmetric residue into the element identification (subtracting the
+coboundary of a -> half * sym(a, a)), which makes log(exp(L)) the
+literal identity on data.
 """
 
 from __future__ import annotations
@@ -37,68 +39,28 @@ def _half(modulus: int) -> int:
     return pow(2, -1, modulus) if modulus > 1 else 0
 
 
-class LieElement:
-    """Element (a, u) of a class-two Lie ring, components canonical."""
+class LieElement(nil2.Nil2Element):
+    """Element (a, u) of a class-two Lie ring: the extension's addition,
+    and the bracket."""
 
-    __slots__ = ("ring", "a", "b")
-
-    def __init__(self, ring, a, b):
-        self.ring = ring
-        self.a = a
-        self.b = b
-
-    def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise InvalidArgument("elements of different Lie rings")
-
-    def __add__(self, other):
-        self._check(other)
-        r = self.ring
-        carry = r._carry_cocycle(self.a.coords, other.a.coords)
-        return LieElement(r, self.a + other.a, self.b + other.b + carry)
-
-    def __neg__(self):
-        r = self.ring
-        carry = r._carry_cocycle(self.a.coords, (-self.a).coords)
-        return LieElement(r, -self.a, -self.b - carry)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, n):
-        return nil2._multiple(self, n, self.ring.zero)
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
     def bracket(self, other) -> "LieElement":
         self._check(other)
-        r = self.ring
+        r = self.group
         return LieElement(r, r.A.zero(),
                           r.B._bilinear(self.a.coords, other.a.coords, r.bracket))
 
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
 
-    def __eq__(self, other):
-        return (isinstance(other, LieElement) and self.ring == other.ring
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.a.coords, self.b.coords))
-
-    def __repr__(self):
-        return f"({','.join(map(str, self.a.coords))} | {','.join(map(str, self.b.coords))})"
-
-
-class Nil2LieRing:
+class Nil2LieRing(nil2.CentralExtension):
     """Class-two nilpotent Lie ring over odd finite abelian groups."""
 
-    __slots__ = ("A", "B", "carry", "bracket", "_carryc")
+    __slots__ = ("carry", "bracket")
+    element_class = LieElement
 
     def __init__(self, A, B, carry, bracket):
         _require_odd(A, "A")
         _require_odd(B, "B")
-        self.A, self.B = A, B
         self.carry = tuple(carry)
         self.bracket = tuple(tuple(row) for row in bracket)
         r = A.rank
@@ -126,43 +88,7 @@ class Nil2LieRing:
             if not ab.subgroup_generated(vals, B).is_whole():
                 raise CommutatorMismatch(
                     "bracket values generate a proper subgroup of B")
-        self._carryc = tuple(None if e.is_zero() else e.coords for e in self.carry)
-
-    def _carry_cocycle(self, x, y):
-        acc = self.B.zero()
-        for i, d in enumerate(self.A.orders):
-            if d > 0 and x[i] + y[i] >= d:
-                e = self._carryc[i]
-                if e is not None:
-                    acc = acc + self.B.element(e)
-        return acc
-
-    def element(self, acoords, bcoords) -> LieElement:
-        return LieElement(self, self.A.element(acoords), self.B.element(bcoords))
-
-    def pair(self, a, b) -> LieElement:
-        if a.group != self.A or b.group != self.B:
-            raise InvalidArgument("components not in A and B")
-        return LieElement(self, a, b)
-
-    def zero(self) -> LieElement:
-        return LieElement(self, self.A.zero(), self.B.zero())
-
-    def gen(self, i) -> LieElement:
-        return LieElement(self, self.A.gen(i), self.B.zero())
-
-    def central(self, b) -> LieElement:
-        if b.group != self.B:
-            raise InvalidArgument("not an element of B")
-        return LieElement(self, self.A.zero(), b)
-
-    def order(self):
-        return self.A.order() * self.B.order()
-
-    def elements(self):
-        for a in self.A.elements():
-            for b in self.B.elements():
-                yield LieElement(self, a, b)
+        super().__init__(A, B, [[B.zero()] * r] * r, self.carry)
 
     def additive_invariants(self):
         """Invariant factors of the underlying abelian group."""
@@ -247,7 +173,7 @@ class LogCorrespondence:
         return self.ring.pair(z.a, z.b - self._chi(z.a))
 
     def from_lie(self, w: LieElement) -> nil2.Nil2Element:
-        if w.ring != self.ring:
+        if w.group != self.ring:
             raise InvalidArgument("element of a different Lie ring")
         return self.group.pair(w.a, w.b + self._chi(w.a))
 

@@ -11,7 +11,11 @@ Elements are pairs (a, u) in A x B with
 
     (x, u) + (y, v) = (x + y, u + v + beta(x, y)).
 
-B is required to be exactly the commutator subgroup: the antisymmetrized
+`CentralExtension` holds this layer: the cocycle, the element
+constructors and `Nil2Element`, the one element arithmetic.  `Nil2Group`
+adds validation, the Cayley table and the group invariants; the class-two
+Lie ring of `maltsev` is the extension with zero bilinear part.  B is
+required to be exactly the commutator subgroup: the antisymmetrized
 bilinear part must generate B, otherwise construction is rejected.
 
 The module also provides the constructions (product, coproduct, free
@@ -41,17 +45,176 @@ from .errors import (
 )
 
 
-class Nil2Group:
+def _multiple(z, n, zero):
+    """n z by double-and-add, for any element type with + and unary -;
+    `zero()` gives the identity.  NotImplemented unless n is an int."""
+    if not isinstance(n, int):
+        return NotImplemented
+    if n < 0:
+        z, n = -z, -n
+    acc = zero()
+    while n:
+        if n & 1:
+            acc = acc + z
+        n >>= 1
+        if n:
+            z = z + z
+    return acc
+
+
+class Nil2Element:
+    """Element (a, u) of a central extension, both components canonical."""
+
+    __slots__ = ("group", "a", "b")
+
+    def __init__(self, group, a, b):
+        self.group = group
+        self.a = a
+        self.b = b
+
+    def _check(self, other):
+        if self.group is not other.group and self.group != other.group:
+            raise InvalidArgument("elements of different nil_2-groups")
+
+    def __add__(self, other):
+        self._check(other)
+        g = self.group
+        x, y = self.a.coords, other.a.coords
+        coc = g._cocycle_coords(x, y)
+        return type(self)(g, g.A._trusted([p + q for p, q in zip(x, y)]),
+                          g.B._trusted([p + q + c for p, q, c
+                                        in zip(self.b.coords, other.b.coords, coc)]))
+
+    def __neg__(self):
+        g = self.group
+        na = -self.a
+        coc = g._cocycle_coords(self.a.coords, na.coords)
+        return type(self)(g, na,
+                          g.B._trusted([-p - q for p, q in zip(self.b.coords, coc)]))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, n):
+        return _multiple(self, n, self.group.zero)
+
+    __rmul__ = __mul__
+
+    def comm(self, other) -> "Nil2Element":
+        """The commutator [self, other] = -self - other + self + other."""
+        self._check(other)
+        g = self.group
+        return type(self)(g, g.A.zero(), g.commutator_pairing(self.a, other.a))
+
+    def is_zero(self):
+        return self.a.is_zero() and self.b.is_zero()
+
+    def order(self) -> int:
+        """Element order, 0 for infinite."""
+        m = self.a.order()
+        if m == 0:
+            return 0
+        w = (m * self).b
+        k = w.order()
+        return 0 if k == 0 else m * k
+
+    def __eq__(self, other):
+        return (isinstance(other, Nil2Element)
+                and (self.group is other.group or self.group == other.group)
+                and self.a == other.a and self.b == other.b)
+
+    def __hash__(self):
+        return hash((self.a.coords, self.b.coords))
+
+    def __repr__(self):
+        return f"({','.join(map(str, self.a.coords))} | {','.join(map(str, self.b.coords))})"
+
+
+class CentralExtension:
+    """Pairs (a, u) in A x B under the cocycle beta of `bil` and `carry`.
+
+    Subclasses validate their data and pass it to this constructor, which
+    keeps flat coordinate caches for the hot cocycle path; elements are
+    built as `element_class`.
+    """
+
+    __slots__ = ("A", "B", "_orders", "_borders", "_bilc", "_carryc")
+    element_class = Nil2Element
+
+    def __init__(self, A, B, bil, carry):
+        self.A, self.B = A, B
+        self._orders = A.orders
+        self._borders = B.orders
+        self._bilc = tuple(
+            tuple(None if e.is_zero() else e.coords for e in row) for row in bil)
+        self._carryc = tuple(None if e.is_zero() else e.coords for e in carry)
+
+    @property
+    def rank(self):
+        return self.A.rank
+
+    def is_finite(self):
+        return self.A.is_finite() and self.B.is_finite()
+
+    def order(self):
+        return self.A.order() * self.B.order() if self.is_finite() else 0
+
+    def element(self, acoords, bcoords):
+        return self.element_class(self, self.A.element(acoords), self.B.element(bcoords))
+
+    def pair(self, a: ab.AbElement, b: ab.AbElement):
+        if a.group != self.A or b.group != self.B:
+            raise InvalidArgument("components not in A and B")
+        return self.element_class(self, a, b)
+
+    def zero(self):
+        return self.element_class(self, self.A.zero(), self.B.zero())
+
+    def gen(self, i: int):
+        """The chosen lift (e_i, 0) of abelianization generator i."""
+        return self.element_class(self, self.A.gen(i), self.B.zero())
+
+    def central(self, b: ab.AbElement):
+        """The element (0, b) of the commutator subgroup."""
+        if b.group != self.B:
+            raise InvalidArgument("not an element of B")
+        return self.element_class(self, self.A.zero(), b)
+
+    def elements(self):
+        """All elements, deterministic (A x B lexicographic) order."""
+        if not self.is_finite():
+            raise UnsupportedEnumeration(f"cannot enumerate infinite group {self}")
+        for a in self.A.elements():
+            for b in self.B.elements():
+                yield self.element_class(self, a, b)
+
+    def cocycle(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
+        """beta(x, y) evaluated on canonical representatives."""
+        return self.B.element(self._cocycle_coords(x.coords, y.coords))
+
+    def _cocycle_coords(self, x, y):
+        acc = ab._bilinear_into([0] * len(self._borders), x, y, self._bilc)
+        for i, di in enumerate(self._orders):
+            if di > 0 and x[i] + y[i] >= di:
+                e = self._carryc[i]
+                if e is not None:
+                    for t, et in enumerate(e):
+                        acc[t] += et
+        return acc
+
+    def commutator_pairing(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
+        """The antisymmetrized cocycle: the commutator [(x,*), (y,*)] in B."""
+        return self.cocycle(x, y) - self.cocycle(y, x)
+
+
+class Nil2Group(CentralExtension):
     """A nil_2-group as central-extension data over explicit cocycles."""
 
-    __slots__ = ("A", "B", "bil", "carry", "provenance",
-                 "_bilc", "_carryc", "_orders", "_borders", "_kappa_cache",
-                 "_table")
+    __slots__ = ("bil", "carry", "provenance", "_kappa_cache", "_table")
 
     def __init__(self, A, B, bil, carry, provenance=None):
         self._kappa_cache = {}
         self._table = None
-        self.A, self.B = A, B
         self.bil = tuple(tuple(row) for row in bil)
         self.carry = tuple(carry)
         self.provenance = provenance
@@ -66,13 +229,8 @@ class Nil2Group:
                     raise InvalidArgument(f"bil[{i+1}][{j+1}] not in B")
             if self.carry[i].group != B:
                 raise InvalidArgument(f"carry[{i+1}] not in B")
+        super().__init__(A, B, self.bil, self.carry)
         self._validate()
-        # flat coordinate caches for the hot cocycle path
-        self._orders = A.orders
-        self._borders = B.orders
-        self._bilc = tuple(
-            tuple(None if e.is_zero() else e.coords for e in row) for row in self.bil)
-        self._carryc = tuple(None if e.is_zero() else e.coords for e in self.carry)
 
     def _validate(self):
         r = self.A.rank
@@ -97,18 +255,6 @@ class Nil2Group:
                     "commutators generate a proper subgroup of B with invariants "
                     f"{list(sub.invariants())}, B = {self.B}")
 
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def rank(self):
-        return self.A.rank
-
-    def is_finite(self):
-        return self.A.is_finite() and self.B.is_finite()
-
-    def order(self):
-        return self.A.order() * self.B.order() if self.is_finite() else 0
-
     def is_abelian(self):
         return self.B.is_trivial()
 
@@ -128,51 +274,6 @@ class Nil2Group:
     def __str__(self):
         return f"G[{self.A}|{self.B}]"
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, acoords, bcoords) -> "Nil2Element":
-        return Nil2Element(self, self.A.element(acoords), self.B.element(bcoords))
-
-    def pair(self, a: ab.AbElement, b: ab.AbElement) -> "Nil2Element":
-        if a.group != self.A or b.group != self.B:
-            raise InvalidArgument("components not in A and B")
-        return Nil2Element(self, a, b)
-
-    def zero(self) -> "Nil2Element":
-        return Nil2Element(self, self.A.zero(), self.B.zero())
-
-    def gen(self, i: int) -> "Nil2Element":
-        """The chosen lift (e_i, 0) of abelianization generator i."""
-        return Nil2Element(self, self.A.gen(i), self.B.zero())
-
-    def central(self, b: ab.AbElement) -> "Nil2Element":
-        """The element (0, b) of the commutator subgroup."""
-        if b.group != self.B:
-            raise InvalidArgument("not an element of B")
-        return Nil2Element(self, self.A.zero(), b)
-
-    def cocycle(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
-        """beta(x, y) evaluated on canonical representatives."""
-        return self.B.element(self._cocycle_coords(x.coords, y.coords))
-
-    def _cocycle_coords(self, x, y):
-        acc = ab._bilinear_into([0] * len(self._borders), x, y, self._bilc)
-        for i, di in enumerate(self._orders):
-            if di > 0 and x[i] + y[i] >= di:
-                e = self._carryc[i]
-                if e is not None:
-                    for t, et in enumerate(e):
-                        acc[t] += et
-        return acc
-
-    def elements(self):
-        """All elements, deterministic (A x B lexicographic) order."""
-        if not self.is_finite():
-            raise UnsupportedEnumeration(f"cannot enumerate infinite group {self}")
-        for a in self.A.elements():
-            for b in self.B.elements():
-                yield Nil2Element(self, a, b)
-
     def table(self) -> "CayleyTable":
         """The integer Cayley table, built on first use (finite groups)."""
         if self._table is None:
@@ -180,16 +281,17 @@ class Nil2Group:
         return self._table
 
     def exponent(self) -> int:
+        """From generator data: n(x + y) = nx + ny - C(n, 2)[x, y], so the
+        n-torsion is a subgroup once C(n, 2) kills the generator commutators.
+        With n0 = lcm(exp B, orders of the lifts gen(i)) that gives n0, and
+        2 n0 when C(n0, 2) fails to kill some [e_i, e_j]."""
         if not self.is_finite():
             raise InvalidArgument("exponent of an infinite group")
-        n = 1
-        for z in self.elements():
-            n = lcm(n, z.order())
-        return n
-
-    def commutator_pairing(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
-        """The antisymmetrized cocycle: the commutator [(x,*), (y,*)] in B."""
-        return self.cocycle(x, y) - self.cocycle(y, x)
+        r = self.rank
+        n = lcm(self.B.exponent(), *(self.gen(i).order() for i in range(r)))
+        c, e = n * (n - 1) // 2, self.A.gen
+        return n if all((c * self.commutator_pairing(e(i), e(j))).is_zero()
+                        for i in range(r) for j in range(i + 1, r)) else 2 * n
 
     def kappa(self, a: ab.AbElement) -> ab.AbElement:
         """B-part of the ordered generator-multiple sum lifting a.
@@ -240,92 +342,6 @@ class CayleyTable:
         self.neg = [row.index(0) for row in self.add]
 
 
-def _multiple(z, n, zero):
-    """n z by double-and-add, for any element type with + and unary -;
-    `zero()` gives the identity.  NotImplemented unless n is an int."""
-    if not isinstance(n, int):
-        return NotImplemented
-    if n < 0:
-        z, n = -z, -n
-    acc = zero()
-    while n:
-        if n & 1:
-            acc = acc + z
-        n >>= 1
-        if n:
-            z = z + z
-    return acc
-
-
-class Nil2Element:
-    """Element (a, u) of a Nil2Group, both components canonical."""
-
-    __slots__ = ("group", "a", "b")
-
-    def __init__(self, group, a, b):
-        self.group = group
-        self.a = a
-        self.b = b
-
-    def _check(self, other):
-        if self.group is not other.group and self.group != other.group:
-            raise InvalidArgument("elements of different nil_2-groups")
-
-    def __add__(self, other):
-        self._check(other)
-        g = self.group
-        x, y = self.a.coords, other.a.coords
-        coc = g._cocycle_coords(x, y)
-        return Nil2Element(g, g.A._trusted([p + q for p, q in zip(x, y)]),
-                           g.B._trusted([p + q + c for p, q, c
-                                         in zip(self.b.coords, other.b.coords, coc)]))
-
-    def __neg__(self):
-        g = self.group
-        na = -self.a
-        coc = g._cocycle_coords(self.a.coords, na.coords)
-        return Nil2Element(g, na,
-                           g.B._trusted([-p - q for p, q in zip(self.b.coords, coc)]))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, n):
-        return _multiple(self, n, self.group.zero)
-
-    __rmul__ = __mul__
-
-    def comm(self, other) -> "Nil2Element":
-        """The commutator [self, other] = -self - other + self + other."""
-        self._check(other)
-        g = self.group
-        return Nil2Element(g, g.A.zero(),
-                           g.commutator_pairing(self.a, other.a))
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def order(self) -> int:
-        """Element order, 0 for infinite."""
-        m = self.a.order()
-        if m == 0:
-            return 0
-        w = (m * self).b
-        k = w.order()
-        return 0 if k == 0 else m * k
-
-    def __eq__(self, other):
-        return (isinstance(other, Nil2Element)
-                and (self.group is other.group or self.group == other.group)
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.a.coords, self.b.coords))
-
-    def __repr__(self):
-        return f"({','.join(map(str, self.a.coords))} | {','.join(map(str, self.b.coords))})"
-
-
 # ---------------------------------------------------------------------------
 # Constructors.
 
@@ -343,28 +359,27 @@ def from_abelian(A: ab.FGAbelian) -> Nil2Group:
                      provenance=("abelian",))
 
 
+def _block_sum(g1: Nil2Group, g2: Nil2Group, tail: ab.FGAbelian):
+    """Data of g1 x g2 with B widened by `tail`: (A1 + A2, B1 + B2 + tail,
+    block-diagonal bil, carry, the embedding of tail into B)."""
+    A = ab.direct_sum(g1.A, g2.A)
+    B = ab.direct_sum(ab.direct_sum(g1.B, g2.B), tail)
+
+    def embedding(offset):
+        return lambda e: B.element((0,) * offset + e.coords
+                                   + (0,) * (B.rank - offset - len(e.coords)))
+
+    emb1, emb2 = embedding(0), embedding(g1.B.rank)
+    z = B.zero()
+    bil = ([[emb1(e) for e in row] + [z] * g2.rank for row in g1.bil]
+           + [[z] * g1.rank + [emb2(e) for e in row] for row in g2.bil])
+    carry = [emb1(e) for e in g1.carry] + [emb2(e) for e in g2.carry]
+    return A, B, bil, carry, embedding(g1.B.rank + g2.B.rank)
+
+
 def product(g1: Nil2Group, g2: Nil2Group) -> Nil2Group:
     """Direct product: block-diagonal cocycle data."""
-    A = ab.direct_sum(g1.A, g2.A)
-    B = ab.direct_sum(g1.B, g2.B)
-    r1, r2 = g1.rank, g2.rank
-    s1, s2 = g1.B.rank, g2.B.rank
-
-    def emb1(e):
-        return B.element(e.coords + (0,) * s2)
-
-    def emb2(e):
-        return B.element((0,) * s1 + e.coords)
-
-    z = B.zero()
-    bil = [[z] * (r1 + r2) for _ in range(r1 + r2)]
-    for i in range(r1):
-        for j in range(r1):
-            bil[i][j] = emb1(g1.bil[i][j])
-    for i in range(r2):
-        for j in range(r2):
-            bil[r1 + i][r1 + j] = emb2(g2.bil[i][j])
-    carry = [emb1(e) for e in g1.carry] + [emb2(e) for e in g2.carry]
+    A, B, bil, carry, _ = _block_sum(g1, g2, ab.FGAbelian([]))
     return Nil2Group(A, B, bil, carry, provenance=("product", g1, g2))
 
 
@@ -376,33 +391,12 @@ def coproduct(g1: Nil2Group, g2: Nil2Group) -> Nil2Group:
     -(e_i (x) f_j), matching the group law
     (xi, g, h) + (xi', g', h') = (xi + xi' - g'^ (x) h^, g + g', h + h').
     """
-    A = ab.direct_sum(g1.A, g2.A)
     tens = ab.tensor(g1.A, g2.A)
-    B = ab.direct_sum(ab.direct_sum(g1.B, g2.B), tens.group)
-    r1, r2 = g1.rank, g2.rank
-    s1, s2, sT = g1.B.rank, g2.B.rank, tens.group.rank
-
-    def emb1(e):
-        return B.element(e.coords + (0,) * (s2 + sT))
-
-    def emb2(e):
-        return B.element((0,) * s1 + e.coords + (0,) * sT)
-
-    def embt(e):
-        return B.element((0,) * (s1 + s2) + e.coords)
-
-    z = B.zero()
-    bil = [[z] * (r1 + r2) for _ in range(r1 + r2)]
-    for i in range(r1):
-        for j in range(r1):
-            bil[i][j] = emb1(g1.bil[i][j])
-    for i in range(r2):
-        for j in range(r2):
-            bil[r1 + i][r1 + j] = emb2(g2.bil[i][j])
-    for j in range(r2):
+    A, B, bil, carry, embt = _block_sum(g1, g2, tens.group)
+    r1 = g1.rank
+    for j in range(g2.rank):
         for i in range(r1):
             bil[r1 + j][i] = embt(-tens.pure(g1.A.gen(i), g2.A.gen(j)))
-    carry = [emb1(e) for e in g1.carry] + [emb2(e) for e in g2.carry]
     return Nil2Group(A, B, bil, carry,
                      provenance=("coproduct", g1, g2, tens))
 

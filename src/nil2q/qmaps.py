@@ -550,12 +550,12 @@ def enumerate_homs(g: nil2.Nil2Group, h: nil2.Nil2Group):
 # Function-level oracles (independent of the presentation machinery): they
 # read only the groups' integer Cayley tables, built from the group law.
 
-def _member_mask(h: nil2.Nil2Group, kind: str, ctr: nil2.CenterInfo = None):
+def _member_mask(h: nil2.Nil2Group, kind: str):
     """good[w] per H-index w: in [H,H] ("qmap") or central ("quadratic")."""
     if kind == "qmap":
         return [w.a.is_zero() for w in h.elements()]
     if kind == "quadratic":
-        ctr = ctr or nil2.center(h)
+        ctr = nil2.center(h)
         return [ctr.contains(w) for w in h.elements()]
     raise InvalidArgument(f"unknown filter kind {kind!r}")
 
@@ -595,10 +595,9 @@ def is_qmap_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
     return _function_ok(fn, g, h, _member_mask(h, "qmap"))
 
 
-def is_quadratic_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group,
-                          ctr: nil2.CenterInfo = None) -> bool:
+def is_quadratic_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
     """Cross-effect central and bilinear (not necessarily in [H,H])."""
-    return _function_ok(fn, g, h, _member_mask(h, "quadratic", ctr))
+    return _function_ok(fn, g, h, _member_mask(h, "quadratic"))
 
 
 def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,

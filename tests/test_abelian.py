@@ -652,3 +652,5 @@ def test_subgroup_questions_build_one_smith_form(monkeypatch):
     assert smith_forms(lambda s: s.is_whole()) == 1
     assert smith_forms(lambda s: [s.contains(x) for x in box]) == 1
     assert smith_forms(lambda s: s.index()) == 1
+    assert smith_forms(lambda s: (s.is_whole(), s.index(),
+                                  [s.contains(x) for x in box])) == 1

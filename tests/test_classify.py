@@ -270,30 +270,34 @@ def test_zero_vs_identity_not_approx():
         qmaps.zero_qmap(Q8, Q8), qmaps.identity_qmap(Q8))
 
 
+def distributivity_detail(res):
+    return next(r.detail for r in res if r.check_id == "distributivity")
+
+
 def test_linear_extension_nil_level():
     res = classify.linear_extension_verify("nil", Q8, Q8)
-    assert all_ok(res)
+    assert all_ok(res) and distributivity_detail(res) == "400 quadruples"
     res2 = classify.linear_extension_verify("nil", Z4, Q8)
-    assert all_ok(res2)
+    assert all_ok(res2) and distributivity_detail(res2) == "400 quadruples"
 
 
 def test_linear_extension_niq_level():
     res = classify.linear_extension_verify("niq", D4, D4)
-    assert all_ok(res)
+    assert all_ok(res) and distributivity_detail(res) == "400 quadruples"
     res2 = classify.linear_extension_verify("niq", Z4, Q8)
-    assert all_ok(res2)
+    assert all_ok(res2) and distributivity_detail(res2) == "400 quadruples"
 
 
 def test_linear_extension_trivial_target():
     triv = catalog.abelian_group([])
     res = classify.linear_extension_verify("nil", Q8, triv)
-    assert all_ok(res)
+    assert all_ok(res) and distributivity_detail(res) == "1 quadruples"
 
 
 def test_weak_coproduct():
     res = classify.weak_coproduct_verify(Z2, Z2, Z2)
-    assert all_ok(res)
+    assert all_ok(res) and res[0].detail == "4 pairs"
     res2 = classify.weak_coproduct_verify(Q8, Q8, Q8, max_pairs=60)
-    assert all_ok(res2)
+    assert all_ok(res2) and res2[0].detail == "60 pairs"
     res3 = classify.weak_coproduct_verify(Z2, Z4, Q8, max_pairs=200)
-    assert all_ok(res3)
+    assert all_ok(res3) and res3[0].detail == "128 pairs"

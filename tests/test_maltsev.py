@@ -61,6 +61,46 @@ def test_lie_ring_axioms_exhaustive():
                 assert (x + y).bracket(z) == x.bracket(z) + y.bracket(z)
 
 
+def reference_carry(ring, x, y):
+    """The carry cocycle on A-coordinates x, y, summed as B elements."""
+    acc = ring.B.zero()
+    for i, d in enumerate(ring.A.orders):
+        if d > 0 and x[i] + y[i] >= d:
+            acc = acc + ring.carry[i]
+    return acc
+
+
+def reference_add(x, y):
+    r = x.group
+    return r.pair(x.a + y.a, x.b + y.b + reference_carry(r, x.a.coords, y.a.coords))
+
+
+def reference_neg(x):
+    r = x.group
+    return r.pair(-x.a, -x.b - reference_carry(r, x.a.coords, (-x.a).coords))
+
+
+def test_lie_arithmetic_matches_reference():
+    for ring in [heisenberg_ring(3), maltsev.lie_log(G27),
+                 maltsev.lie_log(catalog.modular_semidirect(5))]:
+        elems = list(ring.elements())
+        for x in elems:
+            assert type(-x) is maltsev.LieElement and -x == reference_neg(x)
+            acc, step = ring.zero(), reference_neg(x)
+            for n in range(0, -4, -1):
+                assert n * x == acc and x * n == acc
+                acc = reference_add(acc, step)
+            acc = ring.zero()
+            for n in range(4):
+                assert n * x == acc
+                acc = reference_add(acc, x)
+            for y in elems:
+                assert x + y == reference_add(x, y)
+                assert x.comm(y).is_zero()
+    # the carries are nonzero on the two logs
+    assert any(not e.is_zero() for e in maltsev.lie_log(G27).carry)
+
+
 def test_exp_of_heisenberg_ring():
     ring = heisenberg_ring(3)
     g = maltsev.lie_exp(ring)

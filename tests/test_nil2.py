@@ -2,6 +2,7 @@
 canonicalization of finite tables, and the class-two element identities."""
 
 import itertools
+from math import lcm
 
 import pytest
 
@@ -234,6 +235,102 @@ def test_coproduct_commutator_formula():
                     expect = embed(x.comm(x2).a, y.comm(y2).a,
                                    x.comm(x2).b, y.comm(y2).b, expect_t)
                     assert lhs == expect
+
+
+def reference_product(g1, g2):
+    """The direct product's data, block by block."""
+    A = ab.direct_sum(g1.A, g2.A)
+    B = ab.direct_sum(g1.B, g2.B)
+    r1, r2 = g1.rank, g2.rank
+    s1, s2 = g1.B.rank, g2.B.rank
+
+    def emb1(e):
+        return B.element(e.coords + (0,) * s2)
+
+    def emb2(e):
+        return B.element((0,) * s1 + e.coords)
+
+    z = B.zero()
+    bil = [[z] * (r1 + r2) for _ in range(r1 + r2)]
+    for i in range(r1):
+        for j in range(r1):
+            bil[i][j] = emb1(g1.bil[i][j])
+    for i in range(r2):
+        for j in range(r2):
+            bil[r1 + i][r1 + j] = emb2(g2.bil[i][j])
+    carry = [emb1(e) for e in g1.carry] + [emb2(e) for e in g2.carry]
+    return nil2.Nil2Group(A, B, bil, carry)
+
+
+def reference_coproduct(g1, g2):
+    """The coproduct's data, block by block, with the A1 (x) A2 cross terms."""
+    A = ab.direct_sum(g1.A, g2.A)
+    tens = ab.tensor(g1.A, g2.A)
+    B = ab.direct_sum(ab.direct_sum(g1.B, g2.B), tens.group)
+    r1, r2 = g1.rank, g2.rank
+    s1, s2, sT = g1.B.rank, g2.B.rank, tens.group.rank
+
+    def emb1(e):
+        return B.element(e.coords + (0,) * (s2 + sT))
+
+    def emb2(e):
+        return B.element((0,) * s1 + e.coords + (0,) * sT)
+
+    def embt(e):
+        return B.element((0,) * (s1 + s2) + e.coords)
+
+    z = B.zero()
+    bil = [[z] * (r1 + r2) for _ in range(r1 + r2)]
+    for i in range(r1):
+        for j in range(r1):
+            bil[i][j] = emb1(g1.bil[i][j])
+    for i in range(r2):
+        for j in range(r2):
+            bil[r1 + i][r1 + j] = emb2(g2.bil[i][j])
+    for j in range(r2):
+        for i in range(r1):
+            bil[r1 + j][i] = embt(-tens.pure(g1.A.gen(i), g2.A.gen(j)))
+    carry = [emb1(e) for e in g1.carry] + [emb2(e) for e in g2.carry]
+    return nil2.Nil2Group(A, B, bil, carry)
+
+
+def test_block_sum_matches_reference():
+    groups = [g for _, g in catalog.standard_catalog(27)] + [nil2.free(2)]
+    for g1, g2 in itertools.product(groups, repeat=2):
+        assert nil2.product(g1, g2) == reference_product(g1, g2)
+        assert nil2.coproduct(g1, g2) == reference_coproduct(g1, g2)
+
+
+def reference_exponent(g):
+    """lcm of all element orders, by a sweep over the elements."""
+    n = 1
+    for z in g.elements():
+        n = lcm(n, z.order())
+    return n
+
+
+def test_exponent_matches_element_sweep(monkeypatch):
+    groups = [g for _, g in catalog.standard_catalog(200)]
+    groups += [nil2.canonicalize_finite(nil2.semidirect(*nmk)).group
+               for nmk in [(4, 2, 3), (9, 3, 4), (8, 2, 5), (16, 4, 5), (25, 5, 6)]]
+    groups.append(nil2.coproduct(catalog.cyclic(4), catalog.cyclic(2)))
+    for g in groups:
+        assert g.exponent() == reference_exponent(g), g
+    # Z2 v Z2 has lifts of order 4 and C(4, 2) [e1, e2] != 0: exponent 2 n0
+    assert nil2.coproduct(catalog.cyclic(2), catalog.cyclic(2)).exponent() == 4
+
+    # no element sweep: order 9^6 with exponent 9
+    A, B = ab.FGAbelian([9, 9, 9]), ab.FGAbelian([9, 9, 9])
+    z = B.zero()
+    bil = [[z] * 3 for _ in range(3)]
+    bil[0][1], bil[0][2], bil[1][2] = B.gen(0), B.gen(1), B.gen(2)
+    k = nil2.Nil2Group(A, B, bil, [z] * 3)
+
+    def no_sweep(self):
+        raise AssertionError("exponent() swept the elements")
+
+    monkeypatch.setattr(nil2.Nil2Group, "elements", no_sweep)
+    assert k.order() == 9 ** 6 and k.exponent() == 9
 
 
 def test_free_matches_exterior_square():
