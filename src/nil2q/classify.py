@@ -108,10 +108,7 @@ def similar(g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
 def abelianization_projection(g: nil2.Nil2Group) -> qmaps.QMap:
     """The quotient homomorphism G -> G_ab (target built with trivial B)."""
     tgt = nil2.from_abelian(g.A)
-    bz = tgt.B.zero()
-    r = g.rank
-    return qmaps.QMap(g, tgt, ab.AbHom.identity(g.A), ab.AbHom.zero(g.B, tgt.B),
-                      [bz] * r, [[bz] * r for _ in range(r)])
+    return qmaps._hom(g, tgt, ab.AbHom.identity(g.A), ab.AbHom.zero(g.B, tgt.B))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from . import abelian as ab
 from . import nil2
 from . import qmaps
 from .errors import (
-    CommutatorMismatch,
     InvalidArgument,
     InvalidBracket,
     NotUniquely2Divisible,
@@ -64,30 +63,15 @@ class Nil2LieRing(nil2.CentralExtension):
         self.carry = tuple(carry)
         self.bracket = tuple(tuple(row) for row in bracket)
         r = A.rank
-        if len(self.carry) != r:
-            raise InvalidArgument(f"carry must have {r} entries")
-        if len(self.bracket) != r or any(len(row) != r for row in self.bracket):
-            raise InvalidArgument(f"bracket must be {r}x{r}")
-        for i in range(r):
-            if self.carry[i].group != B:
-                raise InvalidArgument(f"carry[{i+1}] not in B")
-            for j in range(r):
-                e = self.bracket[i][j]
-                if e.group != B:
-                    raise InvalidArgument(f"bracket[{i+1}][{j+1}] not in B")
-                if not (A.orders[i] * e).is_zero() or not (A.orders[j] * e).is_zero():
-                    raise InvalidBracket(
-                        f"bracket[{i+1}][{j+1}] not killed by generator orders")
-                if self.bracket[i][j] != -self.bracket[j][i]:
-                    raise InvalidBracket(
-                        f"bracket is not antisymmetric at ({i+1}, {j+1})")
-            if not self.bracket[i][i].is_zero():
-                raise InvalidBracket(f"bracket[{i+1}][{i+1}] is nonzero")
-        vals = [self.bracket[i][j] for i in range(r) for j in range(i + 1, r)]
-        if not B.is_trivial():
-            if not ab.subgroup_generated(vals, B).is_whole():
-                raise CommutatorMismatch(
-                    "bracket values generate a proper subgroup of B")
+        nil2._check_entries("carry", self.carry, r, B)
+        nil2._check_entries("bracket", self.bracket, r, B)
+        nil2._check_torsion("bracket", self.bracket, A.orders, InvalidBracket)
+        # in odd B, e = -e forces e = 0, so this also zeroes the diagonal
+        for i, row in enumerate(self.bracket):
+            for j, e in enumerate(row):
+                if e != -self.bracket[j][i]:
+                    raise InvalidBracket(f"bracket is not antisymmetric at ({i+1}, {j+1})")
+        nil2._check_generates("bracket values", self.bracket, B)
         super().__init__(A, B, [[B.zero()] * r] * r, self.carry)
 
     def additive_invariants(self):
@@ -139,10 +123,7 @@ def lie_log(group: nil2.Nil2Group) -> Nil2LieRing:
     identification, see `LogCorrespondence`)."""
     _require_odd(group.A, "the abelianization")
     _require_odd(group.B, "the commutator subgroup")
-    r = group.rank
-    bracket = [[group.bil[i][j] - group.bil[j][i] for j in range(r)]
-               for i in range(r)]
-    return Nil2LieRing(group.A, group.B, list(group.carry), bracket)
+    return Nil2LieRing(group.A, group.B, group.carry, group.commutators)
 
 
 class LogCorrespondence:

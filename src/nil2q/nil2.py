@@ -14,9 +14,13 @@ Elements are pairs (a, u) in A x B with
 `CentralExtension` holds this layer: the cocycle, the element
 constructors and `Nil2Element`, the one element arithmetic.  `Nil2Group`
 adds validation, the Cayley table and the group invariants; the class-two
-Lie ring of `maltsev` is the extension with zero bilinear part.  B is
-required to be exactly the commutator subgroup: the antisymmetrized
-bilinear part must generate B, otherwise construction is rejected.
+Lie ring of `maltsev` is the extension with zero bilinear part, and the
+universal quadratic extension P2(G) is G's data with B widened by
+A (x) A.  B is required to be exactly the commutator subgroup: the
+antisymmetrized bilinear part must generate B, otherwise construction is
+rejected.  One set of validators checks generator data over B (shape and
+membership, torsion, values generating B) for `bil`, the Lie bracket and
+q-map `delta` alike.
 
 The module also provides the constructions (product, coproduct, free
 group, the universal quadratic extension), ingestion of concrete finite
@@ -207,10 +211,47 @@ class CentralExtension:
         return self.cocycle(x, y) - self.cocycle(y, x)
 
 
-class Nil2Group(CentralExtension):
-    """A nil_2-group as central-extension data over explicit cocycles."""
+# ---------------------------------------------------------------------------
+# Validation of generator data over B: bil and carry here, the bracket of
+# `maltsev`, gamma and delta of `qmaps`.
 
-    __slots__ = ("bil", "carry", "provenance", "_kappa_cache", "_table")
+def _check_entries(name, entries, r, B):
+    """Shape and membership: r entries of B, or r rows of r entries of B
+    (rows are tuples).  InvalidArgument names the first bad entry."""
+    if len(entries) != r:
+        raise InvalidArgument(f"{name} must have {r} entries")
+    for i, e in enumerate(entries):
+        if isinstance(e, tuple):
+            _check_entries(f"{name}[{i+1}]", e, r, B)
+        elif e.group != B:
+            raise InvalidArgument(f"{name}[{i+1}] not in B")
+
+
+def _check_torsion(name, mat, orders, error):
+    """mat[i][j] is killed by the generator orders d_i and d_j."""
+    for i, di in enumerate(orders):
+        for j, dj in enumerate(orders):
+            e = mat[i][j]
+            if not (di * e).is_zero() or not (dj * e).is_zero():
+                raise error(f"{name}[{i+1}][{j+1}] = {e} not killed by generator "
+                            f"orders ({di}, {dj})")
+
+
+def _check_generates(what, mat, B):
+    """The values mat[i][j], i < j, generate B."""
+    if not B.is_trivial():
+        sub = ab.subgroup_generated([e for i, row in enumerate(mat) for e in row[i + 1:]], B)
+        if not sub.is_whole():
+            raise CommutatorMismatch(
+                f"{what} generate a proper subgroup of B with invariants "
+                f"{list(sub.invariants())}, B = {B}")
+
+
+class Nil2Group(CentralExtension):
+    """A nil_2-group as central-extension data over explicit cocycles;
+    `commutators[i][j]` = bil[i][j] - bil[j][i] is [e_i, e_j] in B."""
+
+    __slots__ = ("bil", "carry", "commutators", "provenance", "_kappa_cache", "_table")
 
     def __init__(self, A, B, bil, carry, provenance=None):
         self._kappa_cache = {}
@@ -219,41 +260,16 @@ class Nil2Group(CentralExtension):
         self.carry = tuple(carry)
         self.provenance = provenance
         r = A.rank
-        if len(self.bil) != r or any(len(row) != r for row in self.bil):
-            raise InvalidArgument(f"bil must be {r}x{r}")
-        if len(self.carry) != r:
-            raise InvalidArgument(f"carry must have {r} entries")
-        for i in range(r):
-            for j in range(r):
-                if self.bil[i][j].group != B:
-                    raise InvalidArgument(f"bil[{i+1}][{j+1}] not in B")
-            if self.carry[i].group != B:
-                raise InvalidArgument(f"carry[{i+1}] not in B")
+        _check_entries("bil", self.bil, r, B)
+        _check_entries("carry", self.carry, r, B)
+        _check_torsion("bil", self.bil, A.orders, InvalidCocycle)
+        for i, d in enumerate(A.orders):
+            if d == 0 and not self.carry[i].is_zero():
+                raise InvalidCocycle(f"carry[{i+1}] nonzero on an infinite cyclic factor")
+        self.commutators = tuple(tuple(self.bil[i][j] - self.bil[j][i] for j in range(r))
+                                 for i in range(r))
+        _check_generates("commutators", self.commutators, B)
         super().__init__(A, B, self.bil, self.carry)
-        self._validate()
-
-    def _validate(self):
-        r = self.A.rank
-        for i in range(r):
-            di = self.A.orders[i]
-            for j in range(r):
-                dj = self.A.orders[j]
-                e = self.bil[i][j]
-                if not (di * e).is_zero() or not (dj * e).is_zero():
-                    raise InvalidCocycle(
-                        f"bil[{i+1}][{j+1}] = {e} not killed by generator orders "
-                        f"({di}, {dj})")
-            if di == 0 and not self.carry[i].is_zero():
-                raise InvalidCocycle(
-                    f"carry[{i+1}] nonzero on an infinite cyclic factor")
-        anti = [self.bil[i][j] - self.bil[j][i]
-                for i in range(r) for j in range(i + 1, r)]
-        if not self.B.is_trivial():
-            sub = ab.subgroup_generated(anti, self.B)
-            if not sub.is_whole():
-                raise CommutatorMismatch(
-                    "commutators generate a proper subgroup of B with invariants "
-                    f"{list(sub.invariants())}, B = {self.B}")
 
     def is_abelian(self):
         return self.B.is_trivial()
@@ -287,11 +303,9 @@ class Nil2Group(CentralExtension):
         2 n0 when C(n0, 2) fails to kill some [e_i, e_j]."""
         if not self.is_finite():
             raise InvalidArgument("exponent of an infinite group")
-        r = self.rank
-        n = lcm(self.B.exponent(), *(self.gen(i).order() for i in range(r)))
-        c, e = n * (n - 1) // 2, self.A.gen
-        return n if all((c * self.commutator_pairing(e(i), e(j))).is_zero()
-                        for i in range(r) for j in range(i + 1, r)) else 2 * n
+        n = lcm(self.B.exponent(), *(self.gen(i).order() for i in range(self.rank)))
+        c = n * (n - 1) // 2
+        return n if all((c * e).is_zero() for row in self.commutators for e in row) else 2 * n
 
     def kappa(self, a: ab.AbElement) -> ab.AbElement:
         """B-part of the ordered generator-multiple sum lifting a.
@@ -377,6 +391,18 @@ def _block_sum(g1: Nil2Group, g2: Nil2Group, tail: ab.FGAbelian):
     return A, B, bil, carry, embedding(g1.B.rank + g2.B.rank)
 
 
+def _factor(whole: Nil2Group, tag: str, k: int):
+    """Factor k of a group built by `product` or `coproduct` (named by
+    `tag`), with the offsets of its generators in `whole`'s A and B: the
+    block layout of `_block_sum`."""
+    prov = whole.provenance
+    if not prov or prov[0] != tag:
+        raise InvalidArgument(f"group was not built as a {tag}")
+    if k not in (0, 1):
+        raise InvalidArgument(f"factor index {k!r} is not 0 or 1")
+    return prov[1 + k], k * prov[1].rank, k * prov[1].B.rank
+
+
 def product(g1: Nil2Group, g2: Nil2Group) -> Nil2Group:
     """Direct product: block-diagonal cocycle data."""
     A, B, bil, carry, _ = _block_sum(g1, g2, ab.FGAbelian([]))
@@ -420,78 +446,60 @@ def free(n: int) -> Nil2Group:
 # ---------------------------------------------------------------------------
 # The universal quadratic central extension P2.
 
-class P2Element:
-    __slots__ = ("ext", "xi", "g")
+class P2Element(Nil2Element):
+    """Element (xi, g) of P2(G), stored as (a, (u, xi)) with g = (a, u)."""
 
-    def __init__(self, ext, xi, g):
-        self.ext = ext
-        self.xi = xi
-        self.g = g
+    __slots__ = ()
 
-    def __add__(self, other):
-        if self.ext is not other.ext:
-            raise InvalidArgument("elements of different extensions")
-        t = self.ext.tensor
-        xi = self.xi + other.xi - t.pure(self.g.a, other.g.a)
-        return P2Element(self.ext, xi, self.g + other.g)
+    @property
+    def xi(self):
+        ext = self.group
+        return ab.AbElement(ext.tensor.group, self.b.coords[ext.base.B.rank:])
 
-    def __neg__(self):
-        t = self.ext.tensor
-        return P2Element(self.ext, -self.xi - t.pure(self.g.a, self.g.a), -self.g)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self):
-        return self.xi.is_zero() and self.g.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, P2Element) and self.ext is other.ext
-                and self.xi == other.xi and self.g == other.g)
-
-    def __hash__(self):
-        return hash((self.xi.coords, hash(self.g)))
-
-    def __repr__(self):
-        return f"P2({self.xi!r}, {self.g!r})"
+    @property
+    def g(self):
+        base = self.group.base
+        return Nil2Element(base, self.a, ab.AbElement(base.B, self.b.coords[:base.B.rank]))
 
 
-class P2Extension:
+class P2Extension(CentralExtension):
     """The central extension 0 -> A (x) A -> P2(G) -> G -> 0.
 
-    Pairs (xi, g) with (xi, g) + (xi', g') = (xi + xi' - g^ (x) g'^, g + g').
+    Pairs (xi, g) with (xi, g) + (xi', g') = (xi + xi' - g^ (x) g'^, g + g'):
+    G's data with B widened by A (x) A and -(e_i (x) e_j) added to bil[i][j].
     The section p2(g) = (0, g) is the universal quadratic map out of G.
     """
 
+    __slots__ = ("base", "tensor")
+    element_class = P2Element
+
     def __init__(self, base: Nil2Group):
         self.base = base
-        self.tensor = ab.tensor(base.A, base.A)
+        self.tensor = tens = ab.tensor(base.A, base.A)
+        _, B, bil, carry, embt = _block_sum(base, from_abelian(ab.FGAbelian([])), tens.group)
+        e = base.A.gen
+        bil = [[x + embt(-tens.pure(e(i), e(j))) for j, x in enumerate(row)]
+               for i, row in enumerate(bil)]
+        super().__init__(base.A, B, bil, carry)
 
     def element(self, xi, g):
         if xi.group != self.tensor.group or g.group != self.base:
             raise InvalidArgument("components not in A (x) A and G")
-        return P2Element(self, xi, g)
-
-    def zero(self):
-        return P2Element(self, self.tensor.group.zero(), self.base.zero())
+        return P2Element(self, g.a, ab.AbElement(self.B, g.b.coords + xi.coords))
 
     def p2(self, g: Nil2Element) -> P2Element:
-        return P2Element(self, self.tensor.group.zero(), g)
+        return self.element(self.tensor.group.zero(), g)
 
     def proj(self, el: P2Element) -> Nil2Element:
         return el.g
 
-    def order(self):
-        b = self.base.order()
-        t = self.tensor.group.order()
-        return b * t if b and t else 0
-
     def elements(self):
-        if not self.base.is_finite() or not self.tensor.group.is_finite():
+        """All elements, xi-major: A (x) A outer, G's order inner."""
+        if not self.is_finite():
             raise UnsupportedEnumeration("cannot enumerate an infinite extension")
         for xi in self.tensor.group.elements():
             for g in self.base.elements():
-                yield P2Element(self, xi, g)
+                yield self.element(xi, g)
 
 
 def p2_extension(g: Nil2Group) -> P2Extension:
@@ -506,13 +514,9 @@ class CenterInfo:
 
     def __init__(self, group: Nil2Group):
         self.group = group
-        r, br = group.rank, group.B.rank
-        rows = []
-        for k in range(r):
-            cols = [group.bil[i][k] - group.bil[k][i] for i in range(r)]
-            for t in range(br):
-                rows.append([c.coords[t] for c in cols])
-        target = ab.FGAbelian(group.B.orders * r)
+        rows = [[row[k].coords[t] for row in group.commutators]
+                for k in range(group.rank) for t in range(group.B.rank)]
+        target = ab.FGAbelian(group.B.orders * group.rank)
         pairing = ab.AbHom(group.A, target, rows)
         self.a_kernel, self.a_incl = ab.kernel(pairing)
         self._pairing = pairing

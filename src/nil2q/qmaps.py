@@ -18,6 +18,13 @@ generator expansion: each map caches the coordinates of its generator
 multiples f(m e_i) (negative m included, for free generators), adds the
 cocycle, the delta cross terms and fcomm(z.b - kappa(z.a)) into one
 unreduced B vector, and reduces it once.
+The structural homomorphisms (identity, zero, the projections and
+inclusions of products and coproducts, the coproduct's couniversal map,
+the abelianization projection) are built by one zero-cross-effect
+constructor, `_hom`, mostly over generator-shift maps `_shift` at the
+factor offsets of `nil2._factor`.  The power map is `_shift` scaled by n
+with its forced cross-effect; addition is the sum of the two product
+projections.
 The independent completeness oracle is the exhaustive set-map filter over
 the defining conditions; it and the function-level checks run on integer
 Cayley tables built from the group law (`Nil2Group.table`), never from
@@ -56,12 +63,8 @@ class QMap:
             raise InvalidArgument("fab endpoints do not match")
         if fcomm.source != source.B or fcomm.target != target.B:
             raise InvalidArgument("fcomm endpoints do not match")
-        if len(self.gamma) != r or any(g.group != target.B for g in self.gamma):
-            raise InvalidArgument("gamma must hold r elements of [H,H]")
-        if (len(self.delta) != r
-                or any(len(row) != r for row in self.delta)
-                or any(e.group != target.B for row in self.delta for e in row)):
-            raise InvalidArgument("delta must be an r x r matrix over [H,H]")
+        nil2._check_entries("gamma", self.gamma, r, target.B)
+        nil2._check_entries("delta", self.delta, r, target.B)
         if not _validated:
             self._validate()
         # strictly upper triangle of delta, as coordinates, for eval
@@ -73,18 +76,10 @@ class QMap:
     def _validate(self):
         G, H = self.source, self.target
         r = G.rank
-        for i in range(r):
-            di = G.A.orders[i]
-            for j in range(r):
-                dj = G.A.orders[j]
-                e = self.delta[i][j]
-                if not (di * e).is_zero() or not (dj * e).is_zero():
-                    raise NotAQMap(
-                        f"delta[{i+1}][{j+1}] = {e} not killed by source orders "
-                        f"({di}, {dj})")
+        nil2._check_torsion("delta", self.delta, G.A.orders, NotAQMap)
         for i in range(r):
             for j in range(i + 1, r):
-                lhs = self.fcomm.apply(G.bil[i][j] - G.bil[j][i])
+                lhs = self.fcomm.apply(G.commutators[i][j])
                 rhs = (H.commutator_pairing(self.fab.column(i), self.fab.column(j))
                        + self.delta[i][j] - self.delta[j][i])
                 if lhs != rhs:
@@ -228,51 +223,42 @@ class QMap:
 # ---------------------------------------------------------------------------
 # Basic constructors.
 
-def identity_qmap(g: nil2.Nil2Group) -> QMap:
-    bz = g.B.zero()
+def _shift(source: ab.FGAbelian, target: ab.FGAbelian, offset: int, n: int = 1) -> ab.AbHom:
+    """Generator j to n times generator j + offset (to zero out of range)."""
+    return ab.AbHom(source, target, [[n if i == j + offset else 0 for j in range(source.rank)]
+                                     for i in range(target.rank)])
+
+
+def _hom(g: nil2.Nil2Group, h: nil2.Nil2Group, fab, fcomm, gamma=None) -> QMap:
+    """The q-map with data (fab, fcomm, gamma) and zero cross-effect;
+    gamma is zero unless given."""
+    bz = h.B.zero()
     r = g.rank
-    return QMap(g, g, ab.AbHom.identity(g.A), ab.AbHom.identity(g.B),
-                [bz] * r, [[bz] * r for _ in range(r)])
+    return QMap(g, h, fab, fcomm, [bz] * r if gamma is None else gamma,
+                [[bz] * r for _ in range(r)])
+
+
+def identity_qmap(g: nil2.Nil2Group) -> QMap:
+    return _hom(g, g, ab.AbHom.identity(g.A), ab.AbHom.identity(g.B))
 
 
 def zero_qmap(g: nil2.Nil2Group, h: nil2.Nil2Group) -> QMap:
-    bz = h.B.zero()
-    r = g.rank
-    return QMap(g, h, ab.AbHom.zero(g.A, h.A), ab.AbHom.zero(g.B, h.B),
-                [bz] * r, [[bz] * r for _ in range(r)])
+    return _hom(g, h, ab.AbHom.zero(g.A, h.A), ab.AbHom.zero(g.B, h.B))
 
 
 def power_qmap(g: nil2.Nil2Group, n: int) -> QMap:
     """The n-th power map a -> n a, with (a|b)_n = -(n(n-1)/2) [a,b]."""
-    r = g.rank
-    gamma = [(n * g.gen(i)).b for i in range(r)]
+    gamma = [(n * g.gen(i)).b for i in range(g.rank)]
     c = -(n * (n - 1) // 2)
-    delta = [[c * (g.bil[i][j] - g.bil[j][i]) for j in range(r)] for i in range(r)]
-    nid_a = ab.AbHom(g.A, g.A, [[n if i == j else 0 for j in range(g.A.rank)]
-                                for i in range(g.A.rank)])
-    nid_b = ab.AbHom(g.B, g.B, [[n if i == j else 0 for j in range(g.B.rank)]
-                                for i in range(g.B.rank)])
-    return QMap(g, g, nid_a, nid_b, gamma, delta)
+    return QMap(g, g, _shift(g.A, g.A, 0, n), _shift(g.B, g.B, 0, n), gamma,
+                [[c * e for e in row] for row in g.commutators])
 
 
 def addition_qmap(g: nil2.Nil2Group) -> QMap:
-    """The group law + : G x G -> G with ((a,b)|(c,d))_+ = [c, b]."""
+    """The group law + : G x G -> G, the sum p_1 + p_2 of the product
+    projections, so ((a,b)|(c,d))_+ = [c, b] by the sum formula."""
     p = nil2.product(g, g)
-    r = g.rank
-    fab = ab.AbHom(p.A, g.A, [[1 if (j % r == i) else 0 for j in range(2 * r)]
-                              for i in range(g.A.rank)]) if r else ab.AbHom.zero(p.A, g.A)
-    s = g.B.rank
-    fcomm = ab.AbHom(p.B, g.B, [[1 if (j % s == i) else 0 for j in range(2 * s)]
-                                for i in range(s)]) if s else ab.AbHom.zero(p.B, g.B)
-    bz = g.B.zero()
-    gamma = [bz] * (2 * r)
-    delta = [[bz] * (2 * r) for _ in range(2 * r)]
-    for i in range(r):
-        for j in range(r):
-            # ((a,b)|(c,d)) = [c,b]: second-slot coordinate of the first
-            # argument against the first-slot coordinate of the second
-            delta[r + j][i] = g.bil[i][j] - g.bil[j][i]
-    return QMap(p, g, fab, fcomm, gamma, delta)
+    return product_projection(p, 0) + product_projection(p, 1)
 
 
 def qmap_from_z(h: nil2.Nil2Group, a: nil2.Nil2Element, b: nil2.Nil2Element) -> QMap:
@@ -396,74 +382,39 @@ def qmap_p2_factorize(qmap: QMap) -> P2Factorization:
 # ---------------------------------------------------------------------------
 # Structural q-maps of products and coproducts.
 
-def _require_provenance(g, tag):
-    if not g.provenance or g.provenance[0] != tag:
-        raise InvalidArgument(f"group was not built as a {tag}")
-    return g.provenance
-
-
 def product_projection(p: nil2.Nil2Group, k: int) -> QMap:
-    _, g1, g2 = _require_provenance(p, "product")
-    gk = (g1, g2)[k]
-    off_a = 0 if k == 0 else g1.A.rank
-    off_b = 0 if k == 0 else g1.B.rank
-    fab = ab.AbHom(p.A, gk.A,
-                   [[1 if j == off_a + i else 0 for j in range(p.A.rank)]
-                    for i in range(gk.A.rank)])
-    fcomm = ab.AbHom(p.B, gk.B,
-                     [[1 if j == off_b + i else 0 for j in range(p.B.rank)]
-                      for i in range(gk.B.rank)])
-    bz = gk.B.zero()
-    r = p.rank
-    return QMap(p, gk, fab, fcomm, [bz] * r, [[bz] * r for _ in range(r)])
+    gk, off_a, off_b = nil2._factor(p, "product", k)
+    return _hom(p, gk, _shift(p.A, gk.A, -off_a), _shift(p.B, gk.B, -off_b))
 
 
-def _inclusion(whole, gk, off_a, off_b):
-    fab = ab.AbHom(gk.A, whole.A,
-                   [[1 if i == off_a + j else 0 for j in range(gk.A.rank)]
-                    for i in range(whole.A.rank)])
-    fcomm = ab.AbHom(gk.B, whole.B,
-                     [[1 if i == off_b + j else 0 for j in range(gk.B.rank)]
-                      for i in range(whole.B.rank)])
-    bz = whole.B.zero()
-    r = gk.rank
-    return QMap(gk, whole, fab, fcomm, [bz] * r, [[bz] * r for _ in range(r)])
+def _inclusion(whole: nil2.Nil2Group, tag: str, k: int) -> QMap:
+    gk, off_a, off_b = nil2._factor(whole, tag, k)
+    return _hom(gk, whole, _shift(gk.A, whole.A, off_a), _shift(gk.B, whole.B, off_b))
 
 
 def product_inclusion(p: nil2.Nil2Group, k: int) -> QMap:
-    _, g1, g2 = _require_provenance(p, "product")
-    gk = (g1, g2)[k]
-    return _inclusion(p, gk, 0 if k == 0 else g1.A.rank, 0 if k == 0 else g1.B.rank)
+    return _inclusion(p, "product", k)
 
 
 def coproduct_inclusion(c: nil2.Nil2Group, k: int) -> QMap:
-    _, g1, g2, _ = _require_provenance(c, "coproduct")
-    gk = (g1, g2)[k]
-    return _inclusion(c, gk, 0 if k == 0 else g1.A.rank, 0 if k == 0 else g1.B.rank)
+    return _inclusion(c, "coproduct", k)
 
 
 def coproduct_couniversal(c: nil2.Nil2Group, u: QMap, v: QMap) -> QMap:
     """The unique homomorphism out of a coproduct restricting to the
     homomorphisms u and v: (xi, g, h) -> [u,v](xi) + u(g) + v(h)."""
-    _, g1, g2, tens = _require_provenance(c, "coproduct")
+    g1, g2 = (nil2._factor(c, "coproduct", k)[0] for k in (0, 1))
     if u.source != g1 or v.source != g2 or u.target != v.target:
         raise InvalidArgument("u, v must map the coproduct factors to one target")
     if not (u.is_hom() and v.is_hom()):
         raise InvalidArgument("the coproduct property extends homomorphisms only")
     x = u.target
-    fab = ab.AbHom(c.A, x.A,
-                   [list(u.fab.matrix[i]) + list(v.fab.matrix[i])
-                    for i in range(x.A.rank)])
-    tens_cols = tens.columns(
+    tens_cols = c.provenance[3].columns(
         lambda i, j: x.commutator_pairing(u.fab.column(i), v.fab.column(j)))
-    fcomm_cols = ([u.fcomm.column(j) for j in range(g1.B.rank)]
-                  + [v.fcomm.column(j) for j in range(g2.B.rank)]
-                  + tens_cols)
-    fcomm = ab.AbHom.from_columns(c.B, x.B, fcomm_cols)
-    gamma = list(u.gamma) + list(v.gamma)
-    bz = x.B.zero()
-    r = c.rank
-    return QMap(c, x, fab, fcomm, gamma, [[bz] * r for _ in range(r)])
+    return _hom(c, x, ab.AbHom.from_columns(c.A, x.A, u.fab.columns() + v.fab.columns()),
+                ab.AbHom.from_columns(c.B, x.B,
+                                      u.fcomm.columns() + v.fcomm.columns() + tens_cols),
+                u.gamma + v.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +451,7 @@ def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
         power_b = [(d * h.pair(c, zero)).b for d, c in zip(orders, cols)]
         for fcomm in fcomms:
             # delta[j][i] - delta[i][j], forced by the commutator relations
-            skew = [pc - fcomm.apply(g.bil[i][j] - g.bil[j][i])
+            skew = [pc - fcomm.apply(g.commutators[i][j])
                     for pc, (i, j) in zip(pair_comm, pairs)]
             if homs and not all(s.is_zero() for s in skew):
                 continue

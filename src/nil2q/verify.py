@@ -346,7 +346,8 @@ def suite_classification(max_order: int = 64):
           and s.eval(src.element([1, 1], [])) == q8.gen(0) + q8.gen(1))
     results.append(CheckResult("qsplit-q8-section-values", "Q8", ok))
 
-    dec = classify.niq_iso_decide(cat["D4"], cat["Q8"], search_guard=max_order)
+    # a fixed instance: the default search guard, whatever --max-order is
+    dec = classify.niq_iso_decide(cat["D4"], cat["Q8"])
     ok = dec.verdict and dec.witness is not None
     if ok:
         q, qinv = dec.witness

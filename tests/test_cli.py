@@ -120,6 +120,14 @@ group K { abelianization = [3,3]; commutator = [3]; bil[2][1] = [2]; }
     assert code == 0
 
 
+def test_group_file_torsion_error(tmp_path):
+    f = tmp_path / "k.txt"
+    f.write_text("group K { abelianization = [3,3]; commutator = [9]; bil[1][2] = [1]; }\n")
+    code, text = run(["--file", str(f), "info", "K"])
+    assert code == 2
+    assert text == "error: bil[1][2] = (1) not killed by generator orders (3, 3)\n"
+
+
 def test_group_file_oracle(tmp_path):
     o = ["elements = " + " ".join(f"g{i}" for i in range(4)), "id = g0"]
     table = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
@@ -167,6 +175,14 @@ def test_selftest_deterministic_and_passing():
     assert text1 == text2
     assert "PASS qsplit-verdict D4" in text1
     assert "FAIL" not in text1
+
+
+@pytest.mark.parametrize("max_order", ["1", "7", "8", "64"])
+def test_selftest_classify_at_any_max_order(max_order):
+    # the fixed D4|Q8 witness check does not depend on the catalog guard
+    code, text = run(["--max-order", max_order, "selftest", "--suite", "classify"])
+    assert code == 0 and "FAIL" not in text
+    assert "PASS niq-iso-d4-q8 D4|Q8" in text
 
 
 def test_selftest_negative_suite():

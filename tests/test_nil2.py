@@ -7,12 +7,14 @@ from math import lcm
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, nil2
+from nil2q import catalog, maltsev, nil2, qmaps
 from nil2q.errors import (
     CommutatorMismatch,
     InvalidArgument,
+    InvalidBracket,
     InvalidCocycle,
     NotAGroup,
+    NotAQMap,
     NotAnAction,
     NotClassTwo,
     UnsupportedEnumeration,
@@ -99,6 +101,40 @@ def test_make_validation():
     e = ab.FGAbelian([])
     g = nil2.make(ab.FGAbelian([0]), e, [[e.zero()]], [e.zero()])
     assert g.is_abelian()
+
+
+def _generator_data(kind, mat, B):
+    """Build the object that validates `mat` as its `kind` matrix, on
+    A = Z/3 + Z/3 and commutator subgroup B."""
+    A = ab.FGAbelian([3, 3])
+    if kind == "bil":
+        return nil2.make(A, B, mat, [B.zero()] * 2)
+    if kind == "bracket":
+        return maltsev.lie_make(A, B, [B.zero()] * 2, mat)
+    h = catalog.heisenberg(9)
+    assert h.B == B
+    return qmaps.QMap(HEIS3, h, ab.AbHom.zero(A, h.A), ab.AbHom.zero(HEIS3.B, B),
+                      [B.zero()] * 2, mat)
+
+
+@pytest.mark.parametrize("kind, fault, error", [
+    (kind, fault, error)
+    for kind, torsion in [("bil", InvalidCocycle), ("bracket", InvalidBracket),
+                          ("delta", NotAQMap)]
+    for fault, error in [("shape", InvalidArgument), ("row", InvalidArgument),
+                         ("outside", InvalidArgument), ("torsion", torsion),
+                         ("generate", CommutatorMismatch)]
+    if (kind, fault) != ("delta", "generate")])
+def test_generator_data_validation(kind, fault, error):
+    B = ab.FGAbelian([9])                 # 3 does not kill its generator
+    z, one = B.zero(), B.gen(0)
+    mat = {"shape": [[z, one]],
+           "row": [[z, one], [-one]],
+           "outside": [[z, ab.FGAbelian([3]).gen(0)], [z, z]],
+           "torsion": [[z, one], [-one, z]],
+           "generate": [[z, 3 * one], [-3 * one, z]]}[fault]
+    with pytest.raises(error):
+        _generator_data(kind, mat, B)
 
 
 def test_q8_structure():
@@ -424,6 +460,64 @@ def test_p2_extension():
                 assert (x + y) + z == x + (y + z)
     for x in elems:
         assert (x + (-x)).is_zero()
+
+
+def reference_p2_add(ext, x, y):
+    """Object-level P2 sum on pairs (xi, g): the reference for the
+    extension's element arithmetic."""
+    (xi, g), (xi2, g2) = x, y
+    return xi + xi2 - ext.tensor.pure(g.a, g2.a), g + g2
+
+
+def reference_p2_neg(ext, x):
+    xi, g = x
+    return -xi - ext.tensor.pure(g.a, g.a), -g
+
+
+def reference_p2_factor(fq, x):
+    """The factorization P2(G) -> H at the pair (xi, g)."""
+    xi, g = x
+    return fq.qmap.target.central(fq.cross_hom.apply(xi)) + fq.qmap.eval(g)
+
+
+def _stride(seq, cap):
+    return seq[::len(seq) // cap + 1]
+
+
+def test_p2_extension_matches_reference():
+    def pair(z):
+        return z.xi, z.g
+
+    Z = catalog.cyclic(0)
+    for base in [Q8, D4, HEIS3, nil2.coproduct(catalog.cyclic(2), catalog.cyclic(4)),
+                 catalog.cyclic(4), Z]:
+        ext = nil2.p2_extension(base)
+        T = ext.tensor.group
+        if base is Z:
+            w = range(-3, 4)
+            ref = [(T.element([t]), Z.element([a], [])) for t in w for a in w]
+            elems = [ext.element(*x) for x in ref]
+            pairs = list(itertools.product(range(len(elems)), repeat=2))
+            qs = [qmaps.qmap_from_z(Q8, a, Q8.central(Q8.B.gen(0)))
+                  for a in itertools.islice(Q8.elements(), 4)]
+        else:
+            # xi-major enumeration order, and order()
+            ref = [(xi, g) for xi in T.elements() for g in base.elements()]
+            elems = list(ext.elements())
+            assert [pair(z) for z in elems] == ref
+            assert ext.order() == base.order() * T.order() == len(elems)
+            pairs = _stride(list(itertools.product(range(len(elems)), repeat=2)), 400)
+            qs = _stride(list(itertools.islice(qmaps.enumerate_qmaps(base, Q8), 64)), 4)
+        for z, x in zip(elems, ref):
+            assert type(z) is nil2.P2Element and pair(-z) == reference_p2_neg(ext, x)
+        for i, j in pairs:
+            assert pair(elems[i] + elems[j]) == reference_p2_add(ext, ref[i], ref[j])
+        for q in qs:
+            fq = qmaps.qmap_p2_factorize(q)
+            for z, x in _stride(list(zip(elems, ref)), 100):
+                assert fq.eval(z) == reference_p2_factor(fq, x)
+            for i, j in _stride(pairs, 100):
+                assert fq.eval(elems[i] + elems[j]) == fq.eval(elems[i]) + fq.eval(elems[j])
 
 
 def test_semidirect_oracles():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, nil2, qmaps
+from nil2q import catalog, classify, nil2, qmaps
 from nil2q.errors import InvalidArgument, NotAQMap, UnsupportedEnumeration
 
 Q8 = catalog.quaternion()
@@ -583,6 +583,145 @@ def test_product_projections_inclusions():
     s = i1.compose(p1) + i2.compose(p2)
     for z in p.elements():
         assert s.eval(z) == z
+
+
+def reference_identity(g):
+    bz = g.B.zero()
+    r = g.rank
+    return qmaps.QMap(g, g, ab.AbHom.identity(g.A), ab.AbHom.identity(g.B),
+                      [bz] * r, [[bz] * r for _ in range(r)])
+
+
+def reference_zero(g, h):
+    bz = h.B.zero()
+    r = g.rank
+    return qmaps.QMap(g, h, ab.AbHom.zero(g.A, h.A), ab.AbHom.zero(g.B, h.B),
+                      [bz] * r, [[bz] * r for _ in range(r)])
+
+
+def reference_power(g, n):
+    r = g.rank
+    gamma = [(n * g.gen(i)).b for i in range(r)]
+    c = -(n * (n - 1) // 2)
+    delta = [[c * (g.bil[i][j] - g.bil[j][i]) for j in range(r)] for i in range(r)]
+    nid_a = ab.AbHom(g.A, g.A, [[n if i == j else 0 for j in range(g.A.rank)]
+                                for i in range(g.A.rank)])
+    nid_b = ab.AbHom(g.B, g.B, [[n if i == j else 0 for j in range(g.B.rank)]
+                                for i in range(g.B.rank)])
+    return qmaps.QMap(g, g, nid_a, nid_b, gamma, delta)
+
+
+def reference_addition(g):
+    p = nil2.product(g, g)
+    r = g.rank
+    fab = ab.AbHom(p.A, g.A, [[1 if (j % r == i) else 0 for j in range(2 * r)]
+                              for i in range(g.A.rank)]) if r else ab.AbHom.zero(p.A, g.A)
+    s = g.B.rank
+    fcomm = ab.AbHom(p.B, g.B, [[1 if (j % s == i) else 0 for j in range(2 * s)]
+                                for i in range(s)]) if s else ab.AbHom.zero(p.B, g.B)
+    bz = g.B.zero()
+    gamma = [bz] * (2 * r)
+    delta = [[bz] * (2 * r) for _ in range(2 * r)]
+    for i in range(r):
+        for j in range(r):
+            delta[r + j][i] = g.bil[i][j] - g.bil[j][i]
+    return qmaps.QMap(p, g, fab, fcomm, gamma, delta)
+
+
+def reference_abelianization_projection(g):
+    tgt = nil2.from_abelian(g.A)
+    bz = tgt.B.zero()
+    r = g.rank
+    return qmaps.QMap(g, tgt, ab.AbHom.identity(g.A), ab.AbHom.zero(g.B, tgt.B),
+                      [bz] * r, [[bz] * r for _ in range(r)])
+
+
+def reference_product_projection(p, k):
+    _, g1, g2 = p.provenance
+    gk = (g1, g2)[k]
+    off_a = 0 if k == 0 else g1.A.rank
+    off_b = 0 if k == 0 else g1.B.rank
+    fab = ab.AbHom(p.A, gk.A, [[1 if j == off_a + i else 0 for j in range(p.A.rank)]
+                               for i in range(gk.A.rank)])
+    fcomm = ab.AbHom(p.B, gk.B, [[1 if j == off_b + i else 0 for j in range(p.B.rank)]
+                                 for i in range(gk.B.rank)])
+    bz = gk.B.zero()
+    r = p.rank
+    return qmaps.QMap(p, gk, fab, fcomm, [bz] * r, [[bz] * r for _ in range(r)])
+
+
+def reference_inclusion(whole, k):
+    g1, g2 = whole.provenance[1:3]
+    gk = (g1, g2)[k]
+    off_a = 0 if k == 0 else g1.A.rank
+    off_b = 0 if k == 0 else g1.B.rank
+    fab = ab.AbHom(gk.A, whole.A, [[1 if i == off_a + j else 0 for j in range(gk.A.rank)]
+                                   for i in range(whole.A.rank)])
+    fcomm = ab.AbHom(gk.B, whole.B, [[1 if i == off_b + j else 0 for j in range(gk.B.rank)]
+                                     for i in range(whole.B.rank)])
+    bz = whole.B.zero()
+    r = gk.rank
+    return qmaps.QMap(gk, whole, fab, fcomm, [bz] * r, [[bz] * r for _ in range(r)])
+
+
+def reference_couniversal(c, u, v):
+    _, g1, g2, tens = c.provenance
+    x = u.target
+    fab = ab.AbHom(c.A, x.A, [list(u.fab.matrix[i]) + list(v.fab.matrix[i])
+                              for i in range(x.A.rank)])
+    tens_cols = tens.columns(
+        lambda i, j: x.commutator_pairing(u.fab.column(i), v.fab.column(j)))
+    fcomm_cols = ([u.fcomm.column(j) for j in range(g1.B.rank)]
+                  + [v.fcomm.column(j) for j in range(g2.B.rank)] + tens_cols)
+    fcomm = ab.AbHom.from_columns(c.B, x.B, fcomm_cols)
+    bz = x.B.zero()
+    r = c.rank
+    return qmaps.QMap(c, x, fab, fcomm, list(u.gamma) + list(v.gamma),
+                      [[bz] * r for _ in range(r)])
+
+
+def test_structural_maps_match_reference():
+    def same(q, ref):
+        assert (q.source, q.target, q.fab, q.fcomm, q.gamma, q.delta) == \
+            (ref.source, ref.target, ref.fab, ref.fcomm, ref.gamma, ref.delta)
+        return 1
+
+    cases = 0
+    for g in [Q8, D4, HEIS3, Z4, V4, nil2.free(2), nil2.coproduct(Z2, Z4)]:
+        cases += same(qmaps.identity_qmap(g), reference_identity(g))
+        cases += same(qmaps.addition_qmap(g), reference_addition(g))
+        cases += same(classify.abelianization_projection(g),
+                      reference_abelianization_projection(g))
+        for n in range(-3, 4):
+            cases += same(qmaps.power_qmap(g, n), reference_power(g, n))
+    for g1, g2 in itertools.product([Q8, D4, HEIS3], repeat=2):
+        p, c = nil2.product(g1, g2), nil2.coproduct(g1, g2)
+        for k, gk in enumerate((g1, g2)):
+            cases += same(qmaps.product_projection(p, k), reference_product_projection(p, k))
+            cases += same(qmaps.product_inclusion(p, k), reference_inclusion(p, k))
+            cases += same(qmaps.coproduct_inclusion(c, k), reference_inclusion(c, k))
+            for w in (p, c):
+                cases += same(qmaps.zero_qmap(w, gk), reference_zero(w, gk))
+                cases += same(qmaps.zero_qmap(gk, w), reference_zero(gk, w))
+    for g1, g2, x in [(Z2, Z4, Q8), (Z2, Z2, D4)]:
+        c = nil2.coproduct(g1, g2)
+        for u, v in itertools.product(list(qmaps.enumerate_homs(g1, x)),
+                                      list(qmaps.enumerate_homs(g2, x))):
+            cases += same(qmaps.coproduct_couniversal(c, u, v), reference_couniversal(c, u, v))
+    assert cases == 248
+
+
+@pytest.mark.parametrize("build, tag", [
+    (qmaps.product_projection, "product"), (qmaps.product_inclusion, "product"),
+    (qmaps.coproduct_inclusion, "coproduct")])
+def test_structural_maps_reject_bad_factor(build, tag):
+    whole = (nil2.product if tag == "product" else nil2.coproduct)(Q8, Z2)
+    for k in (2, -1):
+        with pytest.raises(InvalidArgument, match=f"factor index {k} is not 0 or 1"):
+            build(whole, k)
+    other = nil2.coproduct(Q8, Z2) if tag == "product" else nil2.product(Q8, Z2)
+    with pytest.raises(InvalidArgument, match=f"not built as a {tag}"):
+        build(other, 0)
 
 
 def reference_eval(q, z):
