@@ -247,6 +247,10 @@ def cmd_iso(args, defs, out) -> int:
         q, qinv = dec.witness
         _dump_qmap(q, "witness", out)
         _dump_qmap(qinv, "inverse", out)
+    elif args.witness and dec.verdict:
+        # another path decided YES and the guard skipped the search
+        out.write(f"witness: skipped (order {max(g.order(), h.order())} "
+                  f"exceeds --max-order {args.max_order})\n")
     return 0 if dec.verdict else 1
 
 

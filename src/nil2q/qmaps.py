@@ -13,11 +13,12 @@ Three relation families gate the data (torsion of delta, commutator
 relations, order relations).  One solver, `_presentations`, walks them
 for q-map enumeration, homomorphism enumeration (delta pinned to zero)
 and q-split section search (fab = id, fcomm = 0 out of G_ab).
-Evaluation runs on integer coordinates along the fixed ascending
-generator expansion: each map caches the coordinates of its generator
-multiples f(m e_i) (negative m included, for free generators), adds the
-cocycle, the delta cross terms and fcomm(z.b - kappa(z.a)) into one
-unreduced B vector, and reduces it once.
+Evaluation is the closed form of the ascending generator expansion: as
+(0, gamma) is central, m (c, gamma) = m (c, 0) + (0, m gamma), so f(x, u) =
+(fab(x), base_fab(x) + sum_i [x_i gamma_i + C(x_i, 2) delta_ii] + sum_{p<i}
+x_p x_i delta_pi + fcomm(u - kappa(x))), B reduced once.  base_fab(x), the
+B-part of x_1 (fab e_1, 0) + ... + x_r (fab e_r, 0) summed left to right,
+and fab(x) live in a per-fab plan shared across an enumeration.
 The structural homomorphisms (identity, zero, the projections and
 inclusions of products and coproducts, the coproduct's couniversal map,
 the abelianization projection) are built by one zero-cross-effect
@@ -45,19 +46,37 @@ from .errors import (
 )
 
 
+class _FabPlan(dict):
+    """The part of q-map evaluation G -> H that depends on (H, fab) only:
+    x -> (fab(x), B-coordinates of base_fab(x)), filled on first lookup
+    from the cached generator multiples m (fab e_i, 0), keyed (i, m)."""
+
+    def __init__(self, target, fab):
+        self.target, self.fab, self.mults = target, fab, {}
+
+    def __missing__(self, x):
+        H, mults, acc = self.target, self.mults, self.target.zero()
+        for i, m in enumerate(x):
+            if m:
+                if (i, m) not in mults:
+                    mults[i, m] = m * H.pair(self.fab.column(i), H.B.zero())
+                acc = acc + mults[i, m]
+        self[x] = hit = (acc.a, acc.b.coords)
+        return hit
+
+
 class QMap:
     """Finite presentation of a q-map between nil_2-groups."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
-                 "_mult_cache", "_upper")
+                 "_plan", "_upper", "_lin")
 
     def __init__(self, source, target, fab, fcomm, gamma, delta,
-                 _validated=False):
+                 _validated=False, _plan=None):
         self.source, self.target = source, target
         self.fab, self.fcomm = fab, fcomm
         self.gamma = tuple(gamma)
         self.delta = tuple(tuple(row) for row in delta)
-        self._mult_cache = {}
         r = source.rank
         if fab.source != source.A or fab.target != target.A:
             raise InvalidArgument("fab endpoints do not match")
@@ -67,9 +86,12 @@ class QMap:
         nil2._check_entries("delta", self.delta, r, target.B)
         if not _validated:
             self._validate()
-        # strictly upper triangle of delta, as coordinates, for eval
+        self._plan = _FabPlan(target, fab) if _plan is None else _plan
+        # eval's quadratic form: delta above the diagonal, (gamma_i, delta_ii)
         self._upper = [[e.coords if p < i else None for i, e in enumerate(row)]
                        for p, row in enumerate(self.delta)]
+        self._lin = [tuple(zip(g.coords, self.delta[i][i].coords))
+                     for i, g in enumerate(self.gamma)]
 
     # -- validation ----------------------------------------------------------
 
@@ -109,34 +131,24 @@ class QMap:
         return self.target.B._bilinear(acoords, bcoords, self.delta)
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
-        """Evaluate by the fixed generator expansion (ascending index), on
-        coordinates; A stays canonical, so the cocycle reads representatives."""
+        """Evaluate by the fixed generator expansion (ascending index), in
+        closed form: the plan's (fab(x), base_fab(x)) plus the quadratic
+        form in x and fcomm(u - kappa(x)), reduced once (module docstring)."""
         G, H = self.source, self.target
         if z.group is not G and z.group != G:
             raise InvalidArgument("element not in the source group")
         x = z.a.coords
-        horders = H.A.orders
-        a = [0] * len(horders)
-        b = ab._bilinear_into([0] * H.B.rank, x, x, self._upper)
-        cache = self._mult_cache
-        for i, m in enumerate(x):
-            if m == 0:
-                continue
-            hit = cache.get((i, m))
-            if hit is None:
-                # f(m e_i) = m f(e_i) + (m(m-1)/2) delta[i][i], B unreduced
-                w, c = m * self.gen_image(i), m * (m - 1) // 2
-                hit = cache[i, m] = (w.a.coords, [u + c * e for u, e in
-                                                  zip(w.b.coords, self.delta[i][i].coords)])
-            ta, tb = hit
-            for t, c in enumerate(H._cocycle_coords(a, ta)):
-                b[t] += c + tb[t]
-            a = [(p + q) % d if d else p + q for p, q, d in zip(a, ta, horders)]
+        a, base = self._plan[x]
+        b = ab._bilinear_into(list(base), x, x, self._upper)
+        for m, lin in zip(x, self._lin):
+            c = m * (m - 1) // 2
+            for t, (g, d) in enumerate(lin):
+                b[t] += m * g + c * d
         rest = [u - k for u, k in zip(z.b.coords, G.kappa(z.a).coords)]
         if any(rest):
             for t, row in enumerate(self.fcomm.matrix):
                 b[t] += sum(c * u for c, u in zip(row, rest))
-        return nil2.Nil2Element(H, ab.AbElement(H.A, tuple(a)), H.B._trusted(b))
+        return nil2.Nil2Element(H, a, H.B._trusted(b))
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""
@@ -474,27 +486,30 @@ def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
                         yield fab, fcomm, gamma, delta
 
 
+def _enumerate(g, h, what, homs=False):
+    """The q-maps of `_presentations`; the maps with one fab share a plan."""
+    if not (g.is_finite() and h.is_finite()):
+        raise UnsupportedEnumeration(f"{what} enumeration needs finite groups")
+    plan = None
+    for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A),
+                               list(ab.enumerate_homs(g.B, h.B)), homs):
+        if plan is None or plan.fab is not data[0]:
+            plan = _FabPlan(h, data[0])
+        yield QMap(g, h, *data, _validated=True, _plan=plan)
+
+
 def enumerate_qmaps(g: nil2.Nil2Group, h: nil2.Nil2Group):
     """All q-maps G -> H, deterministic order (see `_presentations`).
 
     Complete against the brute-force set-map filter (acceptance property).
     """
-    if not (g.is_finite() and h.is_finite()):
-        raise UnsupportedEnumeration("q-map enumeration needs finite groups")
-    fcomms = list(ab.enumerate_homs(g.B, h.B))
-    for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A), fcomms):
-        yield QMap(g, h, *data, _validated=True)
+    yield from _enumerate(g, h, "q-map")
 
 
 def enumerate_homs(g: nil2.Nil2Group, h: nil2.Nil2Group):
     """All group homomorphisms G -> H (q-maps with zero cross-effect), in
     the order of filtering enumerate_qmaps by is_hom."""
-    if not (g.is_finite() and h.is_finite()):
-        raise UnsupportedEnumeration("homomorphism enumeration needs finite groups")
-    fcomms = list(ab.enumerate_homs(g.B, h.B))
-    for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A), fcomms,
-                               homs=True):
-        yield QMap(g, h, *data, _validated=True)
+    yield from _enumerate(g, h, "homomorphism", homs=True)
 
 
 # ---------------------------------------------------------------------------

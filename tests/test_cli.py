@@ -93,6 +93,16 @@ def test_iso_commands():
     assert "path log-criterion: no" in text
 
 
+def test_iso_witness_skipped_by_guard_is_reported():
+    # another path decides YES; the guard skips the asked-for witness search
+    code, text = run(["--max-order", "7", "iso", "D4", "Q8", "--witness"])
+    assert code == 0
+    assert "iso D4 Q8 category=niq: YES" in text
+    assert "path witness-search" not in text
+    assert "witness fab =" not in text
+    assert text.endswith("witness: skipped (order 8 exceeds --max-order 7)\n")
+
+
 def test_iso_identity():
     code, text = run(["iso", "Q8", "Q8", "--category", "nil"])
     assert code == 0 and "YES" in text

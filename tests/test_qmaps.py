@@ -786,6 +786,48 @@ def test_eval_agrees_with_reference_expansion():
     _assert_eval_matches_reference(qmaps.power_qmap(f2, -3), pts2)
 
 
+BOTH_ENUMS = (qmaps.enumerate_qmaps, qmaps.enumerate_homs)
+
+
+@pytest.mark.parametrize("enums, g, h", [
+    (BOTH_ENUMS, D4, Q8),
+    (BOTH_ENUMS, nil2.product(Q8, Z2), V4),
+    (BOTH_ENUMS, nil2.coproduct(Z2, Z2), nil2.product(Q8, Z2)),
+    # 729 homomorphisms over 81 fabs; the 59049 q-maps would take seconds
+    ((qmaps.enumerate_homs,), HEIS3, HEIS3)])
+def test_shared_plan_eval_matches_fresh_map(enums, g, h):
+    # the maps of one enumeration share a per-fab plan; each must evaluate
+    # exactly as a fresh map with the same generator data and its own plan
+    pts = list(g.elements())
+    for enum in enums:
+        for q in enum(g, h):
+            fresh = qmaps.QMap(g, h, q.fab, q.fcomm, q.gamma, q.delta)
+            for z in pts:
+                got, want = q.eval(z), fresh.eval(z)
+                assert got.a.coords == want.a.coords and got.b.coords == want.b.coords
+
+
+@pytest.mark.parametrize("g, h, count", [
+    (nil2.product(Q8, Z2), V4, 64),
+    (D4, Q8, 256)])  # 16 fabs: a plan per map would fill 1024 times
+def test_enumeration_fills_plan_once_per_fab_and_point(monkeypatch, g, h, count):
+    fills = []
+    fill = qmaps._FabPlan.__missing__
+
+    def counting_fill(plan, x):
+        fills.append(x)
+        return fill(plan, x)
+
+    monkeypatch.setattr(qmaps._FabPlan, "__missing__", counting_fill)
+    pts = list(g.elements())
+    maps = list(qmaps.enumerate_qmaps(g, h))
+    for q in maps:
+        for z in pts:
+            q.eval(z)
+    assert len(maps) == count and fills
+    assert len(fills) <= len({q.fab for q in maps}) * g.A.order()
+
+
 def test_bruteforce_leaves_no_cyclic_garbage():
     # the backtracking keeps no reference cycle: its working lists are
     # freed by reference counting when the call returns
