@@ -15,10 +15,9 @@ q-map presentation over them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import abelian as ab
-from . import maltsev, nil2, qmaps
+from . import nil2, qmaps
 from .errors import (
     InternalInvariant,
     InvalidArgument,
@@ -111,11 +110,11 @@ def abelianization_projection(g: nil2.Nil2Group) -> qmaps.QMap:
     return qmaps._hom(g, tgt, ab.AbHom.identity(g.A), ab.AbHom.zero(g.B, tgt.B))
 
 
-@dataclass(frozen=True)
 class QSplitResult:
-    verdict: bool
-    mode: str                      # "search" or "structural"
-    section: qmaps.QMap = None
+    __slots__ = ("verdict", "mode", "section")   # mode "search" or "structural"
+
+    def __init__(self, verdict: bool, mode: str, section: qmaps.QMap = None):
+        self.verdict, self.mode, self.section = verdict, mode, section
 
     def __bool__(self):
         return self.verdict
@@ -185,11 +184,11 @@ def find_niq_iso_witness(g: nil2.Nil2Group, h: nil2.Nil2Group):
     return q, qmaps.qmap_from_function(h, g, table.__getitem__)
 
 
-@dataclass
 class IsoDecision:
-    verdict: bool
-    paths: dict
-    witness: tuple = None
+    __slots__ = ("verdict", "paths", "witness")
+
+    def __init__(self, verdict: bool, paths: dict, witness: tuple = None):
+        self.verdict, self.paths, self.witness = verdict, paths, witness
 
 
 def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
@@ -209,6 +208,7 @@ def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
     if qs_g.verdict and qs_h.verdict:
         paths["qsplit-similar"] = similar(g, h)
     if g.order() % 2 == 1 and h.order() % 2 == 1:
+        from . import maltsev
         ok, _ = maltsev.log_criterion_decide(g, h)
         paths["log-criterion"] = ok
     big = max(g.order(), h.order())
@@ -229,10 +229,11 @@ def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
 # ---------------------------------------------------------------------------
 # The ~ and == equivalences on q-maps.
 
-@dataclass(frozen=True)
 class EquivalenceWitness:
-    kind: str                      # "sim" or "approx"
-    alpha: ab.AbHom = None         # for "sim": G_ab (x) G_ab -> [H,H]
+    __slots__ = ("kind", "alpha")  # "sim" (alpha: G_ab (x) G_ab -> [H,H]) or "approx"
+
+    def __init__(self, kind: str, alpha: ab.AbHom = None):
+        self.kind, self.alpha = kind, alpha
 
 
 def translate_qmap(f: qmaps.QMap, alpha: ab.AbHom) -> qmaps.QMap:

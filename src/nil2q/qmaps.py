@@ -77,14 +77,13 @@ class QMap:
         self.fab, self.fcomm = fab, fcomm
         self.gamma = tuple(gamma)
         self.delta = tuple(tuple(row) for row in delta)
-        r = source.rank
         if fab.source != source.A or fab.target != target.A:
             raise InvalidArgument("fab endpoints do not match")
         if fcomm.source != source.B or fcomm.target != target.B:
             raise InvalidArgument("fcomm endpoints do not match")
-        nil2._check_entries("gamma", self.gamma, r, target.B)
-        nil2._check_entries("delta", self.delta, r, target.B)
         if not _validated:
+            nil2._check_entries("gamma", self.gamma, source.rank, target.B)
+            nil2._check_entries("delta", self.delta, source.rank, target.B)
             self._validate()
         self._plan = _FabPlan(target, fab) if _plan is None else _plan
         # eval's quadratic form: delta above the diagonal, (gamma_i, delta_ii)

@@ -3,15 +3,13 @@ suites and the CLI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class CheckResult:
-    check_id: str
-    instance: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("check_id", "instance", "ok", "detail")
+
+    def __init__(self, check_id: str, instance: str, ok: bool, detail: str = ""):
+        self.check_id, self.instance, self.ok, self.detail = (
+            check_id, instance, ok, detail)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -528,7 +528,5 @@ SUITES = {
 def run_suites(tags, max_order: int = 64):
     results = []
     for tag in tags:
-        if tag not in SUITES:
-            raise KeyError(tag)
         results.extend(SUITES[tag](max_order))
     return results

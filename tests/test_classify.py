@@ -9,7 +9,7 @@ import pytest
 from nil2q import abelian as ab
 from nil2q import catalog, classify, nil2, qmaps
 from nil2q.errors import Unsupported
-from nil2q.report import all_ok
+from nil2q.report import CheckResult, all_ok
 
 Q8 = catalog.quaternion()
 D4 = catalog.dihedral4()
@@ -301,3 +301,12 @@ def test_weak_coproduct():
     assert all_ok(res2) and res2[0].detail == "60 pairs"
     res3 = classify.weak_coproduct_verify(Z2, Z4, Q8, max_pairs=200)
     assert all_ok(res3) and res3[0].detail == "128 pairs"
+
+
+def test_record_classes_keep_fields_and_defaults():
+    assert bool(classify.QSplitResult(False, "search")) is False
+    assert classify.QSplitResult(True, "structural").section is None
+    assert classify.IsoDecision(True, {}).witness is None
+    assert classify.EquivalenceWitness("approx").alpha is None
+    assert CheckResult("x", "y", False, "why").line() == "FAIL x y  # why"
+    assert CheckResult("x", "y", True).detail == ""

@@ -1,6 +1,10 @@
 """CLI tests: parsing, commands, exit codes, deterministic output."""
 
+import ast
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +234,46 @@ def test_group_file_rejects_non_integers(tmp_path, body):
     code, text = run(["--file", str(f), "info", "K"])
     assert code == 2
     assert text.startswith("error:")
+
+
+# A query imports only what its command runs.  pytest has already imported
+# every module, so each check runs cli.main in a fresh interpreter.
+LAZY = ("nil2q.verify", "nil2q.maltsev", "dataclasses")
+_FRESH = """
+import io, sys
+from nil2q import cli
+lazy = {lazy!r}
+at_import = [m for m in lazy if m in sys.modules]
+out = io.StringIO()
+code = cli.main({argv!r}, out=out)
+print(repr((at_import, [m for m in lazy if m in sys.modules], code, out.getvalue())))
+"""
+
+
+def run_fresh(argv):
+    """(lazy modules loaded by the import, lazy modules loaded after the
+    command, exit code, output) of cli.main(argv) in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _FRESH.format(lazy=LAZY, argv=argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_fresh_import_loads_no_lazy_module():
+    at_import, after, code, text = run_fresh(["info", "Q8"])
+    assert at_import == [] and after == []
+    assert code == 0 and "q-split: yes (search)\n" in text
+
+
+def test_fresh_odd_order_iso_imports_maltsev():
+    at_import, after, code, text = run_fresh(["iso", "Heis3", "Heis3"])
+    assert at_import == [] and after == ["nil2q.maltsev"]
+    assert code == 0 and "path log-criterion: yes\n" in text
+
+
+def test_fresh_selftest_imports_verify():
+    at_import, after, code, text = run_fresh(["selftest", "--suite", "negative"])
+    assert at_import == [] and after == ["nil2q.verify", "nil2q.maltsev"]
+    assert code == 0 and text.endswith("selftest: 3/3 checks passed\n")

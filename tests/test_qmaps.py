@@ -475,6 +475,19 @@ def test_function_checks_reject_values_outside_target():
     assert qmaps.is_qmap_function(lambda z: Q8.zero(), Z2, catalog.quaternion())
 
 
+def test_constructor_rejects_entries_outside_target_b():
+    # the public constructor checks entry shape and membership itself;
+    # only the enumerators, which build the entries from target.B, skip it
+    q = qmaps.identity_qmap(Q8)
+    other = HEIS3.B.zero()
+    with pytest.raises(InvalidArgument, match=r"gamma\[2\] not in B"):
+        qmaps.QMap(Q8, Q8, q.fab, q.fcomm, [q.gamma[0], other], q.delta)
+    with pytest.raises(InvalidArgument, match=r"delta\[1\]\[2\] not in B"):
+        qmaps.QMap(Q8, Q8, q.fab, q.fcomm, q.gamma, [[q.delta[0][0], other], q.delta[1]])
+    with pytest.raises(InvalidArgument, match="gamma must have 2 entries"):
+        qmaps.QMap(Q8, Q8, q.fab, q.fcomm, q.gamma[:1], q.delta)
+
+
 def test_bruteforce_quadratic_contains_qmaps_d4_q8():
     qw = qmaps.quadratic_functions_bruteforce(D4, Q8, kind="qmap")
     qu = qmaps.quadratic_functions_bruteforce(D4, Q8, kind="quadratic")
