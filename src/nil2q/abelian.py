@@ -708,18 +708,23 @@ def _annihilator(group: FGAbelian, *ds):
     return [group.element(c) for c in itertools.product(*ranges)]
 
 
+def _solvable(d: int, t: AbElement, c: int = 0) -> bool:
+    """Is t = d y + c e for some y and some e with d e = 0?  On Z/m, d y and
+    c e run over the multiples of g = gcd(d, m) and of c m / g."""
+    return all(tc % gcd(g := gcd(d, m), c * (m // g)) == 0
+               for m, tc in zip(t.group.orders, t.coords))
+
+
 def _scalar_solutions(d: int, t: AbElement):
     """All y with d y = t in t's group, lexicographic; empty list if none."""
+    if not _solvable(d, t):
+        return []
     per_coord = []
     for e, tc in zip(t.group.orders, t.coords):
         if e == 0:
-            if tc % d:
-                return []
             per_coord.append([tc // d])
         else:
             g = gcd(d, e)
-            if tc % g:
-                return []
             step = e // g
             y0 = ((tc // g) * pow(d // g, -1, step)) % step if step > 1 else 0
             per_coord.append([y0 + k * step for k in range(g)])
@@ -733,7 +738,7 @@ def enumerate_homs(source: FGAbelian, target: FGAbelian):
         yield AbHom.from_columns(source, target, list(cols))
 
 
-def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None):
+def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None, keep=None):
     """All isomorphisms source -> target of finite groups, in the order of
     `enumerate_homs`, generator i's image drawn from `choices[i]` (default:
     the elements killed by d_i).
@@ -741,7 +746,9 @@ def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None):
     Generator-image backtracking: images x_1..x_k are kept only when
     target / <x_1..x_k> has the invariants of Z/d_{k+1} + ... + Z/d_n.
     Every prefix of an isomorphism passes; at k = n the test makes the map
-    onto, so bijective as |source| = |target|.
+    onto, so bijective as |source| = |target|.  `keep`, if given, must
+    accept each nonempty prefix too; it sees them depth first, each after
+    its parent, so it may keep state per prefix length.
     """
     if source.order() != target.order():
         return iter(())
@@ -750,12 +757,13 @@ def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None):
         choices = [_annihilator(target, d) for d in orders]
     want = [FGAbelian(orders[k:]).invariant_factors() for k in range(len(orders) + 1)]
     return (AbHom.from_columns(source, target, cols) for cols in
-            _iso_columns(target.rank, _relation_columns(target), choices, want, []))
+            _iso_columns(target.rank, _relation_columns(target), choices, want, [], keep))
 
 
-def _iso_columns(rank, rels, choices, want, images):
+def _iso_columns(rank, rels, choices, want, images, keep):
     """The extensions of `images` by `choices` whose every prefix of length
-    k presents, with the relations `rels`, a group of invariants want[k]."""
+    k presents, with the relations `rels`, a group of invariants want[k],
+    and is kept by `keep` (if given, from k = 1)."""
     k = len(images)
     if presented(rank, rels + [y.coords for y in images]).orders != want[k]:
         return
@@ -763,7 +771,8 @@ def _iso_columns(rank, rels, choices, want, images):
         yield images
         return
     for x in choices[k]:
-        yield from _iso_columns(rank, rels, choices, want, images + [x])
+        if keep is None or keep(images + [x]):
+            yield from _iso_columns(rank, rels, choices, want, images + [x], keep)
 
 
 def hom_count(source: FGAbelian, target: FGAbelian) -> int:

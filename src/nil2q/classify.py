@@ -7,14 +7,16 @@ section of the projection onto the abelianization: the first fab = id,
 fcomm = 0 presentation of a q-map G_ab -> G (the q-map solver of
 `qmaps`); infinite groups are reported structurally when they were
 built by the constructions known to preserve q-splitness (abelian
-groups, products, coproducts, free groups).  The Niq-isomorphism witness
-search enumerates isomorphism pairs (fab, fcomm) and takes the first
-q-map presentation over them.
+groups, products, coproducts, free groups).  Plain and Niq isomorphism
+are one pruned search over isomorphism pairs (fab, fcomm), `_iso_search`,
+with the cross-effect pinned to zero for plain isomorphism; it reads no
+Cayley table, only the independent check of its witness does.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 from . import abelian as ab
 from . import nil2, qmaps
@@ -25,72 +27,6 @@ from .errors import (
     Unsupported,
 )
 from .report import CheckResult
-
-
-# ---------------------------------------------------------------------------
-# Plain group isomorphism between finite multiplication tables.
-
-def _extend_hom(o1, o2, gens, images):
-    """Extend generator images to a full map by right multiplication, or None."""
-    n = len(o1)
-    phi = [None] * n
-    phi[o1.identity] = o2.identity
-    frontier = [o1.identity]
-    defined = 1
-    while frontier:
-        x = frontier.pop()
-        for g, h in zip(gens, images):
-            y = o1.table[x][g]
-            fy = o2.table[phi[x]][h]
-            if phi[y] is None:
-                phi[y] = fy
-                defined += 1
-                frontier.append(y)
-            elif phi[y] != fy:
-                return None
-    if defined != n:
-        return None
-    return phi
-
-
-def find_group_isomorphism(o1: nil2.GroupOracle, o2: nil2.GroupOracle):
-    """Brute-force isomorphism search between finite tables.
-
-    Generator images are enumerated lexicographically (filtered by element
-    order); the first full isomorphism found is returned as an index map.
-    """
-    n = len(o1)
-    if n != len(o2):
-        return None
-    orders1 = nil2._element_orders(o1.table, o1.identity)
-    orders2 = nil2._element_orders(o2.table, o2.identity)
-    if sorted(orders1) != sorted(orders2):
-        return None
-    gens = o1.generating_set()
-    candidates = [[y for y in range(n) if orders2[y] == orders1[g]]
-                  for g in gens]
-    for images in itertools.product(*candidates):
-        phi = _extend_hom(o1, o2, gens, images)
-        if phi is None or len(set(phi)) != n:
-            continue
-        ok = True
-        for x in range(n):
-            if not ok:
-                break
-            for y in range(n):
-                if phi[o1.table[x][y]] != o2.table[phi[x]][phi[y]]:
-                    ok = False
-                    break
-        if ok:
-            return phi
-    return None
-
-
-def groups_isomorphic(g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
-    """Isomorphism of finite nil_2-groups as plain groups (table search)."""
-    if not (g.is_finite() and h.is_finite()):
-        raise Unsupported("group isomorphism search needs finite groups")
-    return find_group_isomorphism(nil2.table_of(g), nil2.table_of(h)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +94,77 @@ def is_qsplit(g: nil2.Nil2Group) -> QSplitResult:
 
 
 # ---------------------------------------------------------------------------
-# Niq-isomorphism.
+# Isomorphism: plain and in Niq.
 
-def find_niq_iso_witness(g: nil2.Nil2Group, h: nil2.Nil2Group):
-    """First q-map with a q-map inverse, with that inverse, or None.
-
-    For |G| = |H| a q-map has a q-map inverse exactly when fab and fcomm
-    are both isomorphisms, so the witness is the first presentation over
-    the isomorphism pairs (`abelian.isomorphisms`), in q-map enumeration
-    order.  It is checked independently: tabulated, required bijective,
-    and its inverse run through the definition-level q-map check.
+def _iso_search(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
+    """The first q-map (`homs`: homomorphism) G -> H over an isomorphism
+    pair (fab, fcomm), with its inverse, or None; for |G| = |H| these are
+    the q-maps with a q-map inverse.  `keep` holds, per column prefix of
+    fab, the iso fcomm that pass the relations `_presentations` solves
+    there, one coordinate each: upper (i < k), s = [fab e_i, fab e_k] -
+    fcomm([e_i, e_k]) has d_i s = d_k s = 0 (homs: s = 0); diagonal (k),
+    fcomm(d_k e_k) - d_k (fab e_k, 0) lies in C(d_k, 2) e + d_k B_H for an
+    e in B_H[d_k] (homs: e = 0).  So the first presentation over the kept
+    pairs is the first over all; it is checked independently (tabulated,
+    bijective, its inverse a q-map by the definition).
     """
     if not (g.is_finite() and h.is_finite()):
-        raise Unsupported("witness search needs finite groups")
+        raise Unsupported("isomorphism search needs finite groups")
     if g.order() != h.order():
         return None
-    data = next(qmaps._presentations(g, h, ab.isomorphisms(g.A, h.A),
-                                     list(ab.isomorphisms(g.B, h.B))), None)
-    if data is None:
+    orders, zero = g.A.orders, h.B.zero()
+    fcomms = list(ab.isomorphisms(g.B, h.B))
+    images = {f: ([f.apply((d * g.gen(i)).b) for i, d in enumerate(orders)],
+                  [[f.apply(c) for c in row] for row in g.commutators]) for f in fcomms}
+    live, power_b = [fcomms], {}    # live[k]: the fcomm kept by the k-column prefix
+
+    def keep(cols):
+        k = len(cols) - 1
+        x, d = cols[k], orders[k]
+        if (k, x) not in power_b:
+            power_b[k, x] = (d * h.pair(x, zero)).b
+        upper = [(1 if homs else gcd(orders[i], d), h.commutator_pairing(y, x))
+                 for i, y in enumerate(cols[:k])]
+        c = 0 if homs else d * (d - 1) // 2
+
+        def passes(f):
+            tors, comm = images[f]
+            return (all((m * (pc - comm[i][k])).is_zero() for i, (m, pc) in enumerate(upper))
+                    and ab._solvable(d, tors[k] - power_b[k, x], c))
+
+        del live[k + 1:]
+        live.append([f for f in live[k] if passes(f)])
+        return bool(live[-1])
+
+    fab = next(ab.isomorphisms(g.A, h.A, keep=keep), None)
+    if fab is None:
         return None
+    data = next(qmaps._presentations(g, h, [fab], live[-1], homs), None)
+    if data is None:
+        raise InternalInvariant("a kept iso pair has no presentation")
     q = qmaps.QMap(g, h, *data, _validated=True)
     table = {q.eval(z): z for z in g.elements()}
     if len(table) != g.order() or not qmaps.is_qmap_function(table.__getitem__, h, g):
         raise InternalInvariant("iso-pair q-map has no q-map inverse")
-    return q, qmaps.qmap_from_function(h, g, table.__getitem__)
+    qinv = qmaps.qmap_from_function(h, g, table.__getitem__)
+    if homs and not qinv.is_hom():
+        raise InternalInvariant("iso-pair homomorphism has no homomorphism inverse")
+    return q, qinv
+
+
+def find_niq_iso_witness(g: nil2.Nil2Group, h: nil2.Nil2Group):
+    """First q-map with a q-map inverse, with that inverse, or None."""
+    return _iso_search(g, h, homs=False)
+
+
+def find_group_iso_witness(g: nil2.Nil2Group, h: nil2.Nil2Group):
+    """First group isomorphism G -> H, with its inverse, or None."""
+    return _iso_search(g, h, homs=True)
+
+
+def groups_isomorphic(g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
+    """Isomorphism of finite nil_2-groups as plain groups."""
+    return find_group_iso_witness(g, h) is not None
 
 
 class IsoDecision:

@@ -236,24 +236,24 @@ def cmd_iso(args, defs, out) -> int:
         if max(g.order(), h.order()) > args.max_order:
             raise InputError(
                 f"order exceeds --max-order {args.max_order}; raise the guard")
-        verdict = classify.groups_isomorphic(g, h)
-        out.write(f"iso {args.g} {args.h} category=nil: "
-                  f"{'YES' if verdict else 'NO'}\n")
-        return 0 if verdict else 1
-    dec = classify.niq_iso_decide(g, h, search_guard=args.max_order)
-    out.write(f"iso {args.g} {args.h} category=niq: "
-              f"{'YES' if dec.verdict else 'NO'}\n")
-    for name in sorted(dec.paths):
-        out.write(f"path {name}: {'yes' if dec.paths[name] else 'no'}\n")
-    if args.witness and dec.witness is not None:
-        q, qinv = dec.witness
+        witness = classify.find_group_iso_witness(g, h)
+        verdict, paths = witness is not None, {}
+    else:
+        dec = classify.niq_iso_decide(g, h, search_guard=args.max_order)
+        witness, verdict, paths = dec.witness, dec.verdict, dec.paths
+    out.write(f"iso {args.g} {args.h} category={args.category}: "
+              f"{'YES' if verdict else 'NO'}\n")
+    for name in sorted(paths):
+        out.write(f"path {name}: {'yes' if paths[name] else 'no'}\n")
+    if args.witness and witness is not None:
+        q, qinv = witness
         _dump_qmap(q, "witness", out)
         _dump_qmap(qinv, "inverse", out)
-    elif args.witness and dec.verdict:
+    elif args.witness and verdict:
         # another path decided YES and the guard skipped the search
         out.write(f"witness: skipped (order {max(g.order(), h.order())} "
                   f"exceeds --max-order {args.max_order})\n")
-    return 0 if dec.verdict else 1
+    return 0 if verdict else 1
 
 
 def cmd_selftest(args, out) -> int:

@@ -34,6 +34,7 @@ q-map data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import abelian as ab
@@ -466,22 +467,26 @@ def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
                     for pc, (i, j) in zip(pair_comm, pairs)]
             if homs and not all(s.is_zero() for s in skew):
                 continue
+            # gamma_i solves d_i gamma_i = y = rhs_i - C(d_i, 2) delta_ii; its
+            # choices are listed when a presentation first reaches (d_i, y)
             rhs = [fcomm.apply(t) - p for t, p in zip(torsion_b, power_b)]
-            diag_lists = [[(e, sols) for e in choices
-                           if (sols := ab._scalar_solutions(d, t - (d * (d - 1) // 2) * e))]
+            diag_lists = [[(e, y) for e in choices
+                           if ab._solvable(d, y := t - (d * (d - 1) // 2) * e)]
                           for d, t, choices in zip(orders, rhs, diag_choices)]
             upper_lists = [[(dij, dij + s) for dij in choices
                             if (orders[i] * (dij + s)).is_zero()
                             and (orders[j] * (dij + s)).is_zero()]
                            for (i, j), s, choices in zip(pairs, skew, upper_choices)]
+            gammas = functools.cache(ab._scalar_solutions)
             for diag in itertools.product(*diag_lists):
+                gamma_lists = [gammas(d, y) for d, (_, y) in zip(orders, diag)]
                 for upper in itertools.product(*upper_lists):
                     delta = [[zero] * r for _ in range(r)]
                     for i, (e, _) in enumerate(diag):
                         delta[i][i] = e
                     for (i, j), (dij, dji) in zip(pairs, upper):
                         delta[i][j], delta[j][i] = dij, dji
-                    for gamma in itertools.product(*(sols for _, sols in diag)):
+                    for gamma in itertools.product(*gamma_lists):
                         yield fab, fcomm, gamma, delta
 
 

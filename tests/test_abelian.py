@@ -198,6 +198,38 @@ def test_isomorphisms_match_filtered_homs(orders):
     assert list(ab.isomorphisms(a, a, choices)) == expect
 
 
+def test_isomorphisms_prefix_predicate():
+    # keep cuts a prefix with all its extensions and sees each prefix only
+    # after its parent was kept; the order of the survivors is unchanged
+    a = ab.FGAbelian([2, 4])
+    seen = []
+
+    def keep(images):
+        assert len(images) == 1 or tuple(images[:-1]) in seen
+        seen.append(tuple(images))
+        return images[-1].coords != (1, 2)
+
+    expect = [h for h in ab.isomorphisms(a, a)
+              if all(col.coords != (1, 2) for col in h.columns())]
+    assert 0 < len(expect) < len(list(ab.isomorphisms(a, a)))
+    assert list(ab.isomorphisms(a, a, keep=keep)) == expect
+
+
+@pytest.mark.parametrize("orders", [[8], [2, 4], [3, 9]])
+def test_solvable_matches_brute_force(orders):
+    # t = d y + c e with d e = 0, by the per-coordinate gcd test and by search
+    b = ab.FGAbelian(orders)
+    elems = list(b.elements())
+    for d in range(1, 10):
+        killed = ab._annihilator(b, d)
+        for c in {0, 1, d * (d - 1) // 2}:
+            reach = {d * y + c * e for y in elems for e in killed}
+            for t in elems:
+                assert ab._solvable(d, t, c) == (t in reach), (d, c, t)
+                if c == 0:
+                    assert bool(ab._scalar_solutions(d, t)) == (t in reach)
+
+
 def test_isomorphisms_edge_cases():
     assert list(ab.isomorphisms(Z2Z4, ab.FGAbelian([2, 2, 2]))) == []
     assert list(ab.isomorphisms(Z2Z4, ab.FGAbelian([8]))) == []

@@ -2,14 +2,20 @@
 Niq-isomorphism decision, the equivalences on q-maps, and the
 linear-extension verifiers."""
 
+import functools
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nil2q import abelian as ab
 from nil2q import catalog, classify, nil2, qmaps
-from nil2q.errors import Unsupported
+from nil2q.errors import AlgebraError, Unsupported
 from nil2q.report import CheckResult, all_ok
+
+from iso_reference import reference_groups_isomorphic, reference_iso_pair_search
 
 Q8 = catalog.quaternion()
 D4 = catalog.dihedral4()
@@ -195,6 +201,142 @@ def test_niq_witness_matches_reference_filter():
         assert classify.find_niq_iso_witness(g, h) == expect
         found += expect is not None
     assert 0 < found < len(pairs)
+
+
+def semidirect(n, m, k):
+    return nil2.canonicalize_finite(nil2.semidirect(n, m, k)).group
+
+
+@functools.lru_cache(maxsize=None)
+def iso_pool():
+    """Groups up to order 32 (catalog, semidirect, abelian, products), and
+    four products of order 64 that pair up into hard NO verdicts."""
+    V4 = catalog.abelian_group([2, 2])
+    m16, x16 = semidirect(8, 2, 5), semidirect(4, 4, 3)
+    small = dict(catalog.standard_catalog(32))
+    small.update({f"sd{a}": semidirect(*a)
+                  for a in [(4, 4, 3), (8, 2, 5), (8, 4, 5), (16, 2, 9), (4, 8, 3)]})
+    small.update({f"Z{o}": catalog.abelian_group(o)
+                  for o in [[8], [2, 4], [2, 2, 2], [16], [4, 4], [2, 8], [2, 2, 4],
+                            [2, 2, 2, 2], [27], [3, 9], [3, 3, 3], [2, 16]]})
+    small.update({"D4xZ2": nil2.product(D4, Z2), "D4xZ4": nil2.product(D4, Z4),
+                  "Q8xZ4": nil2.product(Q8, Z4), "M16xZ2": nil2.product(m16, Z2),
+                  "X16xZ2": nil2.product(x16, Z2)})
+    big = {"D4xV4": nil2.product(D4, V4), "Q8xV4": nil2.product(Q8, V4),
+           "M16xV4": nil2.product(m16, V4), "X16xV4": nil2.product(x16, V4)}
+    return small, big
+
+
+def witness_data(found):
+    if found is None:
+        return None
+    q = found[0]
+    return q.fab, q.fcomm, q.gamma, q.delta
+
+
+def unpruned_data(g, h, homs):
+    data = reference_iso_pair_search(g, h, homs)
+    if data is None:
+        return None
+    fab, fcomm, gamma, delta = data
+    return fab, fcomm, tuple(gamma), tuple(tuple(row) for row in delta)
+
+
+def test_iso_search_matches_references_up_to_order_32():
+    # every equal-order pair: the first witness of both variants equals the
+    # unpruned sweep over all iso pairs, plain verdicts equal the table search
+    small, _ = iso_pool()
+    pairs = [(g, h) for g in small.values() for h in small.values()
+             if g.order() == h.order()]
+    assert len(pairs) == 211
+    found = {False: 0, True: 0}
+    for g, h in pairs:
+        for homs, search in [(False, classify.find_niq_iso_witness),
+                             (True, classify.find_group_iso_witness)]:
+            got = witness_data(search(g, h))
+            assert got == unpruned_data(g, h, homs), (g, h, homs)
+            found[homs] += got is not None
+        assert classify.groups_isomorphic(g, h) == reference_groups_isomorphic(g, h)
+    assert 0 < found[True] < found[False] < len(pairs)
+
+
+def test_iso_search_at_order_64():
+    # YES pairs match the unpruned sweep; a NO is certified by a table search
+    # (plain) or by an invariant of Niq isomorphism: the abelianization and
+    # commutator subgroup, or q-splitness
+    _, big = iso_pool()
+    verdicts = {}
+    for (n1, g), (n2, h) in itertools.product(big.items(), repeat=2):
+        plain = classify.find_group_iso_witness(g, h)
+        assert (plain is not None) == reference_groups_isomorphic(g, h)
+        if plain is not None:
+            assert witness_data(plain) == unpruned_data(g, h, True)
+        niq = classify.find_niq_iso_witness(g, h)
+        if niq is not None:
+            assert witness_data(niq) == unpruned_data(g, h, False)
+        else:
+            assert (not classify.similar(g, h)
+                    or classify.is_qsplit(g).verdict != classify.is_qsplit(h).verdict)
+        verdicts[n1, n2] = (plain is not None, niq is not None)
+    assert verdicts["D4xV4", "Q8xV4"] == (False, True)
+    assert verdicts["M16xV4", "X16xV4"] == (False, False)
+    assert sum(p for p, _ in verdicts.values()) == 4
+
+
+def test_pruned_iso_search_builds_few_smith_forms(monkeypatch):
+    # the NO verdicts D4xV4 | Q8xV4 (plain) and M16xV4 | X16xV4 (Niq) are cut
+    # on short prefixes instead of sweeping all 20160 automorphisms of Z2^4
+    _, big = iso_pool()
+    built = []
+
+    class CountingSmithForm(ab.SmithForm):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ab, "SmithForm", CountingSmithForm)
+    assert not classify.groups_isomorphic(big["D4xV4"], big["Q8xV4"])
+    assert classify.find_niq_iso_witness(big["M16xV4"], big["X16xV4"]) is None
+    assert 0 < len(built) < 200
+
+
+@st.composite
+def cocycle_groups(draw):
+    """A nil_2-group of order <= 64 from random torsion-compatible data
+    (strictly lower-triangular bil, any carry) over a B that commutators
+    could generate; draws whose commutators do not generate B are rejected."""
+    orders = draw(st.lists(st.sampled_from([2, 3, 4, 8]), min_size=1, max_size=3))
+    while math.prod(orders) > 32:
+        orders.pop()
+    gcds = [math.gcd(orders[i], orders[j]) for i in range(len(orders)) for j in range(i)]
+    b_choices = [[]] + [[m] for m in (2, 3, 4) if any(g % m == 0 for g in gcds)]
+    if sum(g % 2 == 0 for g in gcds) >= 2:
+        b_choices.append([2, 2])
+    a = ab.FGAbelian(orders)
+    b = ab.FGAbelian(draw(st.sampled_from(
+        [o for o in b_choices if a.order() * math.prod(o) <= 64])))
+
+    def entry(d=0):
+        # an element of B killed by d (any element for d = 0)
+        steps = [m // math.gcd(m, d) for m in b.orders]
+        return b.element([s * draw(st.integers(0, m // s - 1))
+                          for s, m in zip(steps, b.orders)])
+
+    r = a.rank
+    bil = [[entry(math.gcd(orders[i], orders[j])) if i > j else b.zero()
+            for j in range(r)] for i in range(r)]
+    try:
+        return nil2.make(a, b, bil, [entry() for _ in range(r)])
+    except AlgebraError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cocycle_groups())
+def test_canonicalized_table_is_isomorphic_to_the_group(g):
+    h = nil2.canonicalize_finite(nil2.table_of(g)).group
+    assert classify.groups_isomorphic(h, g)
+    assert reference_groups_isomorphic(h, g)
 
 
 def test_sim_equiv_basics():

@@ -112,6 +112,16 @@ def test_iso_identity():
     assert code == 0 and "YES" in text
 
 
+def test_iso_nil_witness_is_printed():
+    # the group isomorphism found, with zero cross-effect, and its inverse
+    code, text = run(["iso", "Q8", "Q8", "--category", "nil", "--witness"])
+    assert code == 0
+    assert text.startswith("iso Q8 Q8 category=nil: YES\nwitness fab = ")
+    assert "inverse fab = " in text and "delta" not in text
+    code, text = run(["iso", "D4", "Q8", "--category", "nil", "--witness"])
+    assert code == 1 and text == "iso D4 Q8 category=nil: NO\n"
+
+
 def test_unknown_group_is_input_error():
     code, text = run(["info", "Nope"])
     assert code == 2
