@@ -3,6 +3,7 @@ Niq-isomorphism decision, the equivalences on q-maps, and the
 linear-extension verifiers."""
 
 import functools
+import hashlib
 import itertools
 import math
 
@@ -69,6 +70,29 @@ def test_section_search_is_first_identity_qmap():
                       if q.fab == ident and q.fcomm.is_zero()), None)
         assert (first is None) == (name == "G27")
         assert classify.is_qsplit(g).section == first, name
+
+
+# sha256 prefix of the first section's data (fab, fcomm, gamma, delta) per
+# catalog group; None: not q-split
+FIRST_SECTIONS = {
+    "Z2": "d7f29d740918900b", "Z4": "d7f29d740918900b", "V4": "b6e0d102cdb64d90",
+    "D4": "46c19249865de463", "Q8": "10a691e5f942a8af", "Z2vZ2": "b811074fd3158628",
+    "Q8xZ2": "f44e85dc50d31fc9", "Heis3": "b811074fd3158628", "G27": None,
+    "Heis5": "b811074fd3158628", "G125": None, "D4xD4": "b1ffe3212646f4a2",
+}
+
+
+def test_first_sections_are_pinned():
+    got = {}
+    for name, g in catalog.standard_catalog(256):
+        data = classify._section_search(g)
+        if data is not None:
+            fab, fcomm, gamma, delta = data
+            data = repr((fab.matrix, fcomm.matrix, [e.coords for e in gamma],
+                         [[e.coords for e in row] for row in delta]))
+            data = hashlib.sha256(data.encode()).hexdigest()[:16]
+        got[name] = data
+    assert got == FIRST_SECTIONS
 
 
 def test_qsplit_negative():

@@ -2,6 +2,7 @@
 structure on qw(G,H), composition, enumeration vs. the set-map filter."""
 
 import gc
+import hashlib
 import itertools
 import random
 
@@ -402,6 +403,38 @@ def test_enumeration_matches_bruteforce_small():
                       for q in qmaps.enumerate_qmaps(g, h))
         assert enum == brute, f"mismatch for {g} -> {h}"
         assert len(set(enum)) == len(enum)
+
+
+def presentation_data(q):
+    """The generator data (fab, fcomm, gamma, delta) as coordinates."""
+    return (q.fab.matrix, q.fcomm.matrix, [e.coords for e in q.gamma],
+            [[e.coords for e in row] for row in q.delta])
+
+
+# (map count, sha256 over each catalog pair's ordered presentations) for
+# every ordered pair of the catalog up to order 27, in catalog order; the
+# first witnesses and sections depend on this order
+ENUMERATION_DIGESTS = {
+    qmaps.enumerate_qmaps: (
+        188580, "45c78f375fa8ba98c780e3f0804661c7a1ec5f24cf6dd6638a8caa54920551c0"),
+    qmaps.enumerate_homs: (
+        2722, "764b43b4f59585a82d8f4fbaa38c5c40a47379e5ddfe708c3864009c0b3f122c"),
+}
+
+
+@pytest.mark.parametrize("enum", list(ENUMERATION_DIGESTS), ids=lambda e: e.__name__)
+def test_enumeration_order_and_data_are_pinned(enum):
+    groups = [g for _, g in catalog.standard_catalog(27)]
+    total, outer = 0, hashlib.sha256()
+    for g in groups:
+        for h in groups:
+            sha, count = hashlib.sha256(), 0
+            for q in enum(g, h):
+                sha.update(repr(presentation_data(q)).encode())
+                count += 1
+            outer.update(f"{count}:{sha.hexdigest()}".encode())
+            total += count
+    assert (total, outer.hexdigest()) == ENUMERATION_DIGESTS[enum]
 
 
 def reference_definition_check(fn, g, member):
