@@ -691,8 +691,13 @@ def direct_sum(a: FGAbelian, b: FGAbelian) -> FGAbelian:
 
 def _annihilator(group: FGAbelian, *ds):
     """Elements killed by every nonzero d in ds, in lexicographic order."""
+    return [AbElement(group, c) for c in _killed(group.orders, *ds)]
+
+
+def _killed(orders, *ds):
+    """`_annihilator`'s coordinates, as a lazy iterator."""
     ranges = []
-    for e in group.orders:
+    for e in orders:
         if e == 0:
             if not any(ds):
                 raise UnsupportedEnumeration(
@@ -705,7 +710,7 @@ def _annihilator(group: FGAbelian, *ds):
             if d:
                 m = lcm(m, e // gcd(e, d))
         ranges.append(range(0, e, m))
-    return [group.element(c) for c in itertools.product(*ranges)]
+    return itertools.product(*ranges)
 
 
 def _solvable(d: int, t: AbElement, c: int = 0) -> bool:
@@ -716,19 +721,16 @@ def _solvable(d: int, t: AbElement, c: int = 0) -> bool:
 
 
 def _scalar_solutions(d: int, t: AbElement):
-    """All y with d y = t in t's group, lexicographic; empty list if none."""
+    """All y with d y = t in t's finite group, as a lazy lexicographic
+    iterator, or an empty list if there are none."""
     if not _solvable(d, t):
         return []
-    per_coord = []
+    ranges = []
     for e, tc in zip(t.group.orders, t.coords):
-        if e == 0:
-            per_coord.append([tc // d])
-        else:
-            g = gcd(d, e)
-            step = e // g
-            y0 = ((tc // g) * pow(d // g, -1, step)) % step if step > 1 else 0
-            per_coord.append([y0 + k * step for k in range(g)])
-    return [t.group.element(c) for c in itertools.product(*per_coord)]
+        g = gcd(d, e)
+        step = e // g
+        ranges.append(range((tc // g) * pow(d // g, -1, step) % step, e, step))
+    return (AbElement(t.group, c) for c in itertools.product(*ranges))
 
 
 def enumerate_homs(source: FGAbelian, target: FGAbelian):

@@ -16,7 +16,6 @@ Cayley table, only the independent check of its witness does.
 from __future__ import annotations
 
 import itertools
-from math import gcd
 
 from . import abelian as ab
 from . import nil2, qmaps
@@ -100,40 +99,21 @@ def _iso_search(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
     """The first q-map (`homs`: homomorphism) G -> H over an isomorphism
     pair (fab, fcomm), with its inverse, or None; for |G| = |H| these are
     the q-maps with a q-map inverse.  `keep` holds, per column prefix of
-    fab, the iso fcomm that pass the relations `_presentations` solves
-    there, one coordinate each: upper (i < k), s = [fab e_i, fab e_k] -
-    fcomm([e_i, e_k]) has d_i s = d_k s = 0 (homs: s = 0); diagonal (k),
-    fcomm(d_k e_k) - d_k (fab e_k, 0) lies in C(d_k, 2) e + d_k B_H for an
-    e in B_H[d_k] (homs: e = 0).  So the first presentation over the kept
-    pairs is the first over all; it is checked independently (tabulated,
-    bijective, its inverse a q-map by the definition).
+    fab, the iso fcomm that pass the solver's per-coordinate tests at the
+    prefix's last column (`qmaps._relations`).  So the first presentation
+    over the kept pairs is the first over all; it is checked independently
+    (tabulated, bijective, its inverse a q-map by the definition).
     """
     if not (g.is_finite() and h.is_finite()):
         raise Unsupported("isomorphism search needs finite groups")
     if g.order() != h.order():
         return None
-    orders, zero = g.A.orders, h.B.zero()
-    fcomms = list(ab.isomorphisms(g.B, h.B))
-    images = {f: ([f.apply((d * g.gen(i)).b) for i, d in enumerate(orders)],
-                  [[f.apply(c) for c in row] for row in g.commutators]) for f in fcomms}
-    live, power_b = [fcomms], {}    # live[k]: the fcomm kept by the k-column prefix
+    column = qmaps._relations(g, h, homs)
+    live = [list(ab.isomorphisms(g.B, h.B))]   # live[k]: the fcomm kept by the k-column prefix
 
     def keep(cols):
-        k = len(cols) - 1
-        x, d = cols[k], orders[k]
-        if (k, x) not in power_b:
-            power_b[k, x] = (d * h.pair(x, zero)).b
-        upper = [(1 if homs else gcd(orders[i], d), h.commutator_pairing(y, x))
-                 for i, y in enumerate(cols[:k])]
-        c = 0 if homs else d * (d - 1) // 2
-
-        def passes(f):
-            tors, comm = images[f]
-            return (all((m * (pc - comm[i][k])).is_zero() for i, (m, pc) in enumerate(upper))
-                    and ab._solvable(d, tors[k] - power_b[k, x], c))
-
-        del live[k + 1:]
-        live.append([f for f in live[k] if passes(f)])
+        k, xs = len(cols) - 1, [x.coords for x in cols]
+        live[k + 1:] = [[f for f in live[k] if column(f, xs, k) is not None]]
         return bool(live[-1])
 
     fab = next(ab.isomorphisms(g.A, h.A, keep=keep), None)

@@ -304,7 +304,7 @@ def _generator_choices(lg: Nil2LieRing, lh: Nil2LieRing, bgen_imgs):
     choices, zero = [], lh.B.zero()
     for d, carry in zip(lg.A.orders, lg.carry):
         need = sum((c * y for c, y in zip(carry.coords, bgen_imgs)), zero)
-        lifts = {a: ab._scalar_solutions(d, need - (d * lh.pair(a, zero)).b)
+        lifts = {a: list(ab._scalar_solutions(d, need - (d * lh.pair(a, zero)).b))
                  for a in ab._annihilator(lh.A, d)}
         choices.append({a: sols for a, sols in lifts.items() if sols})
     return choices

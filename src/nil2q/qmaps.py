@@ -10,15 +10,15 @@ stored by generator data:
     delta  : r x r cross matrix  delta[i][j] = (e_i | e_j)_f in [H,H].
 
 Three relation families gate the data (torsion of delta, commutator
-relations, order relations).  One solver, `_presentations`, walks them
-for q-map enumeration, homomorphism enumeration (delta pinned to zero)
-and q-split section search (fab = id, fcomm = 0 out of G_ab).
-Evaluation is the closed form of the ascending generator expansion: as
-(0, gamma) is central, m (c, gamma) = m (c, 0) + (0, m gamma), so f(x, u) =
-(fab(x), base_fab(x) + sum_i [x_i gamma_i + C(x_i, 2) delta_ii] + sum_{p<i}
-x_p x_i delta_pi + fcomm(u - kappa(x))), B reduced once.  base_fab(x), the
-B-part of x_1 (fab e_1, 0) + ... + x_r (fab e_r, 0) summed left to right,
-and fab(x) live in a per-fab plan shared across an enumeration.
+relations, order relations), each on one coordinate.  One solver,
+`_presentations`, walks them on integer coordinates for q-map enumeration,
+homomorphism enumeration (delta pinned to zero) and q-split section search
+(fab = id, fcomm = 0 out of G_ab).  Evaluation is the closed form of the
+ascending generator expansion: as (0, gamma) is central, f(x, u) = (fab(x),
+base_fab(x) + sum_i [x_i gamma_i + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i
+delta_pi + fcomm(u - kappa(x))), base_fab(x) the B-part of x_1 (fab e_1, 0)
++ ... + x_r (fab e_r, 0) summed left to right: per B-coordinate, one dot
+product of the map's coefficient row with monomials a per-fab plan keeps.
 The structural homomorphisms (identity, zero, the projections and
 inclusions of products and coproducts, the coproduct's couniversal map,
 the abelianization projection) are built by one zero-cross-effect
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd
+from operator import add, mul, sub
 
 from . import abelian as ab
 from . import nil2
@@ -48,21 +50,23 @@ from .errors import (
 
 
 class _FabPlan(dict):
-    """The part of q-map evaluation G -> H that depends on (H, fab) only:
-    x -> (fab(x), B-coordinates of base_fab(x)), filled on first lookup
-    from the cached generator multiples m (fab e_i, 0), keyed (i, m)."""
+    """x -> (fab(x), base_fab(x), the monomials of x: x_i, then x_p x_i for
+    p < i and C(x_i, 2) for p = i, kappa(x)) for the q-maps G -> H with one
+    fab, filled on first lookup from the cached multiples m (fab e_i, 0)."""
 
-    def __init__(self, target, fab):
-        self.target, self.fab, self.mults = target, fab, {}
+    def __init__(self, source, target, fab):
+        self.source, self.target, self.fab, self.mults = source, target, fab, {}
 
     def __missing__(self, x):
-        H, mults, acc = self.target, self.mults, self.target.zero()
+        G, H, mults, acc = self.source, self.target, self.mults, self.target.zero()
         for i, m in enumerate(x):
             if m:
                 if (i, m) not in mults:
                     mults[i, m] = m * H.pair(self.fab.column(i), H.B.zero())
                 acc = acc + mults[i, m]
-        self[x] = hit = (acc.a, acc.b.coords)
+        mono = x + tuple([x[p] * m if p < i else m * (m - 1) // 2
+                          for i, m in enumerate(x) for p in range(i + 1)])
+        self[x] = hit = (acc.a, acc.b.coords, mono, G.kappa(G.A._trusted(x)).coords)
         return hit
 
 
@@ -70,28 +74,29 @@ class QMap:
     """Finite presentation of a q-map between nil_2-groups."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
-                 "_plan", "_upper", "_lin")
+                 "_plan", "_rows")
 
     def __init__(self, source, target, fab, fcomm, gamma, delta,
                  _validated=False, _plan=None):
         self.source, self.target = source, target
         self.fab, self.fcomm = fab, fcomm
         self.gamma = tuple(gamma)
-        self.delta = tuple(tuple(row) for row in delta)
-        if fab.source != source.A or fab.target != target.A:
-            raise InvalidArgument("fab endpoints do not match")
-        if fcomm.source != source.B or fcomm.target != target.B:
-            raise InvalidArgument("fcomm endpoints do not match")
+        # solver output: delta is a tuple of row tuples, shared across maps
+        self.delta = delta if _validated else tuple(tuple(row) for row in delta)
         if not _validated:
+            if fab.source != source.A or fab.target != target.A:
+                raise InvalidArgument("fab endpoints do not match")
+            if fcomm.source != source.B or fcomm.target != target.B:
+                raise InvalidArgument("fcomm endpoints do not match")
             nil2._check_entries("gamma", self.gamma, source.rank, target.B)
             nil2._check_entries("delta", self.delta, source.rank, target.B)
             self._validate()
-        self._plan = _FabPlan(target, fab) if _plan is None else _plan
-        # eval's quadratic form: delta above the diagonal, (gamma_i, delta_ii)
-        self._upper = [[e.coords if p < i else None for i, e in enumerate(row)]
-                       for p, row in enumerate(self.delta)]
-        self._lin = [tuple(zip(g.coords, self.delta[i][i].coords))
-                     for i, g in enumerate(self.gamma)]
+        self._plan = _FabPlan(source, target, fab) if _plan is None else _plan
+        # eval's coefficients, per B-coordinate: the plan's monomials, fcomm
+        cols = [e.coords for e in self.gamma]
+        cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
+        cols += zip(*fcomm.matrix)
+        self._rows = list(zip(*cols)) if cols else [()] * target.B.rank
 
     # -- validation ----------------------------------------------------------
 
@@ -132,23 +137,15 @@ class QMap:
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
         """Evaluate by the fixed generator expansion (ascending index), in
-        closed form: the plan's (fab(x), base_fab(x)) plus the quadratic
-        form in x and fcomm(u - kappa(x)), reduced once (module docstring)."""
+        closed form (module docstring): per B-coordinate, base_fab(x) plus
+        the coefficient row times the monomials of x and u - kappa(x)."""
         G, H = self.source, self.target
         if z.group is not G and z.group != G:
             raise InvalidArgument("element not in the source group")
-        x = z.a.coords
-        a, base = self._plan[x]
-        b = ab._bilinear_into(list(base), x, x, self._upper)
-        for m, lin in zip(x, self._lin):
-            c = m * (m - 1) // 2
-            for t, (g, d) in enumerate(lin):
-                b[t] += m * g + c * d
-        rest = [u - k for u, k in zip(z.b.coords, G.kappa(z.a).coords)]
-        if any(rest):
-            for t, row in enumerate(self.fcomm.matrix):
-                b[t] += sum(c * u for c, u in zip(row, rest))
-        return nil2.Nil2Element(H, a, H.B._trusted(b))
+        a, base, mono, kappa = self._plan[z.a.coords]
+        mono += tuple(map(sub, z.b.coords, kappa))
+        return nil2.Nil2Element(H, a, H.B._trusted(
+            [s + sum(map(mul, row, mono)) for s, row in zip(base, self._rows)]))
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""
@@ -432,62 +429,83 @@ def coproduct_couniversal(c: nil2.Nil2Group, u: QMap, v: QMap) -> QMap:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
+def _lazy(items):
+    """A lazy choice list: each copy of the tee iterates `items` from the start."""
+    return itertools.tee(items, 1)[0]
+
+
+def _product(lists):
+    """itertools.product over `_lazy` lists, reading each only as needed."""
+    if not lists:
+        return iter([()])
+    return ((x,) + rest for x in lists[0].__copy__() for rest in _product(lists[1:]))
+
+
+def _relations(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
+    """(fcomm, fab columns xs, k) -> the lists of delta_kk (with gamma_k's)
+    and delta_ik, i < k, or None if one is empty, once per relation value."""
+    orders, eb, A = g.A.orders, h.B.orders, h.A._trusted
+    tors = [(d * g.gen(i)).b for i, d in enumerate(orders)]
+    el = functools.partial(ab.AbElement, h.B)
+    image = functools.cache(lambda f: ([f.apply(t).coords for t in tors],
+                                       [[f.apply(c).coords for c in r] for r in g.commutators]))
+    power = functools.cache(lambda d, x: (d * h.pair(A(x), h.B.zero())).b.coords)
+    pair = functools.cache(lambda x, y: h.commutator_pairing(A(x), A(y)).coords)
+    gammas = functools.cache(lambda d, y: _lazy(ab._scalar_solutions(d, el(y))))
+
+    def red(v):
+        return tuple([x % e for x, e in zip(v, eb)])
+
+    @functools.cache
+    def diag(d, rhs):
+        c = 0 if homs else d * (d - 1) // 2
+        if ab._solvable(d, el(rhs), c):
+            ys = ((e, red([t - c * u for t, u in zip(rhs, e)]))
+                  for e in ab._killed(eb, 1 if homs else d))
+            return _lazy((el(e), gammas(d, y)) for e, y in ys if ab._solvable(d, el(y)))
+
+    @functools.cache
+    def upper(m, s):
+        if not any(m * t % e for t, e in zip(s, eb)):
+            return _lazy((el(v), el(red(map(add, v, s)))) for v in ab._killed(eb, m))
+
+    def column(f, xs, k):
+        (tors_f, comm_f), x, d = image(f), xs[k], orders[k]
+        lists = [diag(d, red(map(sub, tors_f[k], power(d, x))))]
+        lists += [upper(1 if homs else gcd(orders[i], d),
+                        red(map(sub, pair(xs[i], x), comm_f[i][k]))) for i in range(k)]
+        return None if None in lists else lists
+
+    return column
+
+
 def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
                    homs=False):
     """Generator data (fab, fcomm, gamma, delta) of every q-map G -> H with
     fab from `fabs` and fcomm from the list `fcomms`, for finite G and H.
 
-    The one solver of the three relation families: the diagonal and the
-    upper triangle of delta run lexicographically over the elements killed
-    by the source orders (torsion), the lower triangle is forced by the
-    commutator relations and gamma by the order relations.  Each relation
-    involves one coordinate, so each coordinate's valid values are listed
-    before their product is taken.  Order: fab, fcomm, delta's diagonal,
-    its upper triangle, gamma.  `homs` pins delta to zero and skips an
-    fcomm whose commutator relations fail before gamma is solved.
+    The one solver of the three relation families, each on one coordinate:
+    delta_kk = e in B_H[d_k] when rhs_k - C(d_k, 2) e = d_k gamma_k is
+    solvable, rhs_k = fcomm(d_k e_k) - d_k (fab e_k, 0); delta_ik (i < k)
+    is all of B_H[d_i, d_k] when s = [fab e_i, fab e_k] - fcomm([e_i, e_k])
+    has d_i s = d_k s = 0, and delta_ki = delta_ik + s.  Order: fab, fcomm,
+    delta's diagonal, its upper triangle, gamma (lexicographic); maps with
+    one diagonal and upper triangle share a delta.  `homs` pins delta to 0.
     """
-    r = g.rank
-    orders = g.A.orders
-    zero = h.B.zero()
+    column, r = _relations(g, h, homs), g.rank
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    torsion_b = [(d * g.gen(i)).b for i, d in enumerate(orders)]
-    if homs:
-        diag_choices, upper_choices = [[zero]] * r, [[zero]] * len(pairs)
-    else:
-        diag_choices = [ab._annihilator(h.B, d) for d in orders]
-        upper_choices = [ab._annihilator(h.B, orders[i], orders[j])
-                         for i, j in pairs]
     for fab in fabs:
-        cols = [fab.column(i) for i in range(r)]
-        pair_comm = [h.commutator_pairing(cols[i], cols[j]) for i, j in pairs]
-        power_b = [(d * h.pair(c, zero)).b for d, c in zip(orders, cols)]
+        xs = [tuple([row[i] for row in fab.matrix]) for i in range(r)]
         for fcomm in fcomms:
-            # delta[j][i] - delta[i][j], forced by the commutator relations
-            skew = [pc - fcomm.apply(g.commutators[i][j])
-                    for pc, (i, j) in zip(pair_comm, pairs)]
-            if homs and not all(s.is_zero() for s in skew):
+            cols = [column(fcomm, xs, k) for k in range(r)]
+            if None in cols:
                 continue
-            # gamma_i solves d_i gamma_i = y = rhs_i - C(d_i, 2) delta_ii; its
-            # choices are listed when a presentation first reaches (d_i, y)
-            rhs = [fcomm.apply(t) - p for t, p in zip(torsion_b, power_b)]
-            diag_lists = [[(e, y) for e in choices
-                           if ab._solvable(d, y := t - (d * (d - 1) // 2) * e)]
-                          for d, t, choices in zip(orders, rhs, diag_choices)]
-            upper_lists = [[(dij, dij + s) for dij in choices
-                            if (orders[i] * (dij + s)).is_zero()
-                            and (orders[j] * (dij + s)).is_zero()]
-                           for (i, j), s, choices in zip(pairs, skew, upper_choices)]
-            gammas = functools.cache(ab._scalar_solutions)
-            for diag in itertools.product(*diag_lists):
-                gamma_lists = [gammas(d, y) for d, (_, y) in zip(orders, diag)]
-                for upper in itertools.product(*upper_lists):
-                    delta = [[zero] * r for _ in range(r)]
-                    for i, (e, _) in enumerate(diag):
-                        delta[i][i] = e
-                    for (i, j), (dij, dji) in zip(pairs, upper):
-                        delta[i][j], delta[j][i] = dij, dji
-                    for gamma in itertools.product(*gamma_lists):
-                        yield fab, fcomm, gamma, delta
+            for choice in _product([c[0] for c in cols] + [cols[j][1 + i] for i, j in pairs]):
+                diag, up = choice[:r], dict(zip(pairs, choice[r:]))
+                delta = tuple(tuple(diag[i][0] if i == j else up[i, j][0] if i < j
+                                    else up[j, i][1] for j in range(r)) for i in range(r))
+                for gamma in _product([gl for _, gl in diag]):
+                    yield fab, fcomm, gamma, delta
 
 
 def _enumerate(g, h, what, homs=False):
@@ -498,7 +516,7 @@ def _enumerate(g, h, what, homs=False):
     for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A),
                                list(ab.enumerate_homs(g.B, h.B)), homs):
         if plan is None or plan.fab is not data[0]:
-            plan = _FabPlan(h, data[0])
+            plan = _FabPlan(g, h, data[0])
         yield QMap(g, h, *data, _validated=True, _plan=plan)
 
 

@@ -95,6 +95,32 @@ def test_first_sections_are_pinned():
     assert got == FIRST_SECTIONS
 
 
+def test_section_search_builds_few_elements(monkeypatch):
+    # A = B = Z/27^3 with bil[2][1], bil[3][1], bil[3][2] the generators of
+    # B, order 387,420,489: each coordinate of the first section has 19,683
+    # choices, and the search reads only the first of each
+    a, b = ab.FGAbelian([27] * 3), ab.FGAbelian([27] * 3)
+    z, (b1, b2, b3) = b.zero(), b.gens()
+    k = nil2.make(a, b, [[z, z, z], [b1, z, z], [b2, b3, z]], [z] * 3)
+    built = []
+    init = ab.AbElement.__init__
+
+    def counting_init(self, group, coords):
+        built.append(coords)
+        init(self, group, coords)
+
+    monkeypatch.setattr(ab.AbElement, "__init__", counting_init)
+    fab, fcomm, gamma, delta = classify._section_search(k)
+    monkeypatch.undo()
+    assert 0 < len(built) < 1000
+    assert fab == ab.AbHom.identity(a) and fcomm.is_zero()
+    assert all(e.is_zero() for e in gamma)
+    assert [[e.coords for e in row] for row in delta] == [
+        [(0, 0, 0)] * 3, [(26, 0, 0), (0, 0, 0), (0, 0, 0)],
+        [(0, 26, 0), (0, 0, 26), (0, 0, 0)]]
+    assert classify.is_qsplit(k).verdict
+
+
 def test_qsplit_negative():
     assert not classify.is_qsplit(G27).verdict
     assert not classify.is_qsplit(catalog.modular_semidirect(5)).verdict
