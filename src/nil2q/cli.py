@@ -32,13 +32,13 @@ class InputError(Exception):
 _GROUP_RE = re.compile(r"group\s+(\w+)\s*(\{|=)")
 
 
-def parse_definitions(text: str, defs: dict = None) -> dict:
+def parse_definitions(text: str, defs: dict, max_order: int) -> dict:
     """Parse `group NAME { ... }` and `group NAME = builder(...)` blocks.
 
     Builder arguments may reference names from `defs` (extended in place)
-    or defined earlier in the same text.  Duplicate names are rejected.
+    or defined earlier in the same text.  Duplicate names are rejected;
+    `max_order` guards `semidirect` as in `build_expression`.
     """
-    defs = {} if defs is None else defs
     pos = 0
     while True:
         m = _GROUP_RE.search(text, pos)
@@ -76,7 +76,7 @@ def parse_definitions(text: str, defs: dict = None) -> dict:
                 if close < 0:
                     raise InputError(f"missing closing parenthesis for {name!r}")
                 expr = text[m.end():close + 1].strip()
-                defs[name] = build_expression(expr, defs)
+                defs[name] = build_expression(expr, defs, max_order)
                 pos = close + 1
             else:
                 raise InputError(f"malformed definition of group {name!r}")
@@ -97,14 +97,21 @@ def _parse_int_list(value: str, nested=False):
     return parsed
 
 
-_BIL_RE = re.compile(r"bil\[(\d+)\]\[(\d+)\]$")
+def _int(token: str) -> int:
+    """int(token) for a token of ASCII digits, which the caller has matched."""
+    try:
+        return int(token)
+    except ValueError:      # more digits than the interpreter converts
+        raise InputError(f"integer {token[:20]}... has too many digits") from None
+
+
+_INT_RE = re.compile(r"-?[0-9]+")
+_BIL_RE = re.compile(r"bil\[([0-9]+)\]\[([0-9]+)\]$")
+_FIELDS = ("abelianization", "commutator", "carry")
 
 
 def _build_from_block(body: str) -> nil2.Nil2Group:
-    orders = None
-    commutator = None
-    carry = None
-    bil_entries = {}
+    fields = {}             # a field name, or (i, j) for bil[i][j] -> its value
     for raw in body.split(";"):
         stmt = raw.strip()
         if not stmt or stmt.startswith("#"):
@@ -113,29 +120,32 @@ def _build_from_block(body: str) -> nil2.Nil2Group:
         if not eq:
             raise InputError(f"malformed statement {stmt!r}")
         key = key.strip()
-        if key == "abelianization":
-            orders = _parse_int_list(value)
-        elif key == "commutator":
-            commutator = _parse_int_list(value)
-        elif key == "carry":
-            carry = _parse_int_list(value, nested=True)
-        else:
-            m = _BIL_RE.match(key)
-            if not m:
-                raise InputError(f"unknown field {key!r}")
-            bil_entries[(int(m.group(1)), int(m.group(2)))] = _parse_int_list(value)
+        m = _BIL_RE.match(key)
+        if m:
+            key = tuple(map(_int, m.groups()))
+        elif key not in _FIELDS:
+            raise InputError(f"unknown field {key!r}")
+        if key in fields:
+            item = f"bil[{key[0]}][{key[1]}]" if m else key
+            raise InputError(f"{item} is defined twice")
+        fields[key] = _parse_int_list(value, nested=key == "carry")
+    orders = fields.get("abelianization")
     if orders is None:
         raise InputError("missing `abelianization = [...]`")
     a = ab.FGAbelian(orders)
-    b = ab.FGAbelian(commutator if commutator is not None else [])
+    b = ab.FGAbelian(fields.get("commutator", []))
     r = a.rank
     z = b.zero()
     bil = [[z] * r for _ in range(r)]
-    for (i, j), coords in bil_entries.items():
+    for key, coords in fields.items():
+        if key in _FIELDS:
+            continue
+        i, j = key
         if not (1 <= i <= r and 1 <= j <= r):
             raise InputError(f"bil[{i}][{j}] out of range for rank {r}")
         bil[i - 1][j - 1] = b.element(coords)
     carries = [z] * r
+    carry = fields.get("carry")
     if carry is not None:
         if len(carry) != r:
             raise InputError(f"carry must list {r} vectors")
@@ -146,23 +156,29 @@ def _build_from_block(body: str) -> nil2.Nil2Group:
 _BUILDER_RE = re.compile(r"(\w+)\s*\(([^()]*)\)$")
 
 
-def build_expression(expr: str, defs: dict) -> nil2.Nil2Group:
+def build_expression(expr: str, defs: dict, max_order: int) -> nil2.Nil2Group:
     """A builder expression: semidirect(n,m,k), free(n), product(X,Y),
-    coproduct(X,Y); arguments are integers or previously defined names."""
+    coproduct(X,Y); arguments are integers or previously defined names.
+    A semidirect product of order above `max_order` squared is rejected
+    before its table is built."""
     m = _BUILDER_RE.match(expr.strip())
     if not m:
         raise InputError(f"malformed builder expression {expr!r}")
     op = m.group(1)
     args = [a.strip() for a in m.group(2).split(",")] if m.group(2).strip() else []
     if op == "semidirect":
-        if len(args) != 3 or not all(a.lstrip("-").isdigit() for a in args):
+        if len(args) != 3 or not all(_INT_RE.fullmatch(a) for a in args):
             raise InputError("semidirect takes three integers")
-        oracle = nil2.semidirect(*(int(a) for a in args))
-        return nil2.canonicalize_finite(oracle).group
+        n, m, k = map(_int, args)
+        if n > 0 and m > 0 and n * m > max_order ** 2:
+            raise InputError(f"semidirect({n},{m},{k}) has order {n * m}, above "
+                             f"{max_order ** 2} (--max-order {max_order} squared); "
+                             f"raise the guard")
+        return nil2.canonicalize_finite(nil2.semidirect(n, m, k)).group
     if op == "free":
-        if len(args) != 1 or not args[0].isdigit():
+        if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
             raise InputError("free takes one nonnegative integer")
-        return nil2.free(int(args[0]))
+        return nil2.free(_int(args[0]))
     if op in ("product", "coproduct"):
         if len(args) != 2:
             raise InputError(f"{op} takes two group names")
@@ -175,11 +191,11 @@ def build_expression(expr: str, defs: dict) -> nil2.Nil2Group:
     raise InputError(f"unknown builder {op!r}")
 
 
-def resolve(token: str, defs: dict) -> nil2.Nil2Group:
+def resolve(token: str, defs: dict, max_order: int) -> nil2.Nil2Group:
     if token in defs:
         return defs[token]
     if "(" in token:
-        return build_expression(token, defs)
+        return build_expression(token, defs, max_order)
     raise InputError(f"unknown group {token!r}")
 
 
@@ -192,7 +208,7 @@ def _fmt_invariants(group: ab.FGAbelian) -> str:
 
 
 def cmd_info(args, defs, out) -> int:
-    g = resolve(args.name, defs)
+    g = resolve(args.name, defs, args.max_order)
     out.write(f"group {args.name}\n")
     out.write(f"order: {g.order() if g.is_finite() else 'infinite'}\n")
     out.write(f"abelianization: {_fmt_invariants(g.A)}\n")
@@ -228,8 +244,8 @@ def _dump_qmap(q, label, out):
 
 
 def cmd_iso(args, defs, out) -> int:
-    g = resolve(args.g, defs)
-    h = resolve(args.h, defs)
+    g = resolve(args.g, defs, args.max_order)
+    h = resolve(args.h, defs, args.max_order)
     if not (g.is_finite() and h.is_finite()):
         raise InputError("isomorphism decisions need finite groups")
     if args.category == "nil":
@@ -308,14 +324,14 @@ def main(argv=None, out=None) -> int:
     try:
         if args.max_order < 1:
             raise InputError(f"--max-order must be a positive integer, not {args.max_order}")
-        defs = parse_definitions(BUILTIN_DEFS)
+        defs = parse_definitions(BUILTIN_DEFS, {}, args.max_order)
         if args.file:
             try:
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as exc:
                 raise InputError(f"cannot read {args.file!r}: {exc}")
-            parse_definitions(text, defs)
+            parse_definitions(text, defs, args.max_order)
         if args.command == "info":
             return cmd_info(args, defs, out)
         if args.command == "iso":

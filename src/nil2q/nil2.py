@@ -139,18 +139,24 @@ class CentralExtension:
 
     Subclasses validate their data and pass it to this constructor, which
     keeps flat coordinate caches for the hot cocycle path; elements are
-    built as `element_class`.
+    built as `element_class`.  `commutators[i][j]` = bil[i][j] - bil[j][i]
+    is [e_i, e_j] in B.
     """
 
-    __slots__ = ("A", "B", "_orders", "_borders", "_bilc", "_carryc")
+    __slots__ = ("A", "B", "commutators", "_orders", "_borders", "_bilc",
+                 "_commc", "_carryc")
     element_class = Nil2Element
 
     def __init__(self, A, B, bil, carry):
         self.A, self.B = A, B
         self._orders = A.orders
         self._borders = B.orders
-        self._bilc = tuple(
-            tuple(None if e.is_zero() else e.coords for e in row) for row in bil)
+        r = A.rank
+        self.commutators = tuple(tuple(bil[i][j] - bil[j][i] for j in range(r))
+                                 for i in range(r))
+        self._bilc, self._commc = (
+            tuple(tuple(None if e.is_zero() else e.coords for e in row) for row in mat)
+            for mat in (bil, self.commutators))
         self._carryc = tuple(None if e.is_zero() else e.coords for e in carry)
 
     @property
@@ -194,7 +200,7 @@ class CentralExtension:
 
     def cocycle(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
         """beta(x, y) evaluated on canonical representatives."""
-        return self.B.element(self._cocycle_coords(x.coords, y.coords))
+        return self.B._trusted(self._cocycle_coords(x.coords, y.coords))
 
     def _cocycle_coords(self, x, y):
         acc = ab._bilinear_into([0] * len(self._borders), x, y, self._bilc)
@@ -207,8 +213,10 @@ class CentralExtension:
         return acc
 
     def commutator_pairing(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
-        """The antisymmetrized cocycle: the commutator [(x,*), (y,*)] in B."""
-        return self.cocycle(x, y) - self.cocycle(y, x)
+        """The commutator [(x,*), (y,*)] in B: the antisymmetrized cocycle,
+        whose symmetric carries cancel, so sum_ij x_i y_j commutators[i][j]."""
+        return self.B._trusted(ab._bilinear_into([0] * len(self._borders), x.coords,
+                                                 y.coords, self._commc))
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +256,11 @@ def _check_generates(what, mat, B):
 
 
 class Nil2Group(CentralExtension):
-    """A nil_2-group as central-extension data over explicit cocycles;
-    `commutators[i][j]` = bil[i][j] - bil[j][i] is [e_i, e_j] in B."""
+    """A nil_2-group as central-extension data over explicit cocycles."""
 
-    __slots__ = ("bil", "carry", "commutators", "provenance", "_kappa_cache", "_table")
+    __slots__ = ("bil", "carry", "provenance", "_table")
 
     def __init__(self, A, B, bil, carry, provenance=None):
-        self._kappa_cache = {}
         self._table = None
         self.bil = tuple(tuple(row) for row in bil)
         self.carry = tuple(carry)
@@ -266,10 +272,8 @@ class Nil2Group(CentralExtension):
         for i, d in enumerate(A.orders):
             if d == 0 and not self.carry[i].is_zero():
                 raise InvalidCocycle(f"carry[{i+1}] nonzero on an infinite cyclic factor")
-        self.commutators = tuple(tuple(self.bil[i][j] - self.bil[j][i] for j in range(r))
-                                 for i in range(r))
-        _check_generates("commutators", self.commutators, B)
         super().__init__(A, B, self.bil, self.carry)
+        _check_generates("commutators", self.commutators, B)
 
     def is_abelian(self):
         return self.B.is_trivial()
@@ -306,22 +310,6 @@ class Nil2Group(CentralExtension):
         n = lcm(self.B.exponent(), *(self.gen(i).order() for i in range(self.rank)))
         c = n * (n - 1) // 2
         return n if all((c * e).is_zero() for row in self.commutators for e in row) else 2 * n
-
-    def kappa(self, a: ab.AbElement) -> ab.AbElement:
-        """B-part of the ordered generator-multiple sum lifting a.
-
-        With a = (x_1, ..., x_r) canonical, this is the B-part of
-        x_1 (e_1, 0) + ... + x_r (e_r, 0) summed left to right.
-        """
-        key = a.coords
-        hit = self._kappa_cache.get(key)
-        if hit is None:
-            acc = self.zero()
-            for i, m in enumerate(key):
-                acc = acc + m * self.gen(i)
-            assert acc.a == a
-            hit = self._kappa_cache[key] = acc.b
-        return hit
 
 
 class CayleyTable:
@@ -648,7 +636,7 @@ class GroupOracle:
         and one `a * b = c` line per product."""
         labels = None
         identity_label = None
-        products = []
+        products = {}           # (a, b) -> c, in the order given
         statements = []
         for raw in text.replace(";", "\n").splitlines():
             line = raw.strip()
@@ -661,11 +649,22 @@ class GroupOracle:
                 a, b, c = a.strip(), b.strip(), rhs.strip()
                 if not (a and b and c):
                     raise NotAGroup(f"malformed product line: {line!r}")
-                products.append((a, b, c))
+                if (a, b) in products:
+                    raise NotAGroup(f"product {a} * {b} is given twice")
+                products[a, b] = c
             elif line.startswith("elements"):
+                if labels is not None:
+                    raise NotAGroup("`elements` is declared twice")
                 _, _, rhs = line.partition("=")
                 labels = [tok for tok in rhs.replace(",", " ").split() if tok]
+                seen = set()
+                for tok in labels:
+                    if tok in seen:
+                        raise NotAGroup(f"element label {tok!r} is repeated in `elements`")
+                    seen.add(tok)
             elif line.startswith("id"):
+                if identity_label is not None:
+                    raise NotAGroup("`id` is declared twice")
                 _, _, rhs = line.partition("=")
                 identity_label = rhs.strip()
             else:
@@ -673,18 +672,14 @@ class GroupOracle:
         if identity_label is None:
             raise NotAGroup("missing `id = <label>` line")
         if labels is None:
-            seen = []
-            for a, b, c in products:
-                for tok in (a, b, c):
-                    if tok not in seen:
-                        seen.append(tok)
-            labels = seen
+            labels = list(dict.fromkeys(tok for (a, b), c in products.items()
+                                        for tok in (a, b, c)))
         index = {lab: i for i, lab in enumerate(labels)}
         if identity_label not in index:
             raise NotAGroup(f"identity label {identity_label!r} not declared")
         n = len(labels)
         table = [[None] * n for _ in range(n)]
-        for a, b, c in products:
+        for (a, b), c in products.items():
             for tok in (a, b, c):
                 if tok not in index:
                     raise NotAGroup(f"undeclared element label {tok!r}")

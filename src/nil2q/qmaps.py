@@ -17,7 +17,8 @@ homomorphism enumeration (delta pinned to zero) and q-split section search
 ascending generator expansion: as (0, gamma) is central, f(x, u) = (fab(x),
 base_fab(x) + sum_i [x_i gamma_i + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i
 delta_pi + fcomm(u - kappa(x))), base_fab(x) the B-part of x_1 (fab e_1, 0)
-+ ... + x_r (fab e_r, 0) summed left to right: per B-coordinate, one dot
++ ... + x_r (fab e_r, 0) summed left to right and kappa(x) the same in G,
+sum_{p<i} x_p x_i bil_pi + sum_i C(x_i, 2) bil_ii: per B-coordinate, one dot
 product of the map's coefficient row with monomials a per-fab plan keeps.
 The structural homomorphisms (identity, zero, the projections and
 inclusions of products and coproducts, the coproduct's couniversal map,
@@ -52,21 +53,27 @@ from .errors import (
 class _FabPlan(dict):
     """x -> (fab(x), base_fab(x), the monomials of x: x_i, then x_p x_i for
     p < i and C(x_i, 2) for p = i, kappa(x)) for the q-maps G -> H with one
-    fab, filled on first lookup from the cached multiples m (fab e_i, 0)."""
+    fab, filled on first lookup from the cached multiples m (fab e_i, 0).
+    A canonical x never carries, so kappa(x) is the quadratic monomials
+    times G's bil[p][i], p <= i: one dot product per B-coordinate of G."""
 
     def __init__(self, source, target, fab):
-        self.source, self.target, self.fab, self.mults = source, target, fab, {}
+        self.target, self.fab, self.mults = target, fab, {}
+        r = source.rank
+        cols = [source.bil[p][i].coords for i in range(r) for p in range(i + 1)]
+        self.kappa_rows = list(zip(*cols)) if cols else [()] * source.B.rank
 
     def __missing__(self, x):
-        G, H, mults, acc = self.source, self.target, self.mults, self.target.zero()
+        H, mults, acc = self.target, self.mults, self.target.zero()
         for i, m in enumerate(x):
             if m:
                 if (i, m) not in mults:
                     mults[i, m] = m * H.pair(self.fab.column(i), H.B.zero())
                 acc = acc + mults[i, m]
-        mono = x + tuple([x[p] * m if p < i else m * (m - 1) // 2
-                          for i, m in enumerate(x) for p in range(i + 1)])
-        self[x] = hit = (acc.a, acc.b.coords, mono, G.kappa(G.A._trusted(x)).coords)
+        quad = tuple([x[p] * m if p < i else m * (m - 1) // 2
+                      for i, m in enumerate(x) for p in range(i + 1)])
+        kappa = [sum(map(mul, row, quad)) for row in self.kappa_rows]
+        self[x] = hit = (acc.a, acc.b.coords, x + quad, kappa)
         return hit
 
 

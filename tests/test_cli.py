@@ -5,8 +5,11 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nil2q import cli
 
@@ -192,6 +195,61 @@ def test_duplicate_names_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("body, item", [
+    ("abelianization = [2]; abelianization = [3];", "abelianization"),
+    ("abelianization = [2,2]; commutator = [3]; commutator = [2]; bil[1][2] = [1];",
+     "commutator"),
+    ("abelianization = [2,2]; commutator = [2]; carry = [[0],[0]]; carry = [[1],[1]]; "
+     "bil[1][2] = [1];", "carry"),
+    ("abelianization = [2,2]; commutator = [2]; bil[1][2] = [0]; bil[1][2] = [1];",
+     "bil[1][2]"),
+    ("abelianization = [2,2]; commutator = [2]; bil[1][2] = [1]; bil[01][2] = [1];",
+     "bil[1][2]"),
+])
+def test_group_file_rejects_repeated_definitions(tmp_path, body, item):
+    # the last value used to win silently
+    f = tmp_path / "rep.txt"
+    f.write_text("group G { " + body + " }\n")
+    code, text = run(["--file", str(f), "info", "G"])
+    assert (code, text) == (2, f"error: {item} is defined twice\n")
+
+
+def test_semidirect_ingestion_guarded_by_max_order():
+    code, text = run(["--max-order", "8", "info", "semidirect(121,11,12)"])
+    assert code == 2
+    assert text == ("error: semidirect(121,11,12) has order 1331, above 64 "
+                    "(--max-order 8 squared); raise the guard\n")
+    # the bound is --max-order squared: order 27 passes at 6, not at 5
+    assert run(["--max-order", "5", "info", "semidirect(9,3,4)"])[0] == 2
+    code, text = run(["--max-order", "6", "info", "semidirect(9,3,4)"])
+    assert code == 0 and "order: 27" in text
+
+
+def test_huge_semidirect_builds_no_table(tmp_path, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("semidirect table built")
+
+    monkeypatch.setattr(cli.nil2, "semidirect", no_table)
+    f = tmp_path / "s.txt"
+    f.write_text("group S = semidirect(99999999999,1,1)\n")
+    for argv in (["info", "semidirect(99999999999,1,1)"],
+                 ["iso", "Q8", "semidirect(99999999999,1,1)"],
+                 ["--file", str(f), "info", "Q8"]):
+        code, text = run(argv)
+        assert code == 2 and "above 4096 (--max-order 64 squared)" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "free(\u00b2)"],                  # str.isdigit accepts a superscript
+    ["info", "semidirect(\u00b2,1,1)"],
+    ["info", "semidirect(--9,3,4)"],
+    ["info", "semidirect(" + "1" * 5000 + ",1,1)"],
+])
+def test_builder_arguments_are_ascii_integers(argv):
+    code, text = run(argv)
+    assert code == 2 and text.startswith("error:")
+
+
 def test_selftest_deterministic_and_passing():
     code1, text1 = run(["selftest", "--suite", "classify"])
     code2, text2 = run(["selftest", "--suite", "classify"])
@@ -236,6 +294,9 @@ def test_info_infinite_file_group_without_guarantee(tmp_path):
     "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1]; carry = [1, 0];",
     "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1]; carry = [[1], [False]];",
     "abelianization = [2, 2]; commutator = [2]; bil[1][2] = [1]; carry = [[1], 'a'];",
+    # an index beyond the interpreter's int conversion limit, where it has one
+    pytest.param("abelianization = [2]; bil[" + "1" * 5000 + "][1] = [1];",
+                 id="bil-index-with-5000-digits"),
 ])
 def test_group_file_rejects_non_integers(tmp_path, body):
     # wrong types are input errors (exit 2), never truncated or a traceback
@@ -287,3 +348,66 @@ def test_fresh_selftest_imports_verify():
     at_import, after, code, text = run_fresh(["selftest", "--suite", "negative"])
     assert at_import == [] and after == ["nil2q.verify", "nil2q.maltsev"]
     assert code == 0 and text.endswith("selftest: 3/3 checks passed\n")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the group-file grammar and the builder expressions.
+
+FUZZ_SECONDS = 10                       # per example, parsing and `info`
+_ints = st.integers(-3, 9)
+_values = st.one_of(
+    st.lists(_ints, max_size=3).map(str),
+    st.lists(st.lists(_ints, max_size=2), max_size=3).map(str),
+    st.sampled_from(["[1.5]", "[True]", "'x'", "[", "[1,]", "1", "", "[[1]", "[-0]"]))
+_fields = st.sampled_from(["abelianization", "commutator", "carry", "bil[1][1]",
+                           "bil[1][2]", "bil[2][1]", "bil[3][2]", "bil[0][1]",
+                           "bil[9][1]", "bil[x][1]", "bil[\u00b2][1]", "junk", ""])
+_block = st.lists(st.tuples(_fields, _values).map(" = ".join), max_size=6).map(
+    lambda stmts: "{ " + "; ".join(stmts) + " }")
+
+_Z3 = [f"g{i} * g{j} = g{(i + j) % 3}" for i in range(3) for j in range(3)]
+_oracle_lines = st.one_of(
+    st.sampled_from(_Z3 + ["elements = g0 g1 g2", "id = g0", "elements = g0 g0 g1",
+                           "id = g3", "g0 * = g1", "junk"]),
+    st.tuples(*[st.sampled_from(["g0", "g1", "g2", "g3"])] * 3).map(
+        lambda t: "{} * {} = {}".format(*t)))
+_oracle = st.one_of(
+    st.lists(_oracle_lines, max_size=14),
+    st.lists(_oracle_lines, max_size=3).map(                # a whole table, and more
+        lambda extra: ["elements = g0 g1 g2", "id = g0"] + _Z3 + extra)).map(
+    lambda lines: "oracle {\n" + "\n".join(lines) + "\n}")
+
+_names = st.sampled_from(["G", "H", "Q8", "D4", "Z2", "V4", "Heis3", "Nope"])
+# orders up to 900, or an argument past 4096 = 64^2 that the guard rejects
+_big = st.one_of(st.integers(-2, 30), st.integers(4097, 10 ** 12))
+_builders = st.one_of(
+    st.tuples(_big, _big, _big).map(lambda t: "semidirect({},{},{})".format(*t)),
+    st.sampled_from(["semidirect(9,3,4)", "semidirect(8,2,5)", "semidirect(25,5,6)",
+                     "semidirect(1,2)", "semidirect(a,b,c)", "semidirect(\u0663,1,1)",
+                     "semidirect(--9,3,4)",
+                     "free(\u00b2)"]),
+    st.integers(-1, 6).map("free({})".format),
+    st.tuples(st.sampled_from(["product", "coproduct", "nope"]), _names, _names).map(
+        lambda t: "{}({},{})".format(*t)))
+_definitions = st.tuples(st.sampled_from(["G", "H", "Q8"]),
+                         st.one_of(_block, _oracle.map("= {}".format),
+                                   _builders.map("= {}".format)),
+                         ).map(lambda t: "group {} {}".format(*t))
+_files = st.lists(st.one_of(_definitions, st.sampled_from(["# note", "junk", "group",
+                                                           "group G {", "}"])),
+                  max_size=3).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(text=_files, query=st.one_of(_names, _builders))
+def test_cli_grammar_fuzz(tmp_path, text, query):
+    # any group file and builder expression: an answer or a clean input
+    # error, never a traceback, an internal error or an unbounded run
+    f = tmp_path / "fuzz.txt"
+    f.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(["--file", str(f), "info", query])
+    assert code in (0, 1, 2), out
+    assert time.perf_counter() - start < FUZZ_SECONDS, (text, query)

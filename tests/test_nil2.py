@@ -2,6 +2,7 @@
 canonicalization of finite tables, and the class-two element identities."""
 
 import itertools
+import re
 from math import lcm
 
 import pytest
@@ -26,6 +27,11 @@ Q8 = catalog.quaternion()
 D4 = catalog.dihedral4()
 HEIS3 = catalog.heisenberg(3)
 G27 = catalog.modular_semidirect(3)
+
+# bil[1][1] != 0
+_B4 = ab.FGAbelian([4])
+DIAG64 = nil2.make(ab.FGAbelian([4, 4]), _B4, [[_B4.gen(0), _B4.gen(0)], [_B4.zero()] * 2],
+                   [_B4.zero()] * 2)
 
 SMALL = [catalog.cyclic(4), catalog.abelian_group([2, 2]), D4, Q8, HEIS3, G27]
 
@@ -158,7 +164,7 @@ def test_commutator_example_q8():
 
 
 def test_commutator_matches_definition():
-    for g in [D4, Q8, HEIS3]:
+    for g in [D4, Q8, HEIS3, DIAG64, nil2.p2_extension(Q8), maltsev.lie_log(HEIS3)]:
         for x in g.elements():
             for y in g.elements():
                 assert x.comm(y) == -x - y + x + y
@@ -652,7 +658,7 @@ def test_oracle_validation_matches_reference():
     none = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
     for magma, message in [(later, "associativity fails"), (none, "'2' has no inverse")]:
         assert accepts(magma, 0) == reference_is_group(magma, 0)
-        with pytest.raises(NotAGroup, match=message):
+        with pytest.raises(NotAGroup, match=re.escape(message)):
             nil2.GroupOracle(["0", "1", "2"], magma, 0)
 
 
@@ -708,3 +714,21 @@ def test_oracle_text_round_trip():
     from nil2q.errors import NotAGroup
     with pytest.raises(NotAGroup):
         nil2.GroupOracle.from_text("id = e\ne * e = e\ne * f = f")
+
+
+Z2_LINES = ["elements = e a", "id = e", "e * e = e", "e * a = a", "a * e = a", "a * a = e"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("elements = e a", "`elements` is declared twice"),
+    ("id = e", "`id` is declared twice"),
+    ("a * a = a", "product a * a is given twice"),
+    ("e * a = a", "product e * a is given twice"),
+])
+def test_oracle_text_rejects_repeated_definitions(extra, message):
+    # the last value used to win silently
+    nil2.GroupOracle.from_text("\n".join(Z2_LINES))
+    with pytest.raises(NotAGroup, match=re.escape(message)):
+        nil2.GroupOracle.from_text("\n".join(Z2_LINES + [extra]))
+    with pytest.raises(NotAGroup, match="label 'a' is repeated in `elements`"):
+        nil2.GroupOracle.from_text("\n".join(["elements = e a a"] + Z2_LINES[1:]))

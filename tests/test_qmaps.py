@@ -18,6 +18,10 @@ HEIS3 = catalog.heisenberg(3)
 Z2 = catalog.cyclic(2)
 Z4 = catalog.cyclic(4)
 V4 = catalog.abelian_group([2, 2])
+# bil[1][1] != 0: its generator multiples pick up C(m, 2) bil[1][1]
+_B4 = ab.FGAbelian([4])
+DIAG64 = nil2.make(ab.FGAbelian([4, 4]), _B4, [[_B4.gen(0), _B4.gen(0)], [_B4.zero()] * 2],
+                   [_B4.zero()] * 2)
 
 
 def value_table(q):
@@ -770,6 +774,16 @@ def test_structural_maps_reject_bad_factor(build, tag):
         build(other, 0)
 
 
+def reference_kappa(G, a):
+    """B-part of x_1 (e_1, 0) + ... + x_r (e_r, 0) summed left to right,
+    by element arithmetic, for a = (x_1, ..., x_r) canonical."""
+    acc = G.zero()
+    for i, m in enumerate(a.coords):
+        acc = acc + m * G.gen(i)
+    assert acc.a == a
+    return acc.b
+
+
 def reference_eval(q, z):
     """The object-level generator expansion, as a reference for the
     coordinate-level `QMap.eval`: ascending generator index, each step
@@ -787,7 +801,7 @@ def reference_eval(q, z):
             if x[p]:
                 cross = cross + (x[p] * m) * q.delta[p][i]
         acc = acc + term + H.central(cross)
-    return acc + H.central(q.fcomm.apply(z.b - G.kappa(z.a)))
+    return acc + H.central(q.fcomm.apply(z.b - reference_kappa(G, z.a)))
 
 
 def _assert_eval_matches_reference(q, points):
@@ -807,9 +821,10 @@ def test_eval_agrees_with_reference_expansion():
             _assert_eval_matches_reference(q, pts)
             count += 1
     assert count == 16 + 256 + 256 + 64
-    for g in (D4, HEIS3):
+    for g in (D4, HEIS3, DIAG64):
         for n in (-3, -1, 2):
             _assert_eval_matches_reference(qmaps.power_qmap(g, n), g.elements())
+    _assert_eval_matches_reference(qmaps.identity_qmap(DIAG64), DIAG64.elements())
     # infinite sources: negative multiples of free generators
     z1 = nil2.free(1)
     pts1 = [z1.element([n], []) for n in range(-3, 4)]
