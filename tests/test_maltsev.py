@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, maltsev, nil2, qmaps
+from nil2q import catalog, classify, maltsev, nil2, qmaps
 from nil2q.errors import (
     CommutatorMismatch,
     InvalidBracket,
@@ -322,3 +322,27 @@ def test_log_criterion_heis3_times_cyclic(n):
         image = {x: w.apply(x) for x in elems}
         assert len(set(image.values())) == g.order()
         assert all(w.apply(x + y) == image[x] + image[y] for x in elems for y in elems)
+
+
+def _odd_pool():
+    def sd(n, m, k):
+        return nil2.canonicalize_finite(nil2.semidirect(n, m, k)).group
+
+    z3 = catalog.cyclic(3)
+    return [HEIS3, G27, catalog.cyclic(27), catalog.abelian_group([9, 3]),
+            catalog.abelian_group([3, 3, 3]), sd(9, 3, 4), nil2.product(HEIS3, z3),
+            nil2.product(G27, z3), sd(27, 3, 10), sd(9, 9, 4),
+            nil2.coproduct(z3, catalog.cyclic(9))]
+
+
+def test_log_criterion_agrees_with_witness_search():
+    # every equal-order pair of an odd pool of orders 27 and 81
+    pool = _odd_pool()
+    pairs = [(g, h) for g in pool for h in pool if g.order() == h.order()]
+    assert len(pairs) == 61
+    yes = 0
+    for g, h in pairs:
+        ok, _ = maltsev.log_criterion_decide(g, h)
+        assert ok == (classify.find_niq_iso_witness(g, h) is not None)
+        yes += ok
+    assert yes == 13
