@@ -46,8 +46,8 @@ class SmithForm:
     """Smith normal form D = U * M * V with tracked unimodular transforms.
 
     `diag` holds the diagonal entries d_1 | d_2 | ... (nonnegative, with
-    zeros last); `u`, `uinv`, `v`, `vinv` are the transforms and their
-    exact inverses.
+    zeros last); `u`, `uinv` are the row transform and its exact inverse,
+    `v` the column transform.
     """
 
     def __init__(self, mat, nrows=None, ncols=None):
@@ -58,7 +58,7 @@ class SmithForm:
         d = [list(row) for row in mat]
         assert all(len(row) == ncols for row in d)
         u, uinv = _identity(nrows), _identity(nrows)
-        v, vinv = _identity(ncols), _identity(ncols)
+        v = _identity(ncols)
 
         def row_swap(i, k):
             d[i], d[k] = d[k], d[i]
@@ -84,7 +84,6 @@ class SmithForm:
                 r[j], r[k] = r[k], r[j]
             for r in v:
                 r[j], r[k] = r[k], r[j]
-            vinv[j], vinv[k] = vinv[k], vinv[j]
 
         def col_add(j, k, q):
             # col j += q * col k
@@ -92,7 +91,6 @@ class SmithForm:
                 r[j] += q * r[k]
             for r in v:
                 r[j] += q * r[k]
-            vinv[k] = [a - q * b for a, b in zip(vinv[k], vinv[j])]
 
         t = 0
         limit = min(nrows, ncols)
@@ -152,10 +150,9 @@ class SmithForm:
             t += 1
 
         self.nrows, self.ncols = nrows, ncols
-        self.d = d
         self.diag = [d[i][i] for i in range(limit)]
         self.u, self.uinv = u, uinv
-        self.v, self.vinv = v, vinv
+        self.v = v
 
     def solve(self, b):
         """One integer solution x of M x = b, or None."""
@@ -740,10 +737,9 @@ def enumerate_homs(source: FGAbelian, target: FGAbelian):
         yield AbHom.from_columns(source, target, list(cols))
 
 
-def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None, keep=None):
+def isomorphisms(source: FGAbelian, target: FGAbelian, keep=None):
     """All isomorphisms source -> target of finite groups, in the order of
-    `enumerate_homs`, generator i's image drawn from `choices[i]` (default:
-    the elements killed by d_i).
+    `enumerate_homs`.
 
     Generator-image backtracking: images x_1..x_k are kept only when
     target / <x_1..x_k> has the invariants of Z/d_{k+1} + ... + Z/d_n.
@@ -755,8 +751,7 @@ def isomorphisms(source: FGAbelian, target: FGAbelian, choices=None, keep=None):
     if source.order() != target.order():
         return iter(())
     orders = source.orders
-    if choices is None:
-        choices = [_annihilator(target, d) for d in orders]
+    choices = [_annihilator(target, d) for d in orders]
     want = [FGAbelian(orders[k:]).invariant_factors() for k in range(len(orders) + 1)]
     return (AbHom.from_columns(source, target, cols) for cols in
             _iso_columns(target.rank, _relation_columns(target), choices, want, [], keep))

@@ -7,10 +7,12 @@ section of the projection onto the abelianization: the first fab = id,
 fcomm = 0 presentation of a q-map G_ab -> G (the q-map solver of
 `qmaps`); infinite groups are reported structurally when they were
 built by the constructions known to preserve q-splitness (abelian
-groups, products, coproducts, free groups).  Plain and Niq isomorphism
-are one pruned search over isomorphism pairs (fab, fcomm), `_iso_search`,
-with the cross-effect pinned to zero for plain isomorphism; it reads no
-Cayley table, only the independent check of its witness does.
+groups, products, coproducts, free groups).  Plain isomorphism, Niq
+isomorphism and the odd-order log criterion of `maltsev` are one pruned
+search over isomorphism pairs (fab, fcomm), `_iso_pair`, with the
+cross-effect pinned to zero for plain isomorphism and for the additive
+isomorphisms of the Lie rings; it reads no Cayley table, only the
+independent check of a group witness (`_iso_search`) does.
 """
 
 from __future__ import annotations
@@ -95,14 +97,14 @@ def is_qsplit(g: nil2.Nil2Group) -> QSplitResult:
 # ---------------------------------------------------------------------------
 # Isomorphism: plain and in Niq.
 
-def _iso_search(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
+def _iso_pair(g, h, homs: bool):
     """The first q-map (`homs`: homomorphism) G -> H over an isomorphism
-    pair (fab, fcomm), with its inverse, or None; for |G| = |H| these are
-    the q-maps with a q-map inverse.  `keep` holds, per column prefix of
-    fab, the iso fcomm that pass the solver's per-coordinate tests at the
-    prefix's last column (`qmaps._relations`).  So the first presentation
-    over the kept pairs is the first over all; it is checked independently
-    (tabulated, bijective, its inverse a q-map by the definition).
+    pair (fab, fcomm), or None, for finite central extensions G and H (the
+    groups here, their Lie rings for `maltsev`'s log criterion); for
+    |G| = |H| these are the q-maps with a q-map inverse.  `keep` holds, per
+    column prefix of fab, the iso fcomm that pass the solver's
+    per-coordinate tests at the prefix's last column (`qmaps._relations`).
+    So the first presentation over the kept pairs is the first over all.
     """
     if not (g.is_finite() and h.is_finite()):
         raise Unsupported("isomorphism search needs finite groups")
@@ -122,7 +124,16 @@ def _iso_search(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
     data = next(qmaps._presentations(g, h, [fab], live[-1], homs), None)
     if data is None:
         raise InternalInvariant("a kept iso pair has no presentation")
-    q = qmaps.QMap(g, h, *data, _validated=True)
+    return qmaps.QMap(g, h, *data, _validated=True)
+
+
+def _iso_search(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
+    """`_iso_pair`'s q-map with its inverse, or None, checked
+    independently: tabulated, bijective, its inverse a q-map (`homs`: a
+    homomorphism) by the definition."""
+    q = _iso_pair(g, h, homs)
+    if q is None:
+        return None
     table = {q.eval(z): z for z in g.elements()}
     if len(table) != g.order() or not qmaps.is_qmap_function(table.__getitem__, h, g):
         raise InternalInvariant("iso-pair q-map has no q-map inverse")

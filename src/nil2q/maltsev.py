@@ -11,13 +11,17 @@ bracket; log antisymmetrizes the group's bilinear part and discharges
 the symmetric residue into the element identification (subtracting the
 coboundary of a -> half * sym(a, a)), which makes log(exp(L)) the
 literal identity on data.
+
+The odd-order Niq-isomorphism criterion (log G and log H isomorphic as
+abelian groups, B onto B) is `classify`'s iso-pair search on the logs:
+as central extensions their homomorphisms are the additive maps carrying
+B into B, and `qmaps` solves and evaluates them as it does for groups.
 """
 
 from __future__ import annotations
 
 from . import abelian as ab
-from . import nil2
-from . import qmaps
+from . import classify, nil2, qmaps
 from .errors import (
     InvalidArgument,
     InvalidBracket,
@@ -271,77 +275,20 @@ def linear_part(q: qmaps.QMap):
 # ---------------------------------------------------------------------------
 # Pair isomorphism of logs: the odd-order Niq-isomorphism criterion.
 
-class PairIsoWitness:
-    """An abelian isomorphism log G -> log H matching [G,G] with [H,H],
-    given by images of the additive generators."""
-
-    def __init__(self, source_ring, target_ring, gen_images, bgen_images):
-        self.source_ring = source_ring
-        self.target_ring = target_ring
-        self.gen_images = tuple(gen_images)
-        self.bgen_images = tuple(bgen_images)
-
-    def apply(self, w: LieElement) -> LieElement:
-        acc = self.target_ring.zero()
-        for i, m in enumerate(w.a.coords):
-            if m:
-                acc = acc + m * self.gen_images[i]
-        for j, c in enumerate(w.b.coords):
-            if c:
-                acc = acc + c * self.bgen_images[j]
-        return acc
-
-
-def _generator_choices(lg: Nil2LieRing, lh: Nil2LieRing, bgen_imgs):
-    """The relations an additive map lg -> lh must keep, per generator.
-
-    For B-generator images y = `bgen_imgs` in lh.B, killed by lg.B's
-    orders: per A-generator i, the x = (a, b) of lh with d_i x = sum_t
-    carry[i]_t y_t, as a dict a -> [b, ...], both lexicographic.  Since
-    d_i (a, b) = d_i (a, 0) + (0, d_i b), a runs over the elements of lh.A
-    killed by d_i and b over the solutions of one scalar equation.
-    """
-    choices, zero = [], lh.B.zero()
-    for d, carry in zip(lg.A.orders, lg.carry):
-        need = sum((c * y for c, y in zip(carry.coords, bgen_imgs)), zero)
-        lifts = {a: list(ab._scalar_solutions(d, need - (d * lh.pair(a, zero)).b))
-                 for a in ab._annihilator(lh.A, d)}
-        choices.append({a: sols for a, sols in lifts.items() if sols})
-    return choices
-
-
-def _additive_iso_search(lg: Nil2LieRing, lh: Nil2LieRing):
-    """Generator-image search for an additive isomorphism of the underlying
-    abelian groups carrying B onto B.  Lexicographic; first hit.
-
-    The B-images run over the isomorphisms lg.B -> lh.B.  A candidate that
-    keeps the relations of `_generator_choices` is additive and carries B
-    onto B; since |lg| = |lh| it is bijective exactly when its A-parts
-    form an isomorphism lg.A -> lh.A.  So the A-parts run over
-    `abelian.isomorphisms` with the liftable choices, each lifted by its
-    first b: bijectivity does not depend on b.
-    """
-    if lg.order() != lh.order() or lg.B.order() != lh.B.order():
-        return None
-    if lg.additive_invariants() != lh.additive_invariants():
-        return None
-    for bhom in ab.isomorphisms(lg.B, lh.B):
-        lifts = _generator_choices(lg, lh, bhom.columns())
-        fab = next(ab.isomorphisms(lg.A, lh.A, [list(c) for c in lifts]), None)
-        if fab is not None:
-            gen_imgs = [lh.pair(a, c[a][0]) for a, c in zip(fab.columns(), lifts)]
-            return PairIsoWitness(lg, lh, gen_imgs, [lh.central(y) for y in bhom.columns()])
-    return None
-
-
 def log_criterion_decide(g: nil2.Nil2Group, h: nil2.Nil2Group):
     """Niq-isomorphism criterion for finite odd order: true iff the logs
     are isomorphic as abelian groups matching commutator subgroups.
 
-    Returns (verdict, witness-or-None)."""
+    The isomorphism is `classify`'s iso-pair search on the logs with the
+    cross-effect pinned to zero: a homomorphism of the additive groups
+    (zero bilinear part) over isomorphisms of A and of B, bijective as
+    |log G| = |log H|.  Returns (verdict, that homomorphism log G -> log H
+    as a `qmaps.QMap`, or None)."""
     for grp in (g, h):
         if not grp.is_finite() or grp.order() % 2 == 0:
             raise Unsupported("the log criterion needs finite odd order")
     lg, lh = lie_log(g), lie_log(h)
-    witness = _additive_iso_search(lg, lh)
+    if lg.additive_invariants() != lh.additive_invariants():
+        return False, None
+    witness = classify._iso_pair(lg, lh, homs=True)
     return witness is not None, witness

@@ -12,12 +12,15 @@ stored by generator data:
 Three relation families gate the data (torsion of delta, commutator
 relations, order relations), each on one coordinate.  One solver,
 `_presentations`, walks them on integer coordinates for q-map enumeration,
-homomorphism enumeration (delta pinned to zero) and q-split section search
-(fab = id, fcomm = 0 out of G_ab).  Evaluation is the closed form of the
-ascending generator expansion: as (0, gamma) is central, f(x, u) = (fab(x),
-base_fab(x) + sum_i [x_i gamma_i + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i
-delta_pi + fcomm(u - kappa(x))), base_fab(x) the B-part of x_1 (fab e_1, 0)
-+ ... + x_r (fab e_r, 0) summed left to right and kappa(x) the same in G,
+homomorphism enumeration (delta pinned to zero), q-split section search
+(fab = id, fcomm = 0 out of G_ab) and the iso-pair search of `classify`.
+It and `QMap` read only `nil2.CentralExtension` data, so they serve any
+finite central extension: groups, P2(G) and the Lie rings of `maltsev`.
+Evaluation is the closed form of the ascending generator expansion: as
+(0, gamma) is central, f(x, u) = (fab(x), base_fab(x) + sum_i [x_i gamma_i
++ C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i delta_pi + fcomm(u - kappa(x))),
+base_fab(x) the B-part of x_1 (fab e_1, 0) + ... + x_r (fab e_r, 0) summed
+left to right and kappa(x) the same in G,
 sum_{p<i} x_p x_i bil_pi + sum_i C(x_i, 2) bil_ii: per B-coordinate, one dot
 product of the map's coefficient row with monomials a per-fab plan keeps.
 The structural homomorphisms (identity, zero, the projections and
@@ -59,8 +62,8 @@ class _FabPlan(dict):
 
     def __init__(self, source, target, fab):
         self.target, self.fab, self.mults = target, fab, {}
-        r = source.rank
-        cols = [source.bil[p][i].coords for i in range(r) for p in range(i + 1)]
+        r, zero = source.rank, (0,) * source.B.rank
+        cols = [source._bilc[p][i] or zero for i in range(r) for p in range(i + 1)]
         self.kappa_rows = list(zip(*cols)) if cols else [()] * source.B.rank
 
     def __missing__(self, x):
@@ -78,7 +81,8 @@ class _FabPlan(dict):
 
 
 class QMap:
-    """Finite presentation of a q-map between nil_2-groups."""
+    """Finite presentation of a q-map between nil_2-groups, or between any
+    central extensions; values are built as the target's `element_class`."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
                  "_plan", "_rows")
@@ -151,12 +155,13 @@ class QMap:
             raise InvalidArgument("element not in the source group")
         a, base, mono, kappa = self._plan[z.a.coords]
         mono += tuple(map(sub, z.b.coords, kappa))
-        return nil2.Nil2Element(H, a, H.B._trusted(
+        return H.element_class(H, a, H.B._trusted(
             [s + sum(map(mul, row, mono)) for s, row in zip(base, self._rows)]))
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""
-        if z.group != self.source or zp.group != self.source:
+        G = self.source
+        if (z.group is not G and z.group != G) or (zp.group is not G and zp.group != G):
             raise InvalidArgument("elements not in the source group")
         return self.target.central(self.cross_data(z.a.coords, zp.a.coords))
 
@@ -448,7 +453,7 @@ def _product(lists):
     return ((x,) + rest for x in lists[0].__copy__() for rest in _product(lists[1:]))
 
 
-def _relations(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
+def _relations(g: nil2.CentralExtension, h: nil2.CentralExtension, homs: bool):
     """(fcomm, fab columns xs, k) -> the lists of delta_kk (with gamma_k's)
     and delta_ik, i < k, or None if one is empty, once per relation value."""
     orders, eb, A = g.A.orders, h.B.orders, h.A._trusted
@@ -486,10 +491,11 @@ def _relations(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
     return column
 
 
-def _presentations(g: nil2.Nil2Group, h: nil2.Nil2Group, fabs, fcomms,
+def _presentations(g: nil2.CentralExtension, h: nil2.CentralExtension, fabs, fcomms,
                    homs=False):
     """Generator data (fab, fcomm, gamma, delta) of every q-map G -> H with
-    fab from `fabs` and fcomm from the list `fcomms`, for finite G and H.
+    fab from `fabs` and fcomm from the list `fcomms`, for finite central
+    extensions G and H (`nil2.CentralExtension`: groups, P2(G), Lie rings).
 
     The one solver of the three relation families, each on one coordinate:
     delta_kk = e in B_H[d_k] when rhs_k - C(d_k, 2) e = d_k gamma_k is

@@ -11,7 +11,7 @@ recorded in the result details.
 from __future__ import annotations
 
 import itertools
-from math import gcd, prod
+from math import gcd
 
 from . import abelian as ab
 from . import catalog, classify, maltsev, nil2, qmaps
@@ -470,10 +470,7 @@ def _count_linear_symmetric_pairs(g: nil2.Nil2Group, h: nil2.Nil2Group) -> int:
     into [H,H], h0 symmetric bilinear into [H,H]."""
     lg, lh = maltsev.lie_log(g), maltsev.lie_log(h)
     r = lg.A.rank
-    count_g = 0
-    for bhom in ab.enumerate_homs(lg.B, lh.B):
-        choices = maltsev._generator_choices(lg, lh, bhom.columns())
-        count_g += prod(sum(map(len, c.values())) for c in choices)
+    count_g = sum(1 for _ in qmaps.enumerate_homs(lg, lh))
     count_h = 1
     for i in range(r):
         for j in range(i, r):

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, classify, nil2, qmaps
+from nil2q import catalog, classify, maltsev, nil2, qmaps
 from nil2q.errors import InvalidArgument, NotAQMap, UnsupportedEnumeration
 
 Q8 = catalog.quaternion()
@@ -384,6 +384,30 @@ def test_p2_factorization():
     f0 = qmaps.qmap_p2_factorize(qmaps.zero_qmap(Q8, D4))
     assert all(f0.eval(x).is_zero()
                for x in itertools.islice(f0.extension.elements(), 32))
+
+
+@pytest.mark.parametrize("g, h", [(D4, Q8), (Q8, D4), (Z4, Q8), (V4, D4),
+                                  (nil2.coproduct(Z2, Z2), Q8),
+                                  (HEIS3, catalog.modular_semidirect(3))])
+def test_p2_universal_property_through_hom_solver(g, h):
+    # the homomorphisms P2(G) -> H, composed with p2, are exactly the
+    # q-maps G -> H, each once
+    ext = nil2.p2_extension(g)
+    lifts = [ext.p2(z) for z in g.elements()]
+    via_p2 = [tuple(phi.eval(x) for x in lifts) for phi in qmaps.enumerate_homs(ext, h)]
+    direct = [value_table(q) for q in qmaps.enumerate_qmaps(g, h)]
+    assert len(set(via_p2)) == len(via_p2)
+    assert len(set(direct)) == len(direct)
+    assert set(via_p2) == set(direct)
+
+
+def test_log_criterion_witness_values_are_lie_elements():
+    ok, w = maltsev.log_criterion_decide(HEIS3, HEIS3)
+    assert ok
+    vals = [w.eval(z) for z in w.source.elements()]
+    assert all(isinstance(v, maltsev.LieElement) for v in vals)
+    # the values run over the whole ring, so their brackets fill B
+    assert len({v.bracket(u) for v in vals for u in vals}) == w.target.B.order()
 
 
 def test_from_function_round_trip():
