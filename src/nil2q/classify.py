@@ -170,9 +170,9 @@ def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
     """Decide isomorphism in Niq, reporting every applicable path.
 
     (a) both q-split: reduces to similarity; (b) both of odd order: the
-    log criterion; (c) direct witness search (guarded by `search_guard`
-    on the group order when another path already applies).  All
-    applicable paths must agree.
+    log criterion (after (a), only if |Hom(B_G, B_H)| <= `search_guard`^2);
+    (c) direct witness search (guarded by `search_guard` on the group
+    order when another path already applies).  All paths must agree.
     """
     if not (g.is_finite() and h.is_finite()):
         raise Unsupported("the decision procedure needs finite groups")
@@ -181,7 +181,8 @@ def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
     qs_g, qs_h = is_qsplit(g), is_qsplit(h)
     if qs_g.verdict and qs_h.verdict:
         paths["qsplit-similar"] = similar(g, h)
-    if g.order() % 2 == 1 and h.order() % 2 == 1:
+    if g.order() % 2 == 1 and h.order() % 2 == 1 and (
+            not paths or ab.hom_count(g.B, h.B) <= search_guard ** 2):
         from . import maltsev
         ok, _ = maltsev.log_criterion_decide(g, h)
         paths["log-criterion"] = ok

@@ -11,6 +11,13 @@ Elements are pairs (a, u) in A x B with
 
     (x, u) + (y, v) = (x + y, u + v + beta(x, y)).
 
+As `bil` is killed by A's orders, a left-to-right sum of lifts of
+canonical A-vectors c_i, for any integers x_i, has one closed form (s =
+sum_i x_i c_i unreduced; n (x, u) is the one-vector case):
+
+    x_1 (c_1, 0) + ... + x_k (c_k, 0) = (s, sum_{p<i} x_p x_i bil(c_p, c_i)
+        + sum_i C(x_i, 2) bil(c_i, c_i) + sum_t floor(s_t / d_t) carry_t).
+
 `CentralExtension` holds this layer: the cocycle, the element
 constructors and `Nil2Element`, the one element arithmetic.  `Nil2Group`
 adds validation, the Cayley table and the group invariants; the class-two
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from . import abelian as ab
 from .errors import (
@@ -49,21 +56,10 @@ from .errors import (
 )
 
 
-def _multiple(z, n, zero):
-    """n z by double-and-add, for any element type with + and unary -;
-    `zero()` gives the identity.  NotImplemented unless n is an int."""
-    if not isinstance(n, int):
-        return NotImplemented
-    if n < 0:
-        z, n = -z, -n
-    acc = zero()
-    while n:
-        if n & 1:
-            acc = acc + z
-        n >>= 1
-        if n:
-            z = z + z
-    return acc
+def _quadratic(x):
+    """The monomials of `_lift_sum`, i ascending: x_p x_i (p < i), C(x_i, 2)."""
+    return tuple([x[p] * m if p < i else m * (m - 1) // 2
+                  for i, m in enumerate(x) for p in range(i + 1)])
 
 
 class Nil2Element:
@@ -90,17 +86,20 @@ class Nil2Element:
                                         in zip(self.b.coords, other.b.coords, coc)]))
 
     def __neg__(self):
-        g = self.group
-        na = -self.a
-        coc = g._cocycle_coords(self.a.coords, na.coords)
-        return type(self)(g, na,
-                          g.B._trusted([-p - q for p, q in zip(self.b.coords, coc)]))
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, n):
-        return _multiple(self, n, self.group.zero)
+        """n (x, u) = (n x, n u + `_lift_sum` of the one vector x); an int n."""
+        if not isinstance(n, int):
+            return NotImplemented
+        g, x = self.group, self.a.coords
+        s = [n * c for c in x]
+        lift = g._lift_sum(g._lift_rows([x]), (n * (n - 1) // 2,), s)
+        return type(self)(g, g.A._trusted(s),
+                          g.B._trusted([n * u + v for u, v in zip(self.b.coords, lift)]))
 
     __rmul__ = __mul__
 
@@ -114,13 +113,9 @@ class Nil2Element:
         return self.a.is_zero() and self.b.is_zero()
 
     def order(self) -> int:
-        """Element order, 0 for infinite."""
+        """Element order, 0 for infinite: m = ord(x) times the order of m (x, u)."""
         m = self.a.order()
-        if m == 0:
-            return 0
-        w = (m * self).b
-        k = w.order()
-        return 0 if k == 0 else m * k
+        return m * (m * self).b.order()
 
     def __eq__(self, other):
         return (isinstance(other, Nil2Element)
@@ -149,8 +144,7 @@ class CentralExtension:
 
     def __init__(self, A, B, bil, carry):
         self.A, self.B = A, B
-        self._orders = A.orders
-        self._borders = B.orders
+        self._orders, self._borders = A.orders, B.orders
         r = A.rank
         self.commutators = tuple(tuple(bil[i][j] - bil[j][i] for j in range(r))
                                  for i in range(r))
@@ -210,6 +204,23 @@ class CentralExtension:
                 if e is not None:
                     for t, et in enumerate(e):
                         acc[t] += et
+        return acc
+
+    def _lift_rows(self, cols):
+        """Per B-coordinate, the coefficients bil(c_p, c_i) of `_quadratic`
+        in `_lift_sum` over the canonical A-vectors `cols`."""
+        nb = len(self._borders)
+        entries = [ab._bilinear_into([0] * nb, cols[p], c, self._bilc)
+                   for i, c in enumerate(cols) for p in range(i + 1)]
+        return list(zip(*entries)) if entries else [()] * nb
+
+    def _lift_sum(self, rows, quad, s):
+        """B-part, unreduced, of the closed form (module docstring): `rows`
+        of the c_i times quad = `_quadratic(x)`, plus the carries of s."""
+        acc = [sum(map(mul, row, quad)) for row in rows]
+        for d, e, st in zip(self._orders, self._carryc, s):
+            if e is not None:
+                acc = [u + st // d * et for u, et in zip(acc, e)]
         return acc
 
     def commutator_pairing(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:

@@ -19,10 +19,9 @@ finite central extension: groups, P2(G) and the Lie rings of `maltsev`.
 Evaluation is the closed form of the ascending generator expansion: as
 (0, gamma) is central, f(x, u) = (fab(x), base_fab(x) + sum_i [x_i gamma_i
 + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i delta_pi + fcomm(u - kappa(x))),
-base_fab(x) the B-part of x_1 (fab e_1, 0) + ... + x_r (fab e_r, 0) summed
-left to right and kappa(x) the same in G,
-sum_{p<i} x_p x_i bil_pi + sum_i C(x_i, 2) bil_ii: per B-coordinate, one dot
-product of the map's coefficient row with monomials a per-fab plan keeps.
+base_fab(x) and kappa(x) the B-parts of x_1 (fab e_1, 0) + ... in H and of
+x_1 (e_1, 0) + ... in G, both `nil2`'s closed form for sums of generator
+lifts: per B-coordinate, dot products with monomials a per-fab plan keeps.
 The structural homomorphisms (identity, zero, the projections and
 inclusions of products and coproducts, the coproduct's couniversal map,
 the abelianization projection) are built by one zero-cross-effect
@@ -54,29 +53,21 @@ from .errors import (
 
 
 class _FabPlan(dict):
-    """x -> (fab(x), base_fab(x), the monomials of x: x_i, then x_p x_i for
-    p < i and C(x_i, 2) for p = i, kappa(x)) for the q-maps G -> H with one
-    fab, filled on first lookup from the cached multiples m (fab e_i, 0).
-    A canonical x never carries, so kappa(x) is the quadratic monomials
-    times G's bil[p][i], p <= i: one dot product per B-coordinate of G."""
+    """x -> (fab(x), base_fab(x), the monomials x + `nil2._quadratic(x)`,
+    kappa(x)) for the q-maps G -> H with one fab, filled on first lookup:
+    base_fab(x) and kappa(x) are `CentralExtension._lift_sum` over H with
+    the fab columns and over G with the unit vectors, on rows kept here."""
 
     def __init__(self, source, target, fab):
-        self.target, self.fab, self.mults = target, fab, {}
-        r, zero = source.rank, (0,) * source.B.rank
-        cols = [source._bilc[p][i] or zero for i in range(r) for p in range(i + 1)]
-        self.kappa_rows = list(zip(*cols)) if cols else [()] * source.B.rank
+        self.source, self.target, self.fab = source, target, fab
+        self.rows = (target._lift_rows([c.coords for c in fab.columns()]),
+                     source._lift_rows(ab._identity(source.rank)))
 
     def __missing__(self, x):
-        H, mults, acc = self.target, self.mults, self.target.zero()
-        for i, m in enumerate(x):
-            if m:
-                if (i, m) not in mults:
-                    mults[i, m] = m * H.pair(self.fab.column(i), H.B.zero())
-                acc = acc + mults[i, m]
-        quad = tuple([x[p] * m if p < i else m * (m - 1) // 2
-                      for i, m in enumerate(x) for p in range(i + 1)])
-        kappa = [sum(map(mul, row, quad)) for row in self.kappa_rows]
-        self[x] = hit = (acc.a, acc.b.coords, x + quad, kappa)
+        quad, s = nil2._quadratic(x), ab.mat_vec(self.fab.matrix, x)
+        self[x] = hit = (self.target.A._trusted(s),
+                         self.target._lift_sum(self.rows[0], quad, s), x + quad,
+                         self.source._lift_sum(self.rows[1], quad, x))
         return hit
 
 
@@ -124,14 +115,11 @@ class QMap:
                     raise NotAQMap(
                         f"commutator relation fails at generator pair "
                         f"({i+1}, {j+1}): {lhs} != {rhs}")
-        for i in range(r):
-            di = G.A.orders[i]
+        for i, di in enumerate(G.A.orders):
             if di == 0:
                 continue
-            torsion = (di * G.gen(i)).b
-            lhs = (di * self.gen_image(i)
-                   + (di * (di - 1) // 2) * H.central(self.delta[i][i]))
-            rhs = H.central(self.fcomm.apply(torsion))
+            lhs = di * self.gen_image(i) + H.central((di * (di - 1) // 2) * self.delta[i][i])
+            rhs = H.central(self.fcomm.apply((di * G.gen(i)).b))
             if lhs != rhs:
                 raise NotAQMap(
                     f"order relation fails at generator {i+1}: {lhs!r} != {rhs!r}")

@@ -321,13 +321,13 @@ print(repr((at_import, [m for m in lazy if m in sys.modules], code, out.getvalue
 """
 
 
-def run_fresh(argv):
+def run_fresh(argv, timeout=120):
     """(lazy modules loaded by the import, lazy modules loaded after the
     command, exit code, output) of cli.main(argv) in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _FRESH.format(lazy=LAZY, argv=argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout)
 
@@ -341,6 +341,21 @@ def test_fresh_import_loads_no_lazy_module():
 def test_fresh_odd_order_iso_imports_maltsev():
     at_import, after, code, text = run_fresh(["iso", "Heis3", "Heis3"])
     assert at_import == [] and after == ["nil2q.maltsev"]
+    assert code == 0 and "path log-criterion: yes\n" in text
+
+
+def test_large_odd_qsplit_iso_runs_no_unbounded_log_criterion():
+    # order 3^10, B = Z3^6: the log criterion would first list about 8e16
+    # isomorphisms B -> B, so once q-split similarity decides it runs only
+    # while |Hom(B_G, B_H)| <= --max-order squared; in a subprocess, so a
+    # hang fails on the timeout
+    pair = ["coproduct(Heis3,Heis3)", "coproduct(Heis3,Heis3)"]
+    _, _, code, text = run_fresh(["iso"] + pair, timeout=30)
+    assert code == 0 and "path qsplit-similar: yes\n" in text
+    assert "log-criterion" not in text
+    code, text = run(["--max-order", "1", "iso", "Heis3", "Heis3"])
+    assert code == 0 and "log-criterion" not in text
+    code, text = run(["iso", "Heis5", "Heis5"])
     assert code == 0 and "path log-criterion: yes\n" in text
 
 

@@ -183,6 +183,26 @@ def test_scalar_multiple_identity():
                     assert lhs == rhs
 
 
+def test_multiples_match_repeated_addition():
+    # n z (n >= 0) against n additions of z, n z + |n| z = 0 for n < 0, and
+    # z + (-z) = 0: over a diagonal bil (DIAG64), a widened B (P2(Q8)), a
+    # zero bil with carries (the Lie ring), carries alone (Z8) and negative
+    # coordinates (a window of free(2))
+    f2 = nil2.free(2)
+    window = [f2.element([s, t], [u]) for s in range(-2, 3) for t in range(-2, 3)
+              for u in (-1, 0, 1)]
+    groups = [D4, Q8, G27, DIAG64, nil2.p2_extension(Q8), maltsev.lie_log(HEIS3),
+              nil2.product(Q8, catalog.cyclic(2)), catalog.cyclic(8)]
+    for g, pts in [(g, list(g.elements())) for g in groups] + [(f2, window)]:
+        for z in pts:
+            assert (z + (-z)).is_zero() and type(-z) is type(z)
+            acc = g.zero()
+            for n in range(8):
+                assert n * z == acc and z * n == acc and type(n * z) is type(z)
+                assert (-n * z + acc).is_zero()
+                acc = acc + z
+
+
 def test_free_group_scalar_identity():
     f2 = nil2.free(2)
     x, y = f2.gen(0), f2.gen(1)

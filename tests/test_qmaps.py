@@ -798,12 +798,25 @@ def test_structural_maps_reject_bad_factor(build, tag):
         build(other, 0)
 
 
+def repeated_sum(z, n):
+    """n z by |n| additions, so that a reference runs neither
+    `Nil2Element.__mul__` nor `__neg__`: for n < 0 it adds the inverse
+    (-x, -u - beta(x, -x)) of z = (x, u)."""
+    g = z.group
+    if n < 0:
+        z, n = g.pair(-z.a, -z.b - g.cocycle(z.a, -z.a)), -n
+    acc = g.zero()
+    for _ in range(n):
+        acc = acc + z
+    return acc
+
+
 def reference_kappa(G, a):
     """B-part of x_1 (e_1, 0) + ... + x_r (e_r, 0) summed left to right,
-    by element arithmetic, for a = (x_1, ..., x_r) canonical."""
+    by element additions, for a = (x_1, ..., x_r) canonical."""
     acc = G.zero()
     for i, m in enumerate(a.coords):
-        acc = acc + m * G.gen(i)
+        acc = acc + repeated_sum(G.gen(i), m)
     assert acc.a == a
     return acc.b
 
@@ -819,7 +832,7 @@ def reference_eval(q, z):
     for i, m in enumerate(x):
         if m == 0:
             continue
-        term = m * q.gen_image(i) + (m * (m - 1) // 2) * H.central(q.delta[i][i])
+        term = repeated_sum(q.gen_image(i), m) + H.central((m * (m - 1) // 2) * q.delta[i][i])
         cross = H.B.zero()
         for p in range(i):
             if x[p]:
@@ -839,12 +852,13 @@ def _assert_eval_matches_reference(q, points):
 def test_eval_agrees_with_reference_expansion():
     q8z2 = nil2.product(Q8, Z2)
     count = 0
-    for g, h in [(Z4, Q8), (D4, Q8), (Q8, D4), (q8z2, V4)]:
+    # the DIAG64 targets check the plan's H-side rows against a diagonal bil
+    for g, h in [(Z4, Q8), (D4, Q8), (Q8, D4), (q8z2, V4), (Z4, DIAG64), (V4, DIAG64)]:
         pts = list(g.elements())
         for q in qmaps.enumerate_qmaps(g, h):
             _assert_eval_matches_reference(q, pts)
             count += 1
-    assert count == 16 + 256 + 256 + 64
+    assert count == 16 + 256 + 256 + 64 + 128 + 512
     for g in (D4, HEIS3, DIAG64):
         for n in (-3, -1, 2):
             _assert_eval_matches_reference(qmaps.power_qmap(g, n), g.elements())
@@ -911,6 +925,20 @@ def test_enumeration_fills_plan_once_per_fab_and_point(monkeypatch, g, h, count)
             q.eval(z)
     assert len(maps) == count and fills
     assert len(fills) <= len({q.fab for q in maps}) * g.A.order()
+
+
+def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
+    # the plan fills base_fab(x) and kappa(x) on coordinates: with every
+    # Nil2Element +, - and * raising, eval still runs over all D4 -> Q8 maps
+    maps, pts = list(qmaps.enumerate_qmaps(D4, Q8)), list(D4.elements())
+
+    def forbidden(*args):
+        raise AssertionError("Nil2Element arithmetic in QMap.eval")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(nil2.Nil2Element, name, forbidden)
+    tables = {tuple((w.a.coords, w.b.coords) for w in map(q.eval, pts)) for q in maps}
+    assert len(maps) == len(tables) == 256
 
 
 def test_bruteforce_leaves_no_cyclic_garbage():
