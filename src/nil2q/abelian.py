@@ -731,10 +731,15 @@ def _scalar_solutions(d: int, t: AbElement):
 
 
 def enumerate_homs(source: FGAbelian, target: FGAbelian):
-    """All homomorphisms source -> target in a fixed deterministic order."""
-    col_choices = [_annihilator(target, d) for d in source.orders]
+    """All homomorphisms source -> target in a fixed deterministic order.
+    Column j runs over `_killed(target.orders, d_j)`, canonical and killed
+    by d_j by construction, so each hom is built without `AbHom`'s checks."""
+    col_choices = [list(_killed(target.orders, d)) for d in source.orders]
+    empty = ((),) * target.rank
     for cols in itertools.product(*col_choices):
-        yield AbHom.from_columns(source, target, list(cols))
+        hom = object.__new__(AbHom)
+        hom.source, hom.target, hom.matrix = source, target, tuple(zip(*cols)) or empty
+        yield hom
 
 
 def isomorphisms(source: FGAbelian, target: FGAbelian, keep=None):

@@ -542,6 +542,22 @@ def center(group: Nil2Group) -> CenterInfo:
 # ---------------------------------------------------------------------------
 # Concrete finite groups as multiplication tables.
 
+def _greedy_generators(table, identity):
+    """Greedy generators of a finite Cayley table: each element, in index
+    order, that right multiplication from the identity by the earlier ones
+    does not reach.  Each at least doubles the span: at most log2 n."""
+    gens, span = [], {identity}
+    for x in range(len(table)):
+        if x not in span:
+            gens.append(x)
+            todo = list(span)
+            for s in todo:
+                new = {table[s][g] for g in gens} - span
+                span |= new
+                todo += new
+    return gens
+
+
 class GroupOracle:
     """A finite group given by labels and a total multiplication table."""
 
@@ -618,14 +634,7 @@ class GroupOracle:
         return seen
 
     def generating_set(self):
-        """Greedy generators: each element, in index order, that right
-        multiplication from the identity by the earlier ones does not reach."""
-        gens, closure = [], {self.identity}
-        for x in range(len(self)):
-            if x not in closure:
-                gens.append(x)
-                closure = self.subgroup_closure(gens)
-        return gens
+        return _greedy_generators(self.table, self.identity)
 
     def commutator_subgroup(self):
         """[G, G] of a class-two table: the commutator is bilinear there, so

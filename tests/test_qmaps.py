@@ -4,6 +4,7 @@ structure on qw(G,H), composition, enumeration vs. the set-map filter."""
 import gc
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -422,7 +423,8 @@ def test_from_function_round_trip():
 
 
 def test_enumeration_matches_bruteforce_small():
-    pairs = [(Z2, Z4), (Z4, Z4), (Z2, Q8), (Z4, Q8), (V4, Q8), (Q8, Z2), (Q8, Z4)]
+    pairs = [(Z2, Z4), (Z4, Z4), (Z2, Q8), (Z4, Q8), (V4, Q8), (Q8, Z2), (Q8, Z4),
+             (catalog.abelian_group([2, 2, 2]), Z2)]
     for g, h in pairs:
         brute = qmaps.quadratic_functions_bruteforce(g, h, kind="qmap")
         hel = list(h.elements())
@@ -504,7 +506,12 @@ def _kernel_agrees_with_reference(g, h, tables):
 
 
 def test_function_checks_agree_with_reference():
-    for g, h in [(Z4, Q8), (V4, D4), (Q8, Z2)]:
+    # Z8, Z2^3 and Q8 x Z2 have generating sets S (`qmaps._generators`)
+    # with one, two and three nonzero members
+    pairs = [(Z4, Q8), (V4, D4), (Q8, Z2), (catalog.cyclic(8), Q8),
+             (catalog.abelian_group([2, 2, 2]), Z4), (nil2.product(Q8, Z2), Z2)]
+    rng = random.Random(20240)
+    for g, h in pairs:
         hel = list(h.elements())
         maps = [value_table(q) for q in qmaps.enumerate_qmaps(g, h)]
         assert _kernel_agrees_with_reference(g, h, maps) == {(True, True)}
@@ -518,8 +525,10 @@ def test_function_checks_agree_with_reference():
             perturbed.append(tuple(t))
         verdicts = _kernel_agrees_with_reference(g, h, perturbed)
         assert (False, False) in verdicts
-    # fixed-seed random set maps V4 -> Q8
-    rng = random.Random(20240)
+        # fixed-seed random set maps
+        sample = [tuple(rng.choice(hel) for _ in range(g.order())) for _ in range(100)]
+        assert (False, False) in _kernel_agrees_with_reference(g, h, sample)
+    # fixed-seed random set maps V4 -> Q8 hit both verdicts
     hel = list(Q8.elements())
     sample = [tuple(rng.choice(hel) for _ in range(V4.order())) for _ in range(400)]
     verdicts = _kernel_agrees_with_reference(V4, Q8, sample)
@@ -562,6 +571,34 @@ def test_trivial_source_and_target():
     assert sum(1 for _ in qmaps.enumerate_qmaps(Q8, triv)) == 1
     q = next(qmaps.enumerate_qmaps(triv, Q8))
     assert q.eval(triv.zero()).is_zero()
+
+
+def test_bruteforce_trivial_source_is_zero_map_only():
+    # the generating set holds 0, which forces f(0) = 0 even when G = 0
+    triv = catalog.abelian_group([])
+    assert qmaps.quadratic_functions_bruteforce(triv, Q8, kind="qmap") == [(0,)]
+    assert qmaps.quadratic_functions_bruteforce(triv, Z4, kind="quadratic") == [(0,)]
+    involution = 2 * Q8.gen(0)
+    assert involution.a.is_zero() and not involution.is_zero()
+    assert not qmaps.is_qmap_function(lambda z: involution, triv, Q8)
+
+
+GROUPS_32 = [("trivial", catalog.abelian_group([]))] + list(catalog.standard_catalog(32))
+
+
+@pytest.mark.parametrize("g", [g for _, g in GROUPS_32], ids=[n for n, _ in GROUPS_32])
+def test_generating_set_spans_from_zero(g):
+    gadd = g.table().add
+    gens = [x for x, _ in qmaps._generators(gadd)]
+    assert gens[0] == 0
+    assert len(gens) <= math.log2(len(gadd)) + 1
+    span, todo = {0}, [0]
+    for x in todo:
+        for y in gens:
+            if gadd[x][y] not in span:
+                span.add(gadd[x][y])
+                todo.append(gadd[x][y])
+    assert span == set(range(len(gadd)))
 
 
 def test_qw_equals_hom_for_abelian_targets():
