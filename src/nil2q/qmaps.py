@@ -30,11 +30,13 @@ factor offsets of `nil2._factor`.  The power map is `_shift` scaled by n
 with its forced cross-effect; addition is the sum of the two product
 projections.
 The independent completeness oracle is the exhaustive set-map filter over
-the defining conditions; it and the function-level checks run on integer
-Cayley tables built from the group law (`Nil2Group.table`), never from
-q-map data.  They test bilinearity along a generating set S of G read off
-the addition table, 0 first: a map v into an abelian group is additive once
-v(x+g) = v(x) + v(g) for all x and all g in S (proof at `_cross_ok`).
+the defining conditions; it and the function-level checks are one kernel,
+`_tables`, on integer Cayley tables built from the group law
+(`Nil2Group.table`), never from q-map data.  It tests each cross value
+(i|j) once, at position max(i, j, i+j) of its backtracking, and bilinearity
+along a generating set S of G read off the addition table, 0 first: a map v
+into an abelian group is additive once v(x+g) = v(x) + v(g) for all x and
+all g in S (proof at the test).
 """
 
 from __future__ import annotations
@@ -552,46 +554,66 @@ def _member_mask(h: nil2.Nil2Group, kind: str):
 
 
 def _generators(gadd):
-    """S for `_cross_ok`, as pairs (g, the column x -> x+g): 0, then
+    """S for `_tables`, as pairs (g, the column x -> x+g): 0, then
     `nil2._greedy_generators` of the addition table alone, so |S| <= log2 n + 1."""
     return [(g, [row[g] for row in gadd]) for g in [0] + nil2._greedy_generators(gadd, 0)]
 
 
-def _cross_ok(vals, gadd, gens, hadd, hneg, good, cross) -> bool:
-    """The defining conditions on a value table, vals[x] = H-index of f(x).
+def _tables(g, h, good, choices):
+    """Every value table vals, vals[x] the H-index of f(x) drawn from
+    choices[x], whose cross-effect (x|y)_f = -(f(x)+f(y)) + f(x+y) lies in
+    `good` and is bilinear, in lexicographic order.
 
-    Fills the n x n buffer `cross` with (x|y)_f = -(f(x)+f(y)) + f(x+y),
-    failing at the first value w with not good[w]; then the cross-effect
-    is bilinear iff each row and each column v has v(x+g) = v(x) + v(g)
-    for every x and every g of S = `_generators`.  Proof: the g passing for
-    all x are closed under addition, as v(x+g+g') = v(x+g) + v(g') =
-    v(x) + v(g) + v(g') = v(x) + v(g+g'), and the finite G is the monoid
-    spanned by S.  S holds 0, which forces v(0) = 0 and so makes the test
-    exact on G = 0 too; it is tested last, as for G != 0 the other
-    generators imply it.
+    Backtracks over G's elements in index order.  Position p computes,
+    stores and tests (i|j) for every pair with max(i, j, i+j) = p, so each
+    pair is filled once, as soon as its three values are set, and a full
+    assignment has a whole cross table that passed the membership test.
+    The leaf then tests bilinearity: each row and each column v of the
+    table has v(x+s) = v(x) + v(s) for every x and every s of S =
+    `_generators`.
     """
-    for x, vx in enumerate(vals):
-        row, gx, hx = cross[x], gadd[x], hadd[vx]
-        for y, vy in enumerate(vals):
-            row[y] = c = hadd[hneg[hx[vy]]][vals[gx[y]]]
-            if not good[c]:
-                return False
-    return all([row[s] for s in shift] == [hadd[w][row[g]] for w in row]
-               and cross[xg] == [hadd[w][c] for w, c in zip(row, cross[g])]
-               for g, shift in reversed(gens) for row, xg in zip(cross, shift))
+    gadd, ht = g.table().add, h.table()
+    hadd, hneg = ht.add, ht.neg
+    gens, n = _generators(gadd), len(gadd)
+    by_max = [[] for _ in range(n)]
+    for i, row in enumerate(gadd):
+        for j, k in enumerate(row):
+            m = j if j > i else i       # max(i, j, k), without the call
+            by_max[k if k > m else m].append((i, j, k))
+    vals, cross = [0] * n, [[0] * n for _ in range(n)]
+    untried = [iter(choices[0])]        # untried[p]: the values left at p
+    while untried:
+        pos = len(untried) - 1
+        for vals[pos] in untried[pos]:
+            for i, j, k in by_max[pos]:
+                cross[i][j] = c = hadd[hneg[hadd[vals[i]][vals[j]]]][vals[k]]
+                if not good[c]:
+                    break
+            else:
+                break                   # every (i|j) at pos is in `good`
+        else:
+            untried.pop()               # no value left at pos
+            continue
+        if pos + 1 < n:
+            untried.append(iter(choices[pos + 1]))
+        # exact: the s that pass for all x are closed under addition, as
+        # v(x+s+t) = v(x+s) + v(t) = v(x) + v(s) + v(t) = v(x) + v(s+t),
+        # and S spans the finite G as a monoid; its 0, tested last as the
+        # others imply it when G != 0, forces v(0) = 0 when G = 0
+        elif all([row[t] for t in shift] == [hadd[w][row[s]] for w in row]
+                 and cross[xs] == [hadd[w][c] for w, c in zip(row, cross[s])]
+                 for s, shift in reversed(gens) for row, xs in zip(cross, shift)):
+            yield tuple(vals)
 
 
 def _function_ok(fn, g, h, good) -> bool:
-    gt, ht = g.table(), h.table()
-    vals = []
+    index, choices = h.table().index, []
     for z in g.elements():
         w = fn(z)
-        if w.group != h:
+        if not isinstance(w, nil2.Nil2Element) or w.group != h:
             raise InvalidArgument(f"value {w!r} at {z!r} is not in the target group")
-        vals.append(ht.index[w.a.coords, w.b.coords])
-    n = len(vals)
-    return _cross_ok(vals, gt.add, _generators(gt.add), ht.add, ht.neg, good,
-                     [[0] * n for _ in range(n)])
+        choices.append([index[w.a.coords, w.b.coords]])
+    return next(_tables(g, h, good, choices), None) is not None
 
 
 def is_qmap_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
@@ -609,37 +631,12 @@ def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
     """Exhaustive filter of all set maps G -> H by the defining conditions.
 
     `kind` = "qmap" requires the cross-effect in [H,H]; "quadratic"
-    requires it central.  Runs on the integer Cayley tables of G and H,
-    built from the group law and never from q-map data.  Backtracking
-    assigns values in element order and prunes on the membership
-    condition; survivors get the bilinearity test of `_cross_ok` along
-    one generating set.  Returns value
-    tables as tuples of H-element indices, sorted.
+    requires it central.  Runs the kernel `_tables`, with every H-index as
+    the choice at each position, on the integer Cayley tables of G and H,
+    built from the group law and never from q-map data: each cross value
+    (i|j) is computed and tested once, at position max(i, j, i+j), and each
+    full table gets the bilinearity test along one generating set.  Returns
+    value tables as tuples of H-element indices, sorted.
     """
-    gadd, ht = g.table().add, h.table()
     good = _member_mask(h, kind)
-    hadd, hneg = ht.add, ht.neg
-    gens = _generators(gadd)
-    n = len(gadd)
-    by_max = [[] for _ in range(n)]
-    for i in range(n):
-        for j, k in enumerate(gadd[i]):
-            by_max[max(i, j, k)].append((i, j, k))
-    values = [-1] * n          # -1: no value tried yet at this position
-    cross = [[0] * n for _ in range(n)]
-    out = []
-    pos = 0
-    while pos >= 0:
-        if pos == n:
-            if _cross_ok(values, gadd, gens, hadd, hneg, good, cross):
-                out.append(tuple(values))
-            pos -= 1
-            continue
-        values[pos] += 1
-        if values[pos] == len(hadd):
-            values[pos] = -1
-            pos -= 1
-        elif all(good[hadd[hneg[hadd[values[i]][values[j]]]][values[k]]]
-                 for i, j, k in by_max[pos]):
-            pos += 1
-    return sorted(out)
+    return sorted(_tables(g, h, good, [range(len(good))] * g.order()))

@@ -535,12 +535,28 @@ def test_function_checks_agree_with_reference():
     assert {(True, True), (False, False)} <= verdicts
 
 
+@pytest.mark.parametrize("g, h", [(V4, Z4), (Z4, Q8), (V4, Q8)], ids=["V4-Z4", "Z4-Q8", "V4-Q8"])
+def test_function_checks_agree_with_bruteforce_on_every_set_map(g, h):
+    # the two entry points of the one kernel: each check accepts exactly
+    # the tables the brute-force filter of its kind returns
+    gel, hel = list(g.elements()), list(h.elements())
+    checks = {"qmap": qmaps.is_qmap_function, "quadratic": qmaps.is_quadratic_function}
+    for kind, check in checks.items():
+        accepted = set(qmaps.quadratic_functions_bruteforce(g, h, kind=kind))
+        assert accepted
+        for table in itertools.product(range(len(hel)), repeat=len(gel)):
+            fn = dict(zip(gel, map(hel.__getitem__, table))).__getitem__
+            assert check(fn, g, h) == (table in accepted), (kind, table)
+
+
 def test_function_checks_reject_values_outside_target():
-    # values in another group are an input error, not a verdict
-    with pytest.raises(InvalidArgument):
-        qmaps.is_qmap_function(lambda z: Q8.zero(), Z2, D4)
-    with pytest.raises(InvalidArgument):
-        qmaps.is_quadratic_function(lambda z: Q8.zero(), Z2, D4)
+    # values in another group, or not group elements at all, are an input
+    # error, not a verdict
+    for value in (Q8.zero(), None, 0):
+        with pytest.raises(InvalidArgument):
+            qmaps.is_qmap_function(lambda z: value, Z2, D4)
+        with pytest.raises(InvalidArgument):
+            qmaps.is_quadratic_function(lambda z: value, Z2, D4)
     # a structurally equal copy of the target is the same group
     assert qmaps.is_qmap_function(lambda z: Q8.zero(), Z2, catalog.quaternion())
 
@@ -980,8 +996,15 @@ def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
 
 def test_bruteforce_leaves_no_cyclic_garbage():
     # the backtracking keeps no reference cycle: its working lists are
-    # freed by reference counting when the call returns
+    # freed by reference counting when the call returns, also when a
+    # function check abandons the kernel at its first table
     gc.collect()
     for kind in ("qmap", "quadratic"):
         qmaps.quadratic_functions_bruteforce(Z4, Z2, kind=kind)
+        assert gc.collect() == 0
+    zero, one = Z2.zero(), Z2.gen(0)
+    for check in (qmaps.is_qmap_function, qmaps.is_quadratic_function):
+        assert check(lambda z: zero, Z4, Z2)
+        assert gc.collect() == 0
+        assert not check(lambda z: one, Z4, Z2)
         assert gc.collect() == 0
