@@ -312,7 +312,8 @@ class FGAbelian:
 
 
 class AbElement:
-    """Element of an FGAbelian group, coordinates in canonical form."""
+    """Element of an FGAbelian group, coordinates in canonical form; an
+    immutable value, which may be shared."""
 
     __slots__ = ("group", "coords")
 

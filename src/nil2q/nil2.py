@@ -63,7 +63,9 @@ def _quadratic(x):
 
 
 class Nil2Element:
-    """Element (a, u) of a central extension, both components canonical."""
+    """Element (a, u) of a central extension, both components canonical.
+    Elements are immutable values and may be shared: `QMap.eval` returns
+    one object for equal values of the maps sharing a plan."""
 
     __slots__ = ("group", "a", "b")
 
@@ -331,9 +333,11 @@ class CayleyTable:
     are the indices of sums and negatives.  (a, u) is at pos(a) |B| + pos(u),
     so `add` comes from the sums in A and B and the cocycle.  Keys are
     coordinates, not elements, so the table holds no reference to its group.
+    `by_max` and `masks` are kept here for the function-level oracles of
+    `qmaps`, which fill them on first use.
     """
 
-    __slots__ = ("index", "add", "neg")
+    __slots__ = ("index", "add", "neg", "by_max", "masks")
 
     def __init__(self, group):
         self.index = {(z.a.coords, z.b.coords): i for i, z in enumerate(group.elements())}
@@ -353,6 +357,7 @@ class CayleyTable:
                      for j in range(na) for v in range(nb)]
                     for i in range(na) for u in range(nb)]
         self.neg = [row.index(0) for row in self.add]
+        self.by_max, self.masks = None, {}
 
 
 # ---------------------------------------------------------------------------

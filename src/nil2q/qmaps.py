@@ -22,6 +22,8 @@ Evaluation is the closed form of the ascending generator expansion: as
 base_fab(x) and kappa(x) the B-parts of x_1 (fab e_1, 0) + ... in H and of
 x_1 (e_1, 0) + ... in G, both `nil2`'s closed form for sums of generator
 lifts: per B-coordinate, dot products with monomials a per-fab plan keeps.
+A plan entry also keeps the values it has returned, by their B-coordinates,
+so the maps that share a plan share their values: elements are immutable.
 The structural homomorphisms (identity, zero, the projections and
 inclusions of products and coproducts, the coproduct's couniversal map,
 the abelianization projection) are built by one zero-cross-effect
@@ -58,9 +60,12 @@ from .errors import (
 
 class _FabPlan(dict):
     """x -> (fab(x), base_fab(x), the monomials x + `nil2._quadratic(x)`,
-    kappa(x)) for the q-maps G -> H with one fab, filled on first lookup:
-    base_fab(x) and kappa(x) are `CentralExtension._lift_sum` over H with
-    the fab columns and over G with the unit vectors, on rows kept here."""
+    kappa(x), values) for the q-maps G -> H with one fab, filled on first
+    lookup: base_fab(x) and kappa(x) are `CentralExtension._lift_sum` over
+    H with the fab columns and over G with the unit vectors, on rows kept
+    here; `values` keeps each value (fab(x), u) that `QMap.eval` has
+    returned at a point over x, by u's coordinates, for every map sharing
+    the plan."""
 
     def __init__(self, source, target, fab):
         self.source, self.target, self.fab = source, target, fab
@@ -71,7 +76,7 @@ class _FabPlan(dict):
         quad, s = nil2._quadratic(x), ab.mat_vec(self.fab.matrix, x)
         self[x] = hit = (self.target.A._trusted(s),
                          self.target._lift_sum(self.rows[0], quad, s), x + quad,
-                         self.source._lift_sum(self.rows[1], quad, x))
+                         self.source._lift_sum(self.rows[1], quad, x), {})
         return hit
 
 
@@ -80,7 +85,7 @@ class QMap:
     central extensions; values are built as the target's `element_class`."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
-                 "_plan", "_rows")
+                 "_plan", "_rows", "_deltac")
 
     def __init__(self, source, target, fab, fcomm, gamma, delta,
                  _validated=False, _plan=None):
@@ -103,6 +108,7 @@ class QMap:
         cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
         cols += zip(*fcomm.matrix)
         self._rows = list(zip(*cols)) if cols else [()] * target.B.rank
+        self._deltac = None
 
     # -- validation ----------------------------------------------------------
 
@@ -135,20 +141,32 @@ class QMap:
         return self.target.pair(self.fab.column(i), self.gamma[i])
 
     def cross_data(self, acoords, bcoords) -> ab.AbElement:
-        """Bilinear cross-effect through delta on canonical A-coordinates."""
-        return self.target.B._bilinear(acoords, bcoords, self.delta)
+        """Bilinear cross-effect through delta on canonical A-coordinates,
+        over delta's coordinate rows (None for zero), built on the first
+        call and kept."""
+        if self._deltac is None:
+            self._deltac = tuple(tuple(None if e.is_zero() else e.coords for e in row)
+                                 for row in self.delta)
+        B = self.target.B
+        return B._trusted(ab._bilinear_into([0] * B.rank, acoords, bcoords, self._deltac))
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
         """Evaluate by the fixed generator expansion (ascending index), in
         closed form (module docstring): per B-coordinate, base_fab(x) plus
-        the coefficient row times the monomials of x and u - kappa(x)."""
+        the coefficient row times the monomials of x and u - kappa(x),
+        reduced; the value is built once per plan entry and B-coordinates
+        and then shared (elements are immutable)."""
         G, H = self.source, self.target
         if z.group is not G and z.group != G:
             raise InvalidArgument("element not in the source group")
-        a, base, mono, kappa = self._plan[z.a.coords]
+        a, base, mono, kappa, values = self._plan[z.a.coords]
         mono += tuple(map(sub, z.b.coords, kappa))
-        return H.element_class(H, a, H.B._trusted(
-            [s + sum(map(mul, row, mono)) for s, row in zip(base, self._rows)]))
+        u = tuple([v % d if d else v for s, row, d in zip(base, self._rows, H._borders)
+                   for v in (s + sum(map(mul, row, mono)),)])
+        w = values.get(u)
+        if w is None:
+            w = values[u] = H.element_class(H, a, ab.AbElement(H.B, u))
+        return w
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""
@@ -544,13 +562,15 @@ def enumerate_homs(g: nil2.Nil2Group, h: nil2.Nil2Group):
 # read only the groups' integer Cayley tables, built from the group law.
 
 def _member_mask(h: nil2.Nil2Group, kind: str):
-    """good[w] per H-index w: in [H,H] ("qmap") or central ("quadratic")."""
-    if kind == "qmap":
-        return [w.a.is_zero() for w in h.elements()]
-    if kind == "quadratic":
-        ctr = nil2.center(h)
-        return [ctr.contains(w) for w in h.elements()]
-    raise InvalidArgument(f"unknown filter kind {kind!r}")
+    """good[w] per H-index w: in [H,H] ("qmap") or central ("quadratic"),
+    kept in the `masks` of H's table."""
+    if kind not in ("qmap", "quadratic"):
+        raise InvalidArgument(f"unknown filter kind {kind!r}")
+    masks = h.table().masks
+    if kind not in masks:
+        member = nil2.center(h).contains if kind == "quadratic" else lambda w: w.a.is_zero()
+        masks[kind] = [member(w) for w in h.elements()]
+    return masks[kind]
 
 
 def _generators(gadd):
@@ -570,16 +590,19 @@ def _tables(g, h, good, choices):
     assignment has a whole cross table that passed the membership test.
     The leaf then tests bilinearity: each row and each column v of the
     table has v(x+s) = v(x) + v(s) for every x and every s of S =
-    `_generators`.
+    `_generators`.  The triples of each position, `by_max`, are kept with
+    G's table.
     """
-    gadd, ht = g.table().add, h.table()
-    hadd, hneg = ht.add, ht.neg
+    gt, ht = g.table(), h.table()
+    gadd, hadd, hneg = gt.add, ht.add, ht.neg
     gens, n = _generators(gadd), len(gadd)
-    by_max = [[] for _ in range(n)]
-    for i, row in enumerate(gadd):
-        for j, k in enumerate(row):
-            m = j if j > i else i       # max(i, j, k), without the call
-            by_max[k if k > m else m].append((i, j, k))
+    by_max = gt.by_max
+    if by_max is None:
+        gt.by_max = by_max = [[] for _ in range(n)]
+        for i, row in enumerate(gadd):
+            for j, k in enumerate(row):
+                m = j if j > i else i   # max(i, j, k), without the call
+                by_max[k if k > m else m].append((i, j, k))
     vals, cross = [0] * n, [[0] * n for _ in range(n)]
     untried = [iter(choices[0])]        # untried[p]: the values left at p
     while untried:

@@ -535,7 +535,8 @@ def test_function_checks_agree_with_reference():
     assert {(True, True), (False, False)} <= verdicts
 
 
-@pytest.mark.parametrize("g, h", [(V4, Z4), (Z4, Q8), (V4, Q8)], ids=["V4-Z4", "Z4-Q8", "V4-Q8"])
+@pytest.mark.parametrize("g, h", [(V4, Z4), (Z4, Q8), (V4, Q8), (V4, D4)],
+                         ids=["V4-Z4", "Z4-Q8", "V4-Q8", "V4-D4"])
 def test_function_checks_agree_with_bruteforce_on_every_set_map(g, h):
     # the two entry points of the one kernel: each check accepts exactly
     # the tables the brute-force filter of its kind returns
@@ -992,6 +993,32 @@ def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
         monkeypatch.setattr(nil2.Nil2Element, name, forbidden)
     tables = {tuple((w.a.coords, w.b.coords) for w in map(q.eval, pts)) for q in maps}
     assert len(maps) == len(tables) == 256
+
+
+def test_enumerated_eval_shares_values_per_plan_entry(monkeypatch):
+    # a plan entry keeps the values it returns: tabulating all 256 D4 -> Q8
+    # maps builds at most one element per fab, point of A and value in B
+    # (128 over 16 fabs), not one per map and point (2048)
+    maps, pts = list(qmaps.enumerate_qmaps(D4, Q8)), list(D4.elements())
+    built = []
+    init = nil2.Nil2Element.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(nil2.Nil2Element, "__init__", counting_init)
+    tables = [[q.eval(z) for z in pts] for q in maps]
+    assert len(maps) == 256 and built
+    assert len(built) <= len({q.fab for q in maps}) * D4.A.order() * Q8.B.order() == 128
+    # equal values of two maps with one plan are one object
+    shared = 0
+    for (p, tp), (q, tq) in itertools.combinations(zip(maps[:64], tables[:64]), 2):
+        if p._plan is q._plan:
+            for v, w in zip(tp, tq):
+                assert (v is w) == (v == w), (p, q, v, w)
+                shared += v is w
+    assert shared
 
 
 def test_bruteforce_leaves_no_cyclic_garbage():
