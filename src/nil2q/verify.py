@@ -5,7 +5,9 @@ CLI selftest renders them as PASS/FAIL lines and the acceptance tests
 assert on them.  Exhaustive loops are bounded by the catalog order caps;
 where a morphism space is too large to sweep completely, couples are
 sampled deterministically (fixed stride, no randomness) and the caps are
-recorded in the result details.
+recorded in the result details.  The element-pair sweeps read the integer
+Cayley tables (`_law`); the lemma suites have one scale, the catalog up to
+order 125, whatever the caller's order cap.
 """
 
 from __future__ import annotations
@@ -36,40 +38,55 @@ def _stride_sample(seq, cap):
 
 
 # ---------------------------------------------------------------------------
-# Element identities on catalog groups.
+# Element identities on catalog groups, read off the integer Cayley tables.
 
-def suite_element_identities(max_order: int = 32):
-    """Commutator and multiple identities, exhaustive on all element pairs."""
+def _law(g):
+    """The law of finite `g` on the indices of `g.table()`: `add`; `neg` and
+    the commutator table -x - y + x + y, with -x from `Nil2Element` negation,
+    not from the table; and `at(z)`, the index of element z."""
+    add, index = g.table().add, g.table().index
+
+    def at(z):
+        return index[z.a.coords, z.b.coords]
+
+    neg = [at(-z) for z in g.elements()]
+    comm = [[add[add[nx][ny]][s] for ny, s in zip(neg, row)] for nx, row in zip(neg, add)]
+    return add, neg, comm, at
+
+
+def _pairs(table):
+    return ((x, y, e) for x, row in enumerate(table) for y, e in enumerate(row))
+
+
+def suite_element_identities():
+    """Commutator and multiple identities, exhaustive on all element pairs of
+    the catalog groups up to order 125: element operations give indices, and
+    each identity is a comparison of table lookups."""
     results = []
-    for name, g in catalog.standard_catalog(max_order):
+    for name, g in catalog.standard_catalog(125):
+        add, _, comm, at = _law(g)
         elems = list(g.elements())
-        ok_def = all(x.comm(y) == -x - y + x + y for x in elems for y in elems)
+        ok_def = all(at(elems[x].comm(elems[y])) == c for x, y, c in _pairs(comm))
         results.append(CheckResult("commutator-definition", name, ok_def))
-        ok_central = True
-        for b in g.B.elements():
-            c = g.central(b)
-            if not all(c.comm(z).is_zero() for z in elems):
-                ok_central = False
+        cen = [at(g.central(b)) for b in g.B.elements()]
+        ok_central = all(e == 0 for c in cen for e in comm[c])
         results.append(CheckResult("commutators-central", name, ok_central))
-        # the commutator depends only on abelianization classes and agrees
-        # with the antisymmetrized cocycle data
-        ok_pairing = all(x.comm(y) == g.central(g.commutator_pairing(x.a, y.a))
-                         for x in elems for y in elems)
+        # the commutator depends only on abelianization classes and agrees with the
+        # antisymmetrized cocycle data; `elements` is A x B lexicographic
+        avals, nb = list(g.A.elements()), len(cen)
+        pairing = [[at(g.central(g.commutator_pairing(a, b))) for b in avals] for a in avals]
+        ok_pairing = all(c == pairing[x // nb][y // nb] for x, y, c in _pairs(comm))
         results.append(CheckResult("commutator-pairing-data", name, ok_pairing))
-        ok_anti = all((x.comm(y) + y.comm(x)).is_zero()
-                      for x in elems for y in elems)
+        ok_anti = all(add[c][comm[y][x]] == 0 for x, y, c in _pairs(comm))
         results.append(CheckResult("commutator-antisymmetric", name, ok_anti))
-        ok_mult = True
-        for x in elems:
-            for y in elems:
-                c = x.comm(y)
-                for n in MULTIPLE_RANGE:
-                    if n * x + n * y != n * (x + y) + (n * (n - 1) // 2) * c:
-                        ok_mult = False
+        mult = {n: [at(n * z) for z in elems]
+                for m in MULTIPLE_RANGE for n in (m, m * (m - 1) // 2)}
+        ok_mult = all(add[mult[n][x]][mult[n][y]]
+                      == add[mult[n][add[x][y]]][mult[n * (n - 1) // 2][c]]
+                      for n in MULTIPLE_RANGE for x, y, c in _pairs(comm))
         results.append(CheckResult("multiple-identity", name, ok_mult,
                                    f"n in {list(MULTIPLE_RANGE)}"))
-        ok_triple = all(x.comm(g.central(b)).is_zero()
-                        for x in elems for b in g.B.elements())
+        ok_triple = all(row[c] == 0 for row in comm for c in cen)
         results.append(CheckResult("triple-commutator-trivial", name, ok_triple))
     return results
 
@@ -87,48 +104,40 @@ def _catalog_map(max_order=200):
 
 
 def suite_qmap_identities():
-    """The weakly-quadratic identity family, pointwise over all element
-    pairs, for deterministically sampled q-maps of each catalog pair."""
+    """The weakly-quadratic identity family over all element pairs, for
+    deterministically sampled q-maps of each catalog pair, on the integer
+    tables of both groups: per q-map the index of each value, and of each
+    cross value once per pair of A-classes."""
     cat = _catalog_map()
     results = []
     for gn, hn in QMAP_PAIRS_SMALL + QMAP_PAIRS_27:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
         qs = list(itertools.islice(qmaps.enumerate_qmaps(g, h), QMAP_IDENTITY_CAP))
-        elems = list(g.elements())
-        bees = [g.central(b) for b in g.B.elements()]
+        (gadd, gneg, gcomm, gat), (hadd, hneg, hcomm, at) = _law(g), _law(h)
+        avals = [a.coords for a in g.A.elements()]
+        cen = [gat(g.central(b)) for b in g.B.elements()]
+        idx = range(len(gadd))
+        cls, six = [x // len(cen) for x in idx], idx[:6]    # A-classes, as above
         ok_zero = ok_neg = ok_shift = ok_comm = ok_cross = ok_triple = True
         for q in qs:
-            vals = {z: q.eval(z) for z in elems}
-            if not vals[g.zero()].is_zero():
-                ok_zero = False
-            for z in elems:
-                if q.eval(-z) != -vals[z] + q.cross(z, z):
-                    ok_neg = False
-            for z in elems:
-                for c in bees:
-                    if vals[z + c] != vals[z] + vals[c]:
-                        ok_shift = False
-            for x in elems:
-                vx = vals[x]
-                for y in elems:
-                    # cross-effect of the function matches the bilinear data
-                    if -(vx + vals[y]) + vals[x + y] != q.cross(x, y):
-                        ok_cross = False
-                    if vals[x.comm(y)] != vx.comm(vals[y]) + q.cross(x, y) - q.cross(y, x):
-                        ok_comm = False
-            for x in elems[:6]:
-                for y in elems[:6]:
-                    for z in elems[:6]:
-                        if vals[x.comm(y.comm(z))] != vals[x].comm(vals[y].comm(vals[z])):
-                            ok_triple = False
-        detail = f"{len(qs)} q-maps"
-        results.append(CheckResult("qmap-zero-value", inst, ok_zero, detail))
-        results.append(CheckResult("qmap-negation-identity", inst, ok_neg, detail))
-        results.append(CheckResult("qmap-commutator-shift", inst, ok_shift, detail))
-        results.append(CheckResult("qmap-cross-matches-data", inst, ok_cross, detail))
-        results.append(CheckResult("qmap-commutator-image", inst, ok_comm, detail))
-        results.append(CheckResult("qmap-triple-commutator", inst, ok_triple, detail))
+            v = [at(q.eval(z)) for z in g.elements()]
+            byclass = [[at(h.central(q.cross_data(a, b))) for b in avals] for a in avals]
+            cross = [[byclass[p][r] for r in cls] for p in cls]
+            ok_zero &= v[0] == 0
+            ok_neg &= all(v[gneg[x]] == hadd[hneg[v[x]]][cross[x][x]] for x in idx)
+            ok_shift &= all(v[gadd[x][c]] == hadd[v[x]][v[c]] for x in idx for c in cen)
+            # cross-effect of the function matches the bilinear data
+            ok_cross &= all(hadd[hneg[hadd[v[x]][v[y]]]][v[s]] == cross[x][y]
+                            for x, y, s in _pairs(gadd))
+            ok_comm &= all(v[c] == hadd[hadd[hcomm[v[x]][v[y]]][cross[x][y]]][hneg[cross[y][x]]]
+                           for x, y, c in _pairs(gcomm))
+            ok_triple &= all(v[gcomm[x][gcomm[y][z]]] == hcomm[v[x]][hcomm[v[y]][v[z]]]
+                             for x in six for y in six for z in six)
+        checks = [("qmap-zero-value", ok_zero), ("qmap-negation-identity", ok_neg),
+                  ("qmap-commutator-shift", ok_shift), ("qmap-cross-matches-data", ok_cross),
+                  ("qmap-commutator-image", ok_comm), ("qmap-triple-commutator", ok_triple)]
+        results += [CheckResult(c, inst, ok, f"{len(qs)} q-maps") for c, ok in checks]
     return results
 
 
@@ -276,10 +285,8 @@ def suite_enumeration():
     for gn, hn in BRUTE_PAIRS:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        hel = list(h.elements())
-        hidx = {z: i for i, z in enumerate(hel)}
-        gel = list(g.elements())
-        enum = sorted(tuple(hidx[q.eval(z)] for z in gel)
+        at, gel = _law(h)[3], list(g.elements())
+        enum = sorted(tuple(at(q.eval(z)) for z in gel)
                       for q in qmaps.enumerate_qmaps(g, h))
         brute = qmaps.quadratic_functions_bruteforce(g, h, kind="qmap")
         ok = enum == brute and len(set(enum)) == len(enum)
@@ -289,8 +296,11 @@ def suite_enumeration():
     for gn, hn in [("Q8", "Z2"), ("Q8", "Z4"), ("D4", "V4")]:
         g, h = cat[gn], cat[hn]
         qs = list(qmaps.enumerate_qmaps(g, h))
-        ok = (all(q.is_hom(exhaustive=True) for q in qs)
-              and len(qs) == ab.hom_count(g.A, h.A))
+        gadd, (hadd, _, _, at) = _law(g)[0], _law(h)
+        ok = len(qs) == ab.hom_count(g.A, h.A)
+        for q in qs:
+            v = [at(q.eval(z)) for z in g.elements()]
+            ok &= q.is_hom() and all(v[s] == hadd[v[x]][v[y]] for x, y, s in _pairs(gadd))
         results.append(CheckResult("abelian-target-qmaps-are-homs",
                                    f"{gn}->{hn}", ok, f"{len(qs)} maps"))
     # q-maps out of Z classify by value and cross at 1: |qw(Z, Q8)| = 16
@@ -510,8 +520,7 @@ def suite_negative_control():
 # Suite registry.
 
 SUITES = {
-    "lemmas": lambda max_order: (suite_element_identities(min(max_order, 32))
-                                 + suite_qmap_identities()),
+    "lemmas": lambda max_order: suite_element_identities() + suite_qmap_identities(),
     "coproduct": lambda max_order: suite_coproduct(),
     "qmaps": lambda max_order: suite_qmap_algebra(),
     "enum": lambda max_order: suite_enumeration(),

@@ -34,6 +34,12 @@ def as_function_set(qs):
     return {value_table(q) for q in qs}
 
 
+def reference_is_hom(q):
+    # pointwise, on every pair of source elements
+    gel = list(q.source.elements())
+    return all(q.eval(x + y) == q.eval(x) + q.eval(y) for x in gel for y in gel)
+
+
 def test_identity_and_zero():
     for g in [Q8, D4, HEIS3]:
         idq = qmaps.identity_qmap(g)
@@ -42,7 +48,7 @@ def test_identity_and_zero():
         zq = qmaps.zero_qmap(g, Q8)
         for z in g.elements():
             assert zq.eval(z).is_zero()
-        assert idq.is_hom(exhaustive=True)
+        assert idq.is_hom() and reference_is_hom(idq)
 
 
 def test_free_source_accepts_any_images():
@@ -230,7 +236,7 @@ def test_right_quadratic_law():
 
 def test_is_hom_matches_pointwise():
     for q in qmaps.enumerate_qmaps(Z4, Q8):
-        assert q.is_hom() == q.is_hom(exhaustive=True)
+        assert q.is_hom() == reference_is_hom(q)
 
 
 def _reversed_order_eval(q, z):
@@ -623,7 +629,7 @@ def test_qw_equals_hom_for_abelian_targets():
     pairs = [(Q8, Z2), (Q8, Z4), (D4, V4), (HEIS3, catalog.cyclic(3))]
     for g, h in pairs:
         qs = list(qmaps.enumerate_qmaps(g, h))
-        assert all(q.is_hom(exhaustive=True) for q in qs)
+        assert all(q.is_hom() and reference_is_hom(q) for q in qs)
         homs = {tuple(q.fab.matrix) for q in qs}
         assert len(homs) == len(qs)
         assert len(qs) == ab.hom_count(g.A, h.A)
@@ -685,7 +691,7 @@ def test_qw_is_normal_in_qu():
 def test_coproduct_inclusions_and_couniversal():
     c = nil2.coproduct(Z2, Z2)
     i1, i2 = qmaps.coproduct_inclusion(c, 0), qmaps.coproduct_inclusion(c, 1)
-    assert i1.is_hom(exhaustive=True) and i2.is_hom(exhaustive=True)
+    assert all(i.is_hom() and reference_is_hom(i) for i in (i1, i2))
     x = Q8
     homs1 = [q for q in qmaps.enumerate_qmaps(Z2, x) if q.is_hom()]
     homs2 = homs1
@@ -693,7 +699,7 @@ def test_coproduct_inclusions_and_couniversal():
     for u in homs1:
         for v in homs2:
             w = qmaps.coproduct_couniversal(c, u, v)
-            assert w.is_hom(exhaustive=True)
+            assert w.is_hom() and reference_is_hom(w)
             assert w.compose(i1) == u and w.compose(i2) == v
             matches = [t for t in all_homs_c
                        if t.compose(i1) == u and t.compose(i2) == v]
