@@ -36,9 +36,7 @@ the defining conditions; it and the function-level checks are one kernel,
 `_tables`, on integer Cayley tables built from the group law
 (`Nil2Group.table`), never from q-map data.  It tests each cross value
 (i|j) once, at position max(i, j, i+j) of its backtracking, and bilinearity
-along a generating set S of G read off the addition table, 0 first: a map v
-into an abelian group is additive once v(x+g) = v(x) + v(g) for all x and
-all g in S (proof at the test).
+along the nonzero members S' of a generating set (proof at the test).
 """
 
 from __future__ import annotations
@@ -579,14 +577,13 @@ def _tables(g, h, good, choices):
     stores and tests (i|j) for every pair with max(i, j, i+j) = p, so each
     pair is filled once, as soon as its three values are set, and a full
     assignment has a whole cross table that passed the membership test.
-    The leaf then tests bilinearity: each row and each column v of the
-    table has v(x+s) = v(x) + v(s) for every x and every s of S =
-    `_generators`.  The triples of each position, `by_max`, are kept with
-    G's table.
+    The leaf tests bilinearity along S', the nonzero members of `_generators`
+    ([0] if G = 0): (R') (s|y+t) = (s|y) + (s|t), (C) (x+s|-) = (x|-) + (s|-)
+    for all x, y and s, t in S'.  `by_max` is kept with G's table.
     """
     gt, ht = g.table(), h.table()
     gadd, hadd, hneg = gt.add, ht.add, ht.neg
-    gens, n = _generators(gadd), len(gadd)
+    gens, n = _generators(gadd)[1:] or [(0, [0])], len(gadd)
     by_max = gt.by_max
     if by_max is None:
         gt.by_max = by_max = [[] for _ in range(n)]
@@ -610,13 +607,15 @@ def _tables(g, h, good, choices):
             continue
         if pos + 1 < n:
             untried.append(iter(choices[pos + 1]))
-        # exact: the s that pass for all x are closed under addition, as
-        # v(x+s+t) = v(x+s) + v(t) = v(x) + v(s) + v(t) = v(x) + v(s+t),
-        # and S spans the finite G as a monoid; its 0, tested last as the
-        # others imply it when G != 0, forces v(0) = 0 when G = 0
-        elif all([row[t] for t in shift] == [hadd[w][row[s]] for w in row]
-                 and cross[xs] == [hadd[w][c] for w, c in zip(row, cross[s])]
-                 for s, shift in reversed(gens) for row, xs in zip(cross, shift)):
+        # exact: for v into an abelian group, the t with v(y+t) = v(y) + v(t)
+        # for all y are closed under addition (v(y+t+u) = v(y) + v(t) + v(u)
+        # = v(y) + v(t+u)) and S' spans G as a monoid.  So (C) makes x -> (x|-)
+        # a homomorphism, every row a sum of rows of S', which (R') makes
+        # additive into the abelian [H,H] or Z(H).  S' = [0] forces f(0) = 0
+        elif all([row[y] for y in shift] == [hadd[w][row[t]] for w in row]
+                 for row in [cross[s] for s, _ in gens] for t, shift in gens) and all(
+                cross[xs] == [hadd[w][c] for w, c in zip(row, cross[s])]
+                for s, shift in gens for row, xs in zip(cross, shift)):
             yield tuple(vals)
 
 
@@ -649,8 +648,8 @@ def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
     the choice at each position, on the integer Cayley tables of G and H,
     built from the group law and never from q-map data: each cross value
     (i|j) is computed and tested once, at position max(i, j, i+j), and each
-    full table gets the bilinearity test along one generating set.  Returns
-    value tables as tuples of H-element indices, sorted.
+    full table gets the bilinearity test on the generators' rows.  Returns
+    tuples of H-element indices, in the lexicographic order of the search.
     """
     good = _member_mask(h, kind)
-    return sorted(_tables(g, h, good, [range(len(good))] * g.order()))
+    return list(_tables(g, h, good, [range(len(good))] * g.order()))

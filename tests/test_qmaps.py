@@ -541,6 +541,18 @@ def test_function_checks_agree_with_reference():
     assert {(True, True), (False, False)} <= verdicts
 
 
+@pytest.mark.parametrize("g, h", [(D4, Z2), (catalog.abelian_group([2, 2, 2]), Z2), (V4, Z4)],
+                         ids=["D4-Z2", "Z2^3-Z2", "V4-Z4"])
+def test_function_checks_agree_with_reference_on_every_set_map(g, h):
+    # all 256 set maps, against the all-pairs definition, which does not
+    # run the kernel: a leaf test too weak to be exact accepts one of them
+    hel = list(h.elements())
+    tables = list(itertools.product(hel, repeat=g.order()))
+    assert len(tables) == 256
+    verdicts = _kernel_agrees_with_reference(g, h, tables)
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("g, h", [(V4, Z4), (Z4, Q8), (V4, Q8), (V4, D4)],
                          ids=["V4-Z4", "Z4-Q8", "V4-Q8", "V4-D4"])
 def test_function_checks_agree_with_bruteforce_on_every_set_map(g, h):
