@@ -648,7 +648,7 @@ def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
     the choice at each position, on the integer Cayley tables of G and H,
     built from the group law and never from q-map data: each cross value
     (i|j) is computed and tested once, at position max(i, j, i+j), and each
-    full table gets the bilinearity test on the generators' rows.  Returns
+    full table gets the bilinearity test along the nonzero generators.  Returns
     tuples of H-element indices, in the lexicographic order of the search.
     """
     good = _member_mask(h, kind)

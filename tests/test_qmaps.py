@@ -544,8 +544,8 @@ def test_function_checks_agree_with_reference():
 @pytest.mark.parametrize("g, h", [(D4, Z2), (catalog.abelian_group([2, 2, 2]), Z2), (V4, Z4)],
                          ids=["D4-Z2", "Z2^3-Z2", "V4-Z4"])
 def test_function_checks_agree_with_reference_on_every_set_map(g, h):
-    # all 256 set maps, against the all-pairs definition, which does not
-    # run the kernel: a leaf test too weak to be exact accepts one of them
+    # all 256 set maps, against the all-pairs definition, which does not run
+    # the kernel; the brute-force comparison below runs it on both sides
     hel = list(h.elements())
     tables = list(itertools.product(hel, repeat=g.order()))
     assert len(tables) == 256
