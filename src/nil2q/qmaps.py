@@ -36,7 +36,8 @@ the defining conditions; it and the function-level checks are one kernel,
 `_tables`, on integer Cayley tables built from the group law
 (`Nil2Group.table`), never from q-map data.  It tests each cross value
 (i|j) once, at position max(i, j, i+j) of its backtracking, and bilinearity
-along the nonzero members S' of a generating set (proof at the test).
+by one test, each row (s|-) additive along S', for s in S', the nonzero
+members of a generating set (proof at the test).
 """
 
 from __future__ import annotations
@@ -578,8 +579,8 @@ def _tables(g, h, good, choices):
     pair is filled once, as soon as its three values are set, and a full
     assignment has a whole cross table that passed the membership test.
     The leaf tests bilinearity along S', the nonzero members of `_generators`
-    ([0] if G = 0): (R') (s|y+t) = (s|y) + (s|t), (C) (x+s|-) = (x|-) + (s|-)
-    for all x, y and s, t in S'.  `by_max` is kept with G's table.
+    ([0] if G = 0), with one test, (R') (s|y+t) = (s|y) + (s|t) for all y
+    and s, t in S': |S'|^2 list comparisons.  `by_max` is kept with G's table.
     """
     gt, ht = g.table(), h.table()
     gadd, hadd, hneg = gt.add, ht.add, ht.neg
@@ -609,13 +610,13 @@ def _tables(g, h, good, choices):
             untried.append(iter(choices[pos + 1]))
         # exact: for v into an abelian group, the t with v(y+t) = v(y) + v(t)
         # for all y are closed under addition (v(y+t+u) = v(y) + v(t) + v(u)
-        # = v(y) + v(t+u)) and S' spans G as a monoid.  So (C) makes x -> (x|-)
-        # a homomorphism, every row a sum of rows of S', which (R') makes
-        # additive into the abelian [H,H] or Z(H).  S' = [0] forces f(0) = 0
+        # = v(y) + v(t+u)) and S' spans G as a monoid, so (R') makes each row
+        # (s|-) additive.  The cross values are central, so (x|y) + (x+y|z) =
+        # (y|z) + (x|y+z), which at x = s reads (s+y|-) = (s|-) + (y|-).  The
+        # same closure then makes x -> (x|-) a homomorphism, every row a sum
+        # of additive rows of S'.  S' = [0] forces f(0) = 0
         elif all([row[y] for y in shift] == [hadd[w][row[t]] for w in row]
-                 for row in [cross[s] for s, _ in gens] for t, shift in gens) and all(
-                cross[xs] == [hadd[w][c] for w, c in zip(row, cross[s])]
-                for s, shift in gens for row, xs in zip(cross, shift)):
+                 for row in [cross[s] for s, _ in gens] for t, shift in gens):
             yield tuple(vals)
 
 

@@ -72,6 +72,22 @@ def test_cayley_table_matches_element_law():
         nil2.free(2).table()
 
 
+def test_abelian_cayley_table_makes_no_cocycle_calls(monkeypatch):
+    # with B trivial every cocycle value is zero: building the table makes
+    # no cocycle call per pair of A-elements, and still matches the law
+    g = catalog.abelian_group([4, 6])
+    elems = list(g.elements())
+    calls = []
+    real = nil2.Nil2Group._cocycle_coords
+    monkeypatch.setattr(nil2.Nil2Group, "_cocycle_coords",
+                        lambda self, x, y: calls.append(1) or real(self, x, y))
+    t = g.table()
+    assert calls == []
+    monkeypatch.undo()
+    assert all(t.add[i][j] == elems.index(x + y)
+               for i, x in enumerate(elems) for j, y in enumerate(elems))
+
+
 def test_group_axioms_order_27():
     for g in [HEIS3, G27]:
         assert group_axioms_hold(g)

@@ -553,6 +553,28 @@ def test_function_checks_agree_with_reference_on_every_set_map(g, h):
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_bruteforce_counts_on_elementary_abelian_sources(r):
+    # Z2^r has r greedy generators.  [Z2, Z2] = 0, so the q-maps Z2^r -> Z2
+    # are the 2^r homomorphisms; the quadratic functions are the F2-quadratic
+    # maps with f(0) = 0, 2^(r + C(r, 2)) of them.  Every set map is
+    # central, so at r = 4 the leaf alone decides all 65,536 tables
+    g = catalog.abelian_group([2] * r)
+    assert len(qmaps.quadratic_functions_bruteforce(g, Z2, kind="qmap")) == 2 ** r
+    assert len(qmaps.quadratic_functions_bruteforce(g, Z2, kind="quadratic")) == \
+        2 ** (r + math.comb(r, 2))
+
+
+def test_function_checks_reject_a_cubic_on_three_generators():
+    # x -> x1 x2 x3: each generator row (e_i|-) is additive along e_i but
+    # not along the other two generators, so a leaf that tests each row only
+    # along its own generator accepts it
+    g, hel = catalog.abelian_group([2, 2, 2]), list(Z2.elements())
+    cubic = {z: hel[math.prod(z.a.coords)] for z in g.elements()}.__getitem__
+    assert not qmaps.is_qmap_function(cubic, g, Z2)
+    assert not qmaps.is_quadratic_function(cubic, g, Z2)
+
+
 @pytest.mark.parametrize("g, h", [(V4, Z4), (Z4, Q8), (V4, Q8), (V4, D4)],
                          ids=["V4-Z4", "Z4-Q8", "V4-Q8", "V4-D4"])
 def test_function_checks_agree_with_bruteforce_on_every_set_map(g, h):
