@@ -351,10 +351,8 @@ class CayleyTable:
         asum = [[pos(apos, A.orders, map(add, x, y)) for y in apos] for x in apos]
         bsum = [[pos(bpos, B.orders, map(add, u, v)) for v in bpos] for u in bpos]
         na, nb = len(apos), len(bpos)
-        # with B trivial every cocycle value is B's one element, index 0
-        coc = ([[0] * na] * na if nb == 1 else
-               [[pos(bpos, B.orders, group._cocycle_coords(x, y)) for y in apos]
-                for x in apos])
+        coc = ([[pos(bpos, B.orders, group._cocycle_coords(x, y)) for y in apos]
+                for x in apos] if nb > 1 else [[0] * na] * na)  # B = 0: index 0
         self.add = [[asum[i][j] * nb + bsum[bsum[u][v]][coc[i][j]]
                      for j in range(na) for v in range(nb)]
                     for i in range(na) for u in range(nb)]

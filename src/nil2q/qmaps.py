@@ -36,8 +36,7 @@ the defining conditions; it and the function-level checks are one kernel,
 `_tables`, on integer Cayley tables built from the group law
 (`Nil2Group.table`), never from q-map data.  It tests each cross value
 (i|j) once, at position max(i, j, i+j) of its backtracking, and bilinearity
-by one test, each row (s|-) additive along S', for s in S', the nonzero
-members of a generating set (proof at the test).
+along the nonzero members S' of a generating set, by one test (proof there).
 """
 
 from __future__ import annotations
@@ -610,11 +609,10 @@ def _tables(g, h, good, choices):
             untried.append(iter(choices[pos + 1]))
         # exact: for v into an abelian group, the t with v(y+t) = v(y) + v(t)
         # for all y are closed under addition (v(y+t+u) = v(y) + v(t) + v(u)
-        # = v(y) + v(t+u)) and S' spans G as a monoid, so (R') makes each row
-        # (s|-) additive.  The cross values are central, so (x|y) + (x+y|z) =
-        # (y|z) + (x|y+z), which at x = s reads (s+y|-) = (s|-) + (y|-).  The
-        # same closure then makes x -> (x|-) a homomorphism, every row a sum
-        # of additive rows of S'.  S' = [0] forces f(0) = 0
+        # = v(y) + v(t+u)) and S' spans G as a monoid, so rows (s|-) are
+        # additive.  Cross values are central: (x|y) + (x+y|z) = (y|z) +
+        # (x|y+z); at x = s, (s+y|-) = (s|-) + (y|-), so by the same closure
+        # every row is a sum of additive rows of S'.  S' = [0] forces f(0) = 0
         elif all([row[y] for y in shift] == [hadd[w][row[t]] for w in row]
                  for row in [cross[s] for s, _ in gens] for t, shift in gens):
             yield tuple(vals)
