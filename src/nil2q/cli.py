@@ -1,7 +1,9 @@
 """Command-line interface: ingest group definitions, run the decision
 procedures and verification suites, emit deterministic reports.  Every
-query pays for the modules it imports, so `verify` is imported by
-`selftest` and `maltsev` by the odd-order `iso` path, when they run.
+query pays for the modules it imports and the groups it builds, so
+`verify` is imported by `selftest` and `maltsev` by the odd-order `iso`
+path, when they run; a built-in group is built when a query names it, and
+group files are read by a small list reader, not by `ast`.
 
 Exit status: 0 all pass / verdict yes, 1 verdict no (not an error for
 iso and q-split queries), 2 input error, 3 internal invariant violation.
@@ -10,7 +12,6 @@ iso and q-split queries), 2 input error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import ast
 import re
 import sys
 
@@ -83,18 +84,33 @@ def parse_definitions(text: str, defs: dict, max_order: int) -> dict:
     return defs
 
 
+# Python's list syntax restricted to decimal integers: brackets, commas with
+# one optional trailing comma, and whitespace between tokens; an item is
+# `-?[0-9]+` without a leading zero, and a minus may stand apart from its
+# digits.  The patterns are compiled on first use, by `re`'s cache.
+_WS = r"[ \t\n\r\f]*"
+
+
+def _seq(item: str) -> str:
+    return rf"\[{_WS}(?:{item}{_WS}(?:,{_WS}{item}{_WS})*(?:,{_WS})?)?\]"
+
+
+_LIST = _seq(rf"(?:-{_WS})?(?:0+|[1-9][0-9]*)")
+_NESTED = _seq(_LIST)
+_ITEM = rf"(-?){_WS}([0-9]+)"
+
+
 def _parse_int_list(value: str, nested=False):
-    """A list of integers, or with `nested` a list of integer lists."""
-    try:
-        parsed = ast.literal_eval(value.strip())
-    except (ValueError, SyntaxError) as exc:
-        raise InputError(f"malformed list {value!r}: {exc}")
-    rows = parsed if nested and isinstance(parsed, list) else [parsed]
-    if not all(isinstance(row, list) and all(type(v) is int for v in row)
-               for row in rows):
+    """A list of integers, or with `nested` a list of integer lists: what
+    `ast.literal_eval` reads from such a list written in decimal."""
+    text = value.strip()
+    if not re.fullmatch(_NESTED if nested else _LIST, text):
         kind = "a list of integer lists" if nested else "a list of integers"
-        raise InputError(f"expected {kind}, got {value.strip()!r}")
-    return parsed
+        raise InputError(f"expected {kind}, got {text!r}")
+    rows = re.findall(_LIST, text[1:-1]) if nested else [text]
+    parsed = [[_int(sign + digits) for sign, digits in re.findall(_ITEM, row)]
+              for row in rows]
+    return parsed if nested else parsed[0]
 
 
 def _int(token: str) -> int:
@@ -306,15 +322,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-BUILTIN_DEFS = """
-group Z2 { abelianization = [2]; }
-group Z4 { abelianization = [4]; }
-group V4 { abelianization = [2,2]; }
-group Q8 { abelianization = [2,2]; commutator = [2]; carry = [[1],[1]]; bil[1][2] = [1]; }
-group D4 { abelianization = [2,2]; commutator = [2]; carry = [[1],[0]]; bil[1][2] = [1]; }
-group Heis3 { abelianization = [3,3]; commutator = [3]; bil[1][2] = [1]; }
-group Heis5 { abelianization = [5,5]; commutator = [5]; bil[1][2] = [1]; }
-"""
+# The built-in groups: the body of each `group NAME { ... }` block.
+BUILTIN_DEFS = {
+    "Z2": "abelianization = [2];",
+    "Z4": "abelianization = [4];",
+    "V4": "abelianization = [2,2];",
+    "Q8": "abelianization = [2,2]; commutator = [2]; carry = [[1],[1]]; bil[1][2] = [1];",
+    "D4": "abelianization = [2,2]; commutator = [2]; carry = [[1],[0]]; bil[1][2] = [1];",
+    "Heis3": "abelianization = [3,3]; commutator = [3]; bil[1][2] = [1];",
+    "Heis5": "abelianization = [5,5]; commutator = [5]; bil[1][2] = [1];",
+}
+
+
+class _Definitions(dict):
+    """Groups by name.  The built-in names are defined from the start, so a
+    group file cannot reuse them, but each built-in group is built only
+    when a query looks it up."""
+
+    def __contains__(self, name):
+        return name in BUILTIN_DEFS or super().__contains__(name)
+
+    def __missing__(self, name):
+        self[name] = group = _build_from_block(BUILTIN_DEFS[name])
+        return group
 
 
 def main(argv=None, out=None) -> int:
@@ -324,7 +354,7 @@ def main(argv=None, out=None) -> int:
     try:
         if args.max_order < 1:
             raise InputError(f"--max-order must be a positive integer, not {args.max_order}")
-        defs = parse_definitions(BUILTIN_DEFS, {}, args.max_order)
+        defs = _Definitions()
         if args.file:
             try:
                 with open(args.file, encoding="utf-8") as fh:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from . import abelian as ab
 from .errors import (
@@ -325,6 +325,19 @@ class Nil2Group(CentralExtension):
         return n if all((c * e).is_zero() for row in self.commutators for e in row) else 2 * n
 
 
+def _sum_table(orders):
+    """Index table of addition in Z/d_1 + ... + Z/d_r, elements in
+    lexicographic coordinate order.  Factor by factor, (i d + x) + (j d + y)
+    is (i + j) d + (x + y mod d), with i + j read off the table of the
+    factors before, and row x of Z/d is range(d) rotated by x."""
+    t = [[0]]
+    for d in orders:
+        runs = [list(range(s * d, s * d + d)) * 2 for s in range(len(t))]
+        t = [list(itertools.chain.from_iterable(runs[s][x:x + d] for s in row))
+             for row in t for x in range(d)]
+    return t
+
+
 class CayleyTable:
     """Integer Cayley table of a finite nil_2-group, built from the group law.
 
@@ -342,20 +355,18 @@ class CayleyTable:
     def __init__(self, group):
         self.index = {(z.a.coords, z.b.coords): i for i, z in enumerate(group.elements())}
         A, B = group.A, group.B
-        apos = {a.coords: i for i, a in enumerate(A.elements())}
-        bpos = {u.coords: i for i, u in enumerate(B.elements())}
-
-        def pos(table, orders, coords):
-            return table[tuple(c % d for c, d in zip(coords, orders))]
-
-        asum = [[pos(apos, A.orders, map(add, x, y)) for y in apos] for x in apos]
-        bsum = [[pos(bpos, B.orders, map(add, u, v)) for v in bpos] for u in bpos]
-        na, nb = len(apos), len(bpos)
-        coc = ([[pos(bpos, B.orders, group._cocycle_coords(x, y)) for y in apos]
-                for x in apos] if nb > 1 else [[0] * na] * na)  # B = 0: index 0
-        self.add = [[asum[i][j] * nb + bsum[bsum[u][v]][coc[i][j]]
-                     for j in range(na) for v in range(nb)]
-                    for i in range(na) for u in range(nb)]
+        asum, bsum = _sum_table(A.orders), _sum_table(B.orders)
+        na, nb = len(asum), len(bsum)
+        if nb == 1:         # B = 0: the sums in A, and no cocycle call
+            self.add = asum
+        else:
+            acoords = [a.coords for a in A.elements()]
+            bpos = {u.coords: i for i, u in enumerate(B.elements())}
+            coc = [[bpos[tuple(c % d for c, d in zip(group._cocycle_coords(x, y), B.orders))]
+                    for y in acoords] for x in acoords]
+            self.add = [[asum[i][j] * nb + bsum[bsum[u][v]][coc[i][j]]
+                         for j in range(na) for v in range(nb)]
+                        for i in range(na) for u in range(nb)]
         self.neg = [row.index(0) for row in self.add]
         self.by_max, self.masks = None, {}
 

@@ -335,71 +335,6 @@ def qmap_from_function(source, target, fn) -> QMap:
 
 
 # ---------------------------------------------------------------------------
-# beta(f) : Ker(fab) -> coker(fcomm).
-
-class BetaData:
-    """The induced map beta(f) : Ker(fab) -> coker(fcomm).
-
-    Always well-defined on cosets (different lifts differ by commutator
-    elements, and f is additive on those).  Additivity over the kernel is
-    checked exhaustively and recorded in `additive`: it holds for all
-    homomorphisms, but genuine q-maps with a symmetric cross-effect on
-    the kernel can fail it (the squaring map on Q8 is an example), in
-    which case `hom` is None and only `value` is meaningful.
-    """
-
-    def __init__(self, qmap: QMap):
-        if not (qmap.source.is_finite() and qmap.target.is_finite()):
-            raise UnsupportedEnumeration("beta is computed for finite groups")
-        self.qmap = qmap
-        self.kernel, self.incl = ab.kernel(qmap.fab)
-        self.coker, self.proj = ab.cokernel(qmap.fcomm)
-        self.additive = all(
-            self.value(x + y) == self.value(x) + self.value(y)
-            for x in self.kernel.elements() for y in self.kernel.elements())
-        if self.additive:
-            cols = [self.value(self.kernel.gen(i))
-                    for i in range(self.kernel.rank)]
-            self.hom = ab.AbHom.from_columns(self.kernel, self.coker, cols)
-        else:
-            self.hom = None
-
-    def value(self, k: ab.AbElement) -> ab.AbElement:
-        """beta(f) at a kernel element, via the defining formula."""
-        z = self.qmap.source.pair(self.incl.apply(k), self.qmap.source.B.zero())
-        w = self.qmap.eval(z)
-        assert w.a.is_zero()
-        return self.proj.apply(w.b)
-
-
-def qmap_beta(qmap: QMap) -> BetaData:
-    return BetaData(qmap)
-
-
-# ---------------------------------------------------------------------------
-# Factorization through the universal quadratic extension.
-
-class P2Factorization:
-    """The homomorphism P2(G) -> H induced by a q-map q : G -> H,
-    (xi, g) -> (cross-effect hom)(xi) + q(g)."""
-
-    def __init__(self, qmap: QMap):
-        self.qmap = qmap
-        self.extension = nil2.p2_extension(qmap.source)
-        tens = self.extension.tensor
-        self.cross_hom = ab.AbHom.from_columns(
-            tens.group, qmap.target.B, tens.columns(lambda i, j: qmap.delta[i][j]))
-
-    def eval(self, el: nil2.P2Element) -> nil2.Nil2Element:
-        return (self.qmap.target.central(self.cross_hom.apply(el.xi))
-                + self.qmap.eval(el.g))
-
-
-def qmap_p2_factorize(qmap: QMap) -> P2Factorization:
-    return P2Factorization(qmap)
-
-
-# ---------------------------------------------------------------------------
 # Structural q-maps of products and coproducts.
 
 def product_projection(p: nil2.Nil2Group, k: int) -> QMap:

@@ -394,15 +394,16 @@ LINEXT_INSTANCES = [("nil", "Q8", "Q8"), ("nil", "Z4", "Q8"), ("nil", "D4", "D4"
 
 
 def suite_linext():
+    from . import linext
     cat = _catalog_map()
     results = []
     for level, gn, hn in LINEXT_INSTANCES:
-        results.extend(classify.linear_extension_verify(
+        results.extend(linext.linear_extension_verify(
             level, cat[gn], cat[hn], max_quads=LINEXT_MAX_QUADS,
             instance=f"{level}:{gn}|{hn}"))
-    results.extend(classify.weak_coproduct_verify(
+    results.extend(linext.weak_coproduct_verify(
         cat["Z2"], cat["Z2"], cat["Z2"], instance="Z2|Z2->Z2"))
-    results.extend(classify.weak_coproduct_verify(
+    results.extend(linext.weak_coproduct_verify(
         cat["Q8"], cat["Q8"], cat["Q8"], max_pairs=60, instance="Q8|Q8->Q8"))
     return results
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nil2q import abelian as ab
-from nil2q import catalog, classify, nil2, qmaps
+from nil2q import catalog, classify, linext, nil2, qmaps
 from nil2q.errors import AlgebraError, Unsupported
 from nil2q.report import CheckResult, all_ok
 
@@ -391,15 +391,15 @@ def test_canonicalized_table_is_isomorphic_to_the_group(g):
 
 def test_sim_equiv_basics():
     f = qmaps.identity_qmap(Q8)
-    ok, wit = classify.qmap_sim_equiv(f, f)
+    ok, wit = linext.qmap_sim_equiv(f, f)
     assert ok and wit.alpha.is_zero()
     # cubing induces the identity on Q8_ab and [Q8,Q8] and differs from the
     # identity by a translation, so it is ~-equivalent to it
     g = qmaps.power_qmap(Q8, 3)
     assert g.fab == f.fab and g.fcomm == f.fcomm
-    ok2, wit2 = classify.qmap_sim_equiv(f, g)
+    ok2, wit2 = linext.qmap_sim_equiv(f, g)
     assert ok2
-    assert classify.translate_qmap(f, wit2.alpha) == g
+    assert linext.translate_qmap(f, wit2.alpha) == g
     # pointwise witness validation
     for z in Q8.elements():
         tens = ab.tensor(Q8.A, Q8.A)
@@ -412,9 +412,9 @@ def test_sim_equiv_sum_commutes():
     qs = list(itertools.islice(qmaps.enumerate_qmaps(Q8, Q8), 12))
     for f in qs[:6]:
         for g in qs[:6]:
-            ok, wit = classify.qmap_sim_equiv(f + g, g + f)
+            ok, wit = linext.qmap_sim_equiv(f + g, g + f)
             assert ok
-            fg = classify.translate_qmap(f + g, wit.alpha)
+            fg = linext.translate_qmap(f + g, wit.alpha)
             assert fg == g + f
 
 
@@ -426,7 +426,7 @@ def test_sim_equiv_left_distributive_up_to_sim():
             for g2 in gs[:4]:
                 lhs = f.compose(g1 + g2)
                 rhs = f.compose(g1) + f.compose(g2)
-                ok, _ = classify.qmap_sim_equiv(lhs, rhs)
+                ok, _ = linext.qmap_sim_equiv(lhs, rhs)
                 assert ok
 
 
@@ -434,9 +434,9 @@ def test_sim_implies_approx():
     qs = list(itertools.islice(qmaps.enumerate_qmaps(Q8, Q8), 40))
     for f in qs:
         for g in qs[:10]:
-            ok, _ = classify.qmap_sim_equiv(f, g)
+            ok, _ = linext.qmap_sim_equiv(f, g)
             if ok:
-                assert classify.qmap_approx_equiv(f, g)
+                assert linext.qmap_approx_equiv(f, g)
 
 
 def test_approx_without_sim_separating_pair():
@@ -450,15 +450,15 @@ def test_approx_without_sim_separating_pair():
     f = qmaps.zero_qmap(src, h)
     g = qmaps.QMap(src, h, ab.AbHom.zero(src.A, h.A), ab.AbHom.zero(src.B, h.B),
                    [b.element([1])], [[b.element([2])]])
-    assert classify.qmap_approx_equiv(f, g)
-    ok, _ = classify.qmap_sim_equiv(f, g)
+    assert linext.qmap_approx_equiv(f, g)
+    ok, _ = linext.qmap_sim_equiv(f, g)
     assert not ok
     # sanity: g really is that q-map pointwise
     assert g.eval(src.element([1], [])) == h.central(b.element([1]))
 
 
 def test_zero_vs_identity_not_approx():
-    assert not classify.qmap_approx_equiv(
+    assert not linext.qmap_approx_equiv(
         qmaps.zero_qmap(Q8, Q8), qmaps.identity_qmap(Q8))
 
 
@@ -467,31 +467,31 @@ def distributivity_detail(res):
 
 
 def test_linear_extension_nil_level():
-    res = classify.linear_extension_verify("nil", Q8, Q8)
+    res = linext.linear_extension_verify("nil", Q8, Q8)
     assert all_ok(res) and distributivity_detail(res) == "400 quadruples"
-    res2 = classify.linear_extension_verify("nil", Z4, Q8)
+    res2 = linext.linear_extension_verify("nil", Z4, Q8)
     assert all_ok(res2) and distributivity_detail(res2) == "400 quadruples"
 
 
 def test_linear_extension_niq_level():
-    res = classify.linear_extension_verify("niq", D4, D4)
+    res = linext.linear_extension_verify("niq", D4, D4)
     assert all_ok(res) and distributivity_detail(res) == "400 quadruples"
-    res2 = classify.linear_extension_verify("niq", Z4, Q8)
+    res2 = linext.linear_extension_verify("niq", Z4, Q8)
     assert all_ok(res2) and distributivity_detail(res2) == "400 quadruples"
 
 
 def test_linear_extension_trivial_target():
     triv = catalog.abelian_group([])
-    res = classify.linear_extension_verify("nil", Q8, triv)
+    res = linext.linear_extension_verify("nil", Q8, triv)
     assert all_ok(res) and distributivity_detail(res) == "1 quadruples"
 
 
 def test_weak_coproduct():
-    res = classify.weak_coproduct_verify(Z2, Z2, Z2)
+    res = linext.weak_coproduct_verify(Z2, Z2, Z2)
     assert all_ok(res) and res[0].detail == "4 pairs"
-    res2 = classify.weak_coproduct_verify(Q8, Q8, Q8, max_pairs=60)
+    res2 = linext.weak_coproduct_verify(Q8, Q8, Q8, max_pairs=60)
     assert all_ok(res2) and res2[0].detail == "60 pairs"
-    res3 = classify.weak_coproduct_verify(Z2, Z4, Q8, max_pairs=200)
+    res3 = linext.weak_coproduct_verify(Z2, Z4, Q8, max_pairs=200)
     assert all_ok(res3) and res3[0].detail == "128 pairs"
 
 
@@ -499,6 +499,6 @@ def test_record_classes_keep_fields_and_defaults():
     assert bool(classify.QSplitResult(False, "search")) is False
     assert classify.QSplitResult(True, "structural").section is None
     assert classify.IsoDecision(True, {}).witness is None
-    assert classify.EquivalenceWitness("approx").alpha is None
+    assert linext.EquivalenceWitness("approx").alpha is None
     assert CheckResult("x", "y", False, "why").line() == "FAIL x y  # why"
     assert CheckResult("x", "y", True).detail == ""

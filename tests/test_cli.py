@@ -195,6 +195,15 @@ def test_duplicate_names_rejected(tmp_path):
     assert code == 2
 
 
+def test_builtin_groups_built_on_demand(monkeypatch):
+    # a query builds the built-in groups it names, once each, and no other
+    built = []
+    real = cli._build_from_block
+    monkeypatch.setattr(cli, "_build_from_block", lambda body: built.append(body) or real(body))
+    assert run(["info", "semidirect(9,3,4)"])[0] == 0 and built == []
+    assert run(["info", "product(Q8,Q8)"])[0] == 0 and built == [cli.BUILTIN_DEFS["Q8"]]
+
+
 @pytest.mark.parametrize("body, item", [
     ("abelianization = [2]; abelianization = [3];", "abelianization"),
     ("abelianization = [2,2]; commutator = [3]; commutator = [2]; bil[1][2] = [1];",
@@ -307,9 +316,88 @@ def test_group_file_rejects_non_integers(tmp_path, body):
     assert text.startswith("error:")
 
 
+# The group-file list reader against `ast.literal_eval`, its reference:
+# where the reference reads a list of integers (for `carry`, a list of
+# integer lists) the reader returns the same value, and it refuses the rest.
+
+def reference_int_list(value, nested):
+    """ast.literal_eval's value if it is a list of the required depth, else None."""
+    try:
+        parsed = ast.literal_eval(value.strip())
+    except (ValueError, SyntaxError, TypeError):
+        return None
+    rows = parsed if nested and isinstance(parsed, list) else [parsed]
+    ok = all(isinstance(row, list) and all(type(v) is int for v in row) for row in rows)
+    return parsed if ok else None
+
+
+def read_int_list(value, nested):
+    """The reader's value, or None where it raises an input error."""
+    try:
+        return cli._parse_int_list(value, nested)
+    except cli.InputError:
+        return None
+
+
+LIST_CORPUS = [
+    "[]", "[ ]", "[1]", "[1,]", "[1 , 2 ,]", "[-3, 0, 12]", "[- 3]", "[-\n3]", "[00]",
+    "[-00]", "[01]", "[-01]", "[1,,]", "[,]", "[,1]", "[1 2]", "[--1]", "[- -1]", "[1-2]",
+    "[[1],[0]]", "[[1], [-2, 3],]", "[[]]", "[[],]", "[[1]][0]", "[1][0]", "[[1],2]",
+    "[[1],[2]],", "[1\t,\f2\r]", "[1,\v2]", "[1,\u30002]", "1", "(1, 2)", "1, 2",
+    "[1.5]", "[True]", "['a']", "[None]", "[", "]", "[[1]", "[1]]", "", "-[1]", "[1e3]",
+    "[1j]", "[" + "9" * 30 + "]", " [2, 3] ",
+]
+# read by the reference, refused by the reader: lists of integers not written
+# in decimal, and Python syntax beyond brackets, commas and whitespace
+REFUSED = [("[0x10]", False), ("[0o7]", False), ("[0b1]", False), ("[+1]", False),
+           ("[1_0]", False), ("[(1)]", False), ("[1, # note\n 2]", False),
+           ("[\\\n1]", False), ("[[+1], [2]]", True)]
+
+
+def test_list_reader_matches_literal_eval_on_corpus(tmp_path):
+    for value in LIST_CORPUS:
+        for nested in (False, True):
+            assert read_int_list(value, nested) == reference_int_list(value, nested), value
+    # the refused inputs are input errors, exit 2, also from a group file
+    for value, nested in REFUSED:
+        assert reference_int_list(value, nested) is not None, value
+        assert read_int_list(value, nested) is None, value
+        field = "carry" if nested else "commutator"
+        f = tmp_path / "refused.txt"
+        f.write_text(f"group K {{ abelianization = [2]; {field} = {value}; }}\n")
+        code, text = run(["--file", str(f), "info", "K"])
+        assert code == 2 and text.startswith("error: expected a list of integer"), value
+
+
+# strings over `[ ] , - 0-9 space`: free text, token soup, and lists of
+# items drawn with stray signs, leading zeros, spaces and doubled commas
+_list_tokens = st.sampled_from(["[", "]", ",", "-", " ", "0", "1", "00", "07", "12"])
+_gap = st.sampled_from(["", " ", "  "])
+_item = st.tuples(_gap, st.sampled_from(["", "-", "- ", "--"]),
+                  st.sampled_from(["0", "00", "7", "10", "01", "1 2", ""]), _gap).map("".join)
+
+
+def _bracketed(items):
+    return st.tuples(st.lists(items, max_size=3), st.sampled_from([",", ", ", ",,", " "]),
+                     st.sampled_from(["", ",", " , ", ",,"])).map(
+        lambda t: "[" + t[1].join(t[0]) + (t[2] if t[0] else "") + "]")
+
+
+_list_texts = st.one_of(st.text(alphabet="[],-0123456789 ", max_size=16),
+                        st.lists(_list_tokens, max_size=16).map("".join),
+                        _bracketed(_item), _bracketed(_bracketed(_item)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(value=_list_texts)
+def test_list_reader_matches_literal_eval(value):
+    for nested in (False, True):
+        assert read_int_list(value, nested) == reference_int_list(value, nested)
+
+
 # A query imports only what its command runs.  pytest has already imported
 # every module, so each check runs cli.main in a fresh interpreter.
-LAZY = ("nil2q.verify", "nil2q.maltsev", "dataclasses")
+LAZY = ("nil2q.verify", "nil2q.maltsev", "nil2q.linext", "dataclasses", "ast")
 _FRESH = """
 import io, sys
 from nil2q import cli
@@ -332,10 +420,22 @@ def run_fresh(argv, timeout=120):
     return ast.literal_eval(proc.stdout)
 
 
-def test_fresh_import_loads_no_lazy_module():
+def test_fresh_import_loads_no_lazy_module(tmp_path):
     at_import, after, code, text = run_fresh(["info", "Q8"])
     assert at_import == [] and after == []
     assert code == 0 and "q-split: yes (search)\n" in text
+    at_import, after, code, text = run_fresh(["iso", "D4", "Q8", "--category", "niq",
+                                              "--witness"])
+    assert at_import == [] and after == []
+    assert code == 0 and "witness fab = " in text
+    # a group file block with a carry and a negative entry: Q8's data
+    f = tmp_path / "k.txt"
+    f.write_text("group K { abelianization = [2,2]; commutator = [2]; "
+                 "carry = [[1],[1]]; bil[1][2] = [-1]; }\n")
+    at_import, after, code, text = run_fresh(["--file", str(f), "iso", "K", "Q8",
+                                              "--category", "nil"])
+    assert at_import == [] and after == []
+    assert code == 0 and text == "iso K Q8 category=nil: YES\n"
 
 
 def test_fresh_odd_order_iso_imports_maltsev():
@@ -363,6 +463,9 @@ def test_fresh_selftest_imports_verify():
     at_import, after, code, text = run_fresh(["selftest", "--suite", "negative"])
     assert at_import == [] and after == ["nil2q.verify", "nil2q.maltsev"]
     assert code == 0 and text.endswith("selftest: 3/3 checks passed\n")
+    at_import, after, code, text = run_fresh(["selftest", "--suite", "linext"])
+    assert at_import == [] and after == ["nil2q.verify", "nil2q.maltsev", "nil2q.linext"]
+    assert code == 0 and text.endswith("selftest: 32/32 checks passed\n")
 
 
 # ---------------------------------------------------------------------------

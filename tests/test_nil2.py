@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, maltsev, nil2, qmaps
+from nil2q import catalog, linext, maltsev, nil2, qmaps
 from nil2q.errors import (
     CommutatorMismatch,
     InvalidArgument,
@@ -57,8 +57,11 @@ def test_group_axioms_exhaustive_small():
 
 
 def test_cayley_table_matches_element_law():
-    # the integer table agrees with element arithmetic, index for index
-    for g in SMALL + [nil2.product(Q8, catalog.cyclic(2)), catalog.abelian_group([])]:
+    # the integer table agrees with element arithmetic, index for index; the
+    # last group's A has cyclic factors of orders 2, 2, 3 and 4
+    mixed = nil2.product(Q8, catalog.abelian_group([3, 4]))
+    assert mixed.A.orders == (2, 2, 3, 4)
+    for g in SMALL + [nil2.product(Q8, catalog.cyclic(2)), catalog.abelian_group([]), mixed]:
         t = g.table()
         assert t is g.table()
         elems = list(g.elements())
@@ -556,7 +559,7 @@ def test_p2_extension_matches_reference():
         for i, j in pairs:
             assert pair(elems[i] + elems[j]) == reference_p2_add(ext, ref[i], ref[j])
         for q in qs:
-            fq = qmaps.qmap_p2_factorize(q)
+            fq = linext.qmap_p2_factorize(q)
             for z, x in _stride(list(zip(elems, ref)), 100):
                 assert fq.eval(z) == reference_p2_factor(fq, x)
             for i, j in _stride(pairs, 100):

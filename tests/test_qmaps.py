@@ -10,7 +10,7 @@ import random
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, classify, maltsev, nil2, qmaps
+from nil2q import catalog, classify, linext, maltsev, nil2, qmaps
 from nil2q.errors import InvalidArgument, NotAQMap, UnsupportedEnumeration
 
 Q8 = catalog.quaternion()
@@ -318,17 +318,17 @@ def test_sum_formula_for_z_maps():
 
 def test_beta_examples():
     idq = qmaps.identity_qmap(Q8)
-    bd = qmaps.qmap_beta(idq)
+    bd = linext.qmap_beta(idq)
     assert bd.kernel.is_trivial() and bd.additive
     zq = qmaps.zero_qmap(Q8, Q8)
-    bz = qmaps.qmap_beta(zq)
+    bz = linext.qmap_beta(zq)
     assert bz.kernel.invariant_factors() == (2, 2)
     assert bz.coker.invariant_factors() == (2,)
     assert bz.additive and bz.hom.is_zero()
     # well-definedness on coset representatives: lifts differing by a
     # commutator element give the same value
     for q in itertools.islice(qmaps.enumerate_qmaps(Q8, Q8), 40):
-        bd = qmaps.qmap_beta(q)
+        bd = linext.qmap_beta(q)
         for x in bd.kernel.elements():
             a = bd.incl.apply(x)
             for u in Q8.B.elements():
@@ -340,7 +340,7 @@ def test_beta_additive_with_hom_for_homomorphisms():
     for q in qmaps.enumerate_qmaps(Q8, Q8):
         if not q.is_hom():
             continue
-        bd = qmaps.qmap_beta(q)
+        bd = linext.qmap_beta(q)
         assert bd.additive
         for x in bd.kernel.elements():
             assert bd.hom.apply(x) == bd.value(x)
@@ -350,7 +350,7 @@ def test_beta_nonzero_and_monomorphism():
     # the central homomorphism Z/2 -> Q8 has nonzero, injective beta
     f = qmaps.qmap_from_function(
         Z2, Q8, lambda z: Q8.central(z.a.coords[0] * Q8.B.element([1])))
-    bd = qmaps.qmap_beta(f)
+    bd = linext.qmap_beta(f)
     assert bd.kernel.invariant_factors() == (2,)
     assert bd.coker.invariant_factors() == (2,)
     assert bd.additive
@@ -363,7 +363,7 @@ def test_beta_additivity_fails_for_squaring_on_q8():
     # regression: the defining formula is not additive for every q-map;
     # the squaring map has beta(e1) = beta(e2) = 1 but beta(e1+e2) = 1
     two = qmaps.power_qmap(Q8, 2)
-    bd = qmaps.qmap_beta(two)
+    bd = linext.qmap_beta(two)
     assert bd.kernel.invariant_factors() == (2, 2)
     assert not bd.additive and bd.hom is None
     vals = [bd.value(x) for x in bd.kernel.elements()]
@@ -372,7 +372,7 @@ def test_beta_additivity_fails_for_squaring_on_q8():
 
 def test_p2_factorization():
     for q in itertools.islice(qmaps.enumerate_qmaps(Q8, D4), 12):
-        fq = qmaps.qmap_p2_factorize(q)
+        fq = linext.qmap_p2_factorize(q)
         ext = fq.extension
         # f_q o p2 = q
         for z in Q8.elements():
@@ -384,11 +384,11 @@ def test_p2_factorization():
                 assert fq.eval(x + y) == fq.eval(x) + fq.eval(y)
     # q = identity: f_q is the projection corrected by the cross-effect hom
     idq = qmaps.identity_qmap(Q8)
-    fid = qmaps.qmap_p2_factorize(idq)
+    fid = linext.qmap_p2_factorize(idq)
     for x in itertools.islice(fid.extension.elements(), 32):
         assert fid.eval(x) == fid.extension.proj(x)
     # q = 0: f_q = 0
-    f0 = qmaps.qmap_p2_factorize(qmaps.zero_qmap(Q8, D4))
+    f0 = linext.qmap_p2_factorize(qmaps.zero_qmap(Q8, D4))
     assert all(f0.eval(x).is_zero()
                for x in itertools.islice(f0.extension.elements(), 32))
 
