@@ -86,8 +86,8 @@ def parse_definitions(text: str, defs: dict, max_order: int) -> dict:
 
 # Python's list syntax restricted to decimal integers: brackets, commas with
 # one optional trailing comma, and whitespace between tokens; an item is
-# `-?[0-9]+` without a leading zero, and a minus may stand apart from its
-# digits.  The patterns are compiled on first use, by `re`'s cache.
+# `-?[0-9]+` with leading zeros only in zero, and a minus may stand apart
+# from its digits.  The patterns are compiled on first use, by `re`'s cache.
 _WS = r"[ \t\n\r\f]*"
 
 
