@@ -47,37 +47,42 @@ class SmithForm:
 
     `diag` holds the diagonal entries d_1 | d_2 | ... (nonnegative, with
     zeros last); `u`, `uinv` are the row transform and its exact inverse,
-    `v` the column transform.
+    `v` the column transform.  With `rows=False` the row transforms are
+    neither built nor updated and `u`, `uinv` are None: `diag`, `v` and
+    `kernel_basis` are the same, `solve` needs the rows.
     """
 
-    def __init__(self, mat, nrows=None, ncols=None):
+    def __init__(self, mat, nrows=None, ncols=None, rows=True):
         if nrows is None:
             nrows = len(mat)
         if ncols is None:
             ncols = len(mat[0]) if mat else 0
         d = [list(row) for row in mat]
         assert all(len(row) == ncols for row in d)
-        u, uinv = _identity(nrows), _identity(nrows)
+        u, uinv = (_identity(nrows), _identity(nrows)) if rows else (None, None)
         v = _identity(ncols)
 
         def row_swap(i, k):
             d[i], d[k] = d[k], d[i]
-            u[i], u[k] = u[k], u[i]
-            for r in uinv:
-                r[i], r[k] = r[k], r[i]
+            if rows:
+                u[i], u[k] = u[k], u[i]
+                for r in uinv:
+                    r[i], r[k] = r[k], r[i]
 
         def row_add(i, k, q):
             # row i += q * row k
             d[i] = [a + q * b for a, b in zip(d[i], d[k])]
-            u[i] = [a + q * b for a, b in zip(u[i], u[k])]
-            for r in uinv:
-                r[k] -= q * r[i]
+            if rows:
+                u[i] = [a + q * b for a, b in zip(u[i], u[k])]
+                for r in uinv:
+                    r[k] -= q * r[i]
 
         def row_neg(i):
             d[i] = [-a for a in d[i]]
-            u[i] = [-a for a in u[i]]
-            for r in uinv:
-                r[i] = -r[i]
+            if rows:
+                u[i] = [-a for a in u[i]]
+                for r in uinv:
+                    r[i] = -r[i]
 
         def col_swap(j, k):
             for r in d:
@@ -474,7 +479,7 @@ def _preimage_lattice(matrix_rows, target: FGAbelian, nsrc: int):
     rel = _relation_columns(target)
     stacked = [[matrix_rows[i][j] for j in range(nsrc)] + [-col[i] for col in rel]
                for i in range(target.rank)]
-    snf = SmithForm(stacked, target.rank, nsrc + len(rel))
+    snf = SmithForm(stacked, target.rank, nsrc + len(rel), rows=False)
     return [col[:nsrc] for col in snf.kernel_basis()]
 
 

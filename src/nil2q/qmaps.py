@@ -21,9 +21,12 @@ Evaluation is the closed form of the ascending generator expansion: as
 + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i delta_pi + fcomm(u - kappa(x))),
 base_fab(x) and kappa(x) the B-parts of x_1 (fab e_1, 0) + ... in H and of
 x_1 (e_1, 0) + ... in G, both `nil2`'s closed form for sums of generator
-lifts: per B-coordinate, dot products with monomials a per-fab plan keeps.
-A plan entry also keeps the values it has returned, by their B-coordinates,
-so the maps that share a plan share their values: elements are immutable.
+lifts: per B-coordinate, dot products with monomials.  What depends on the
+source alone (G's lift rows, and per point quad(x), kappa(x) and the
+monomials x + quad(x) + (u - kappa(x))) lives in one source table that
+every per-fab plan of an enumeration shares; a plan entry keeps fab(x),
+base_fab(x) and the values it has returned, by their B-coordinates, so the
+maps that share a plan share their values: elements are immutable.
 The structural homomorphisms (identity, zero, the projections and
 inclusions of products and coproducts, the coproduct's couniversal map,
 the abelianization projection) are built by one zero-cross-effect
@@ -56,25 +59,54 @@ from .errors import (
 )
 
 
-class _FabPlan(dict):
-    """x -> (fab(x), base_fab(x), the monomials x + `nil2._quadratic(x)`,
-    kappa(x), values) for the q-maps G -> H with one fab, filled on first
-    lookup: base_fab(x) and kappa(x) are `CentralExtension._lift_sum` over
-    H with the fab columns and over G with the unit vectors, on rows kept
-    here; `values` keeps each value (fab(x), u) that `QMap.eval` has
-    returned at a point over x, by u's coordinates, for every map sharing
-    the plan."""
+class _Monomials(dict):
+    """u -> the monomials x + `nil2._quadratic(x)` + (u - kappa(x)) of
+    `QMap.eval` at the source element (x, u), for one A-point x, filled on
+    first lookup; `quad` is `nil2._quadratic(x)`, `kappa` is kappa(x)."""
 
-    def __init__(self, source, target, fab):
-        self.source, self.target, self.fab = source, target, fab
-        self.rows = (target._lift_rows([c.coords for c in fab.columns()]),
-                     source._lift_rows(ab._identity(source.rank)))
+    __slots__ = ("quad", "kappa", "head")
+
+    def __init__(self, x, quad, kappa):
+        self.quad, self.kappa, self.head = quad, kappa, x + quad
+
+    def __missing__(self, u):
+        self[u] = mono = self.head + tuple(map(sub, u, self.kappa))
+        return mono
+
+
+class _SourceTable(dict):
+    """x -> the `_Monomials` of the A-point x of G, filled on first lookup:
+    kappa(x) is `CentralExtension._lift_sum` over G with the unit vectors,
+    on G's lift rows, built once here.  Nothing in it depends on fab, so
+    one table serves every fab plan of an enumeration."""
+
+    def __init__(self, source):
+        self.source = source
+        self.rows = source._lift_rows(ab._identity(source.rank))
 
     def __missing__(self, x):
-        quad, s = nil2._quadratic(x), ab.mat_vec(self.fab.matrix, x)
+        quad = nil2._quadratic(x)
+        self[x] = hit = _Monomials(x, quad, self.source._lift_sum(self.rows, quad, x))
+        return hit
+
+
+class _FabPlan(dict):
+    """x -> (fab(x), base_fab(x), the source table's `_Monomials` of x,
+    values) for the q-maps G -> H with one fab, filled on first lookup:
+    base_fab(x) is `CentralExtension._lift_sum` over H with the fab
+    columns, on rows kept here; `values` keeps each value (fab(x), u) that
+    `QMap.eval` has returned at a point over x, by u's coordinates, for
+    every map sharing the plan.  The plans of one enumeration share one
+    `_SourceTable` of G."""
+
+    def __init__(self, table, target, fab):
+        self.table, self.target, self.fab = table, target, fab
+        self.rows = target._lift_rows([c.coords for c in fab.columns()])
+
+    def __missing__(self, x):
+        monos, s = self.table[x], ab.mat_vec(self.fab.matrix, x)
         self[x] = hit = (self.target.A._trusted(s),
-                         self.target._lift_sum(self.rows[0], quad, s), x + quad,
-                         self.source._lift_sum(self.rows[1], quad, x), {})
+                         self.target._lift_sum(self.rows, monos.quad, s), monos, {})
         return hit
 
 
@@ -100,7 +132,9 @@ class QMap:
             nil2._check_entries("gamma", self.gamma, source.rank, target.B)
             nil2._check_entries("delta", self.delta, source.rank, target.B)
             self._validate()
-        self._plan = _FabPlan(source, target, fab) if _plan is None else _plan
+        if _plan is None:
+            _plan = _FabPlan(_SourceTable(source), target, fab)
+        self._plan = _plan
         # eval's coefficients, per B-coordinate: the plan's monomials, fcomm
         cols = [e.coords for e in self.gamma]
         cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
@@ -150,15 +184,17 @@ class QMap:
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
         """Evaluate by the fixed generator expansion (ascending index), in
-        closed form (module docstring): per B-coordinate, base_fab(x) plus
-        the coefficient row times the monomials of x and u - kappa(x),
-        reduced; the value is built once per plan entry and B-coordinates
-        and then shared (elements are immutable)."""
+        closed form (module docstring): a plan lookup for fab(x) and
+        base_fab(x), a lookup of the monomials of x and u - kappa(x) in the
+        source table, then per B-coordinate base_fab(x) plus the coefficient
+        row times those monomials, reduced; the value is built once per
+        plan entry and B-coordinates and then shared (elements are
+        immutable)."""
         G, H = self.source, self.target
         if z.group is not G and z.group != G:
             raise InvalidArgument("element not in the source group")
-        a, base, mono, kappa, values = self._plan[z.a.coords]
-        mono += tuple(map(sub, z.b.coords, kappa))
+        a, base, monos, values = self._plan[z.a.coords]
+        mono = monos[z.b.coords]
         u = tuple([v % d if d else v for s, row, d in zip(base, self._rows, H._borders)
                    for v in (s + sum(map(mul, row, mono)),)])
         w = values.get(u)
@@ -456,14 +492,15 @@ def _presentations(g: nil2.CentralExtension, h: nil2.CentralExtension, fabs, fco
 
 
 def _enumerate(g, h, what, homs=False):
-    """The q-maps of `_presentations`; the maps with one fab share a plan."""
+    """The q-maps of `_presentations`; the maps with one fab share a plan,
+    and all plans share one source table of G."""
     if not (g.is_finite() and h.is_finite()):
         raise UnsupportedEnumeration(f"{what} enumeration needs finite groups")
-    plan = None
+    table, plan = _SourceTable(g), None
     for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A),
                                list(ab.enumerate_homs(g.B, h.B)), homs):
         if plan is None or plan.fab is not data[0]:
-            plan = _FabPlan(g, h, data[0])
+            plan = _FabPlan(table, h, data[0])
         yield QMap(g, h, *data, _validated=True, _plan=plan)
 
 

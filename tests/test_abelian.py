@@ -1,6 +1,7 @@
 """Tests for exact finitely generated abelian group arithmetic."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,28 @@ def test_smith_solve_and_kernel():
     basis = ab.SmithForm(mk).kernel_basis()
     assert len(basis) == 1
     assert ab.mat_vec(mk, basis[0]) == [0]
+
+
+def test_smith_form_without_rows_matches_full_form():
+    # the form without row transforms, as `_preimage_lattice` builds it,
+    # has the full form's diag, v and kernel basis on a fixed set of
+    # matrices, zero, square, wide and tall ones with entries in [-30, 30]
+    rng = random.Random(27)
+    mats = [[[0, 0], [0, 0]], [[2, 4], [0, 4]], [[2, -4]], [[3], [5], [7]]]
+    mats += [[[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
+             for n, m in itertools.product(range(1, 6), repeat=2) for _ in range(8)]
+    for mat in mats:
+        full, lean = ab.SmithForm(mat), ab.SmithForm(mat, rows=False)
+        assert (lean.diag, lean.v, lean.kernel_basis()) == (
+            full.diag, full.v, full.kernel_basis())
+        assert lean.u is None and lean.uinv is None
+    # and the preimage lattice is the full form's, into finite and free targets
+    for orders in ([], [2], [4, 6], [0, 3], [9, 3, 0]):
+        target = ab.FGAbelian(orders)
+        for nsrc in range(4):
+            rows = [[rng.randint(-12, 12) for _ in range(nsrc)] for _ in orders]
+            assert ab._preimage_lattice(rows, target, nsrc) == (
+                reference_preimage_lattice(rows, target, nsrc))
 
 
 def test_presented_examples():

@@ -504,7 +504,7 @@ _builders = st.one_of(
                      "semidirect(1,2)", "semidirect(a,b,c)", "semidirect(\u0663,1,1)",
                      "semidirect(--9,3,4)",
                      "free(\u00b2)"]),
-    st.integers(-1, 6).map("free({})".format),
+    st.integers(-1, 12).map("free({})".format),
     st.tuples(st.sampled_from(["product", "coproduct", "nope"]), _names, _names).map(
         lambda t: "{}({},{})".format(*t)))
 _definitions = st.tuples(st.sampled_from(["G", "H", "Q8"]),

@@ -1,6 +1,7 @@
 """Tests for the q-map calculus: validation, evaluation, the group
 structure on qw(G,H), composition, enumeration vs. the set-map filter."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -953,6 +954,12 @@ def test_eval_agrees_with_reference_expansion():
             _assert_eval_matches_reference(q, pts)
             count += 1
     assert count == 16 + 256 + 256 + 64 + 128 + 512
+    # an enumerated source with a nonzero diagonal bil: kappa(x) and the
+    # monomials come from the enumeration's source table
+    homs = list(qmaps.enumerate_homs(DIAG64, Q8))
+    assert len(homs) == 64 and sum(not q.fcomm.is_zero() for q in homs) == 24
+    for q in homs:
+        _assert_eval_matches_reference(q, DIAG64.elements())
     for g in (D4, HEIS3, DIAG64):
         for n in (-3, -1, 2):
             _assert_eval_matches_reference(qmaps.power_qmap(g, n), g.elements())
@@ -1019,6 +1026,31 @@ def test_enumeration_fills_plan_once_per_fab_and_point(monkeypatch, g, h, count)
             q.eval(z)
     assert len(maps) == count and fills
     assert len(fills) <= len({q.fab for q in maps}) * g.A.order()
+
+
+def test_enumeration_fills_source_side_once(monkeypatch):
+    # G's lift rows and kappa(x) depend on G alone: an enumeration builds
+    # the rows once and fills kappa once per point of A, however many fabs
+    # it has (a plan per fab fills kappa 64 times for D4 -> Q8's 16 fabs)
+    calls = collections.Counter()
+    for name in ("_lift_rows", "_lift_sum"):
+        def counting(self, *args, _name=name, _call=getattr(nil2.CentralExtension, name)):
+            if self is D4:
+                calls[_name] += 1
+            return _call(self, *args)
+        monkeypatch.setattr(nil2.CentralExtension, name, counting)
+    pts, seen = list(D4.elements()), {}
+    for h in (Z2, Q8):
+        calls.clear()
+        maps = list(qmaps.enumerate_qmaps(D4, h))
+        setup = dict(calls)     # the solver's torsion multiples and the table
+        for q in maps:
+            for z in pts:
+                q.eval(z)
+        calls.subtract(setup)
+        seen[len({q.fab for q in maps})] = setup, +calls
+    assert sorted(seen) == [4, 16] and seen[4] == seen[16]
+    assert seen[16][1] == {"_lift_sum": D4.A.order()}
 
 
 def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
