@@ -135,7 +135,7 @@ class QMap:
         if _plan is None:
             _plan = _FabPlan(_SourceTable(source), target, fab)
         self._plan = _plan
-        # eval's coefficients, per B-coordinate: the plan's monomials, fcomm
+        # eval's coefficients, per B-coordinate: the source table's monomials, fcomm
         cols = [e.coords for e in self.gamma]
         cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
         cols += zip(*fcomm.matrix)
