@@ -210,6 +210,11 @@ def presented(ngens: int, relations) -> "FGAbelian":
     return _present(ngens, relations)[0]
 
 
+def _kills(n, coords, orders):
+    """Is n times the coordinate vector zero in Z/d_1 + ... (d = 0 for Z)?"""
+    return not any(n * x % d if d else n * x for x, d in zip(coords, orders))
+
+
 def _bilinear_into(acc, x, y, mat):
     """acc += sum_ij x_i y_j mat[i][j] on coordinate lists; each entry of
     `mat` is a coordinate tuple, or None for zero.  Returns acc."""
@@ -391,16 +396,14 @@ class AbHom:
             raise InvalidArgument(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} != "
                 f"{target.rank}x{source.rank}")
-        canon = []
-        for i, row in enumerate(rows):
-            d = target.orders[i]
-            canon.append(tuple(x % d if d > 0 else x for x in row))
-        self.source, self.target, self.matrix = source, target, tuple(canon)
+        canon = tuple(tuple(x % d if d else x for x in row)
+                      for row, d in zip(rows, target.orders))
+        self.source, self.target, self.matrix = source, target, canon
         for j, dj in enumerate(source.orders):
-            col = self.column(j)
-            if not (dj * col).is_zero():
-                raise InvalidHomomorphism(
-                    f"column {j} times source order {dj} is {dj * col}, not zero")
+            col = [row[j] for row in canon]
+            if not _kills(dj, col, target.orders):
+                raise InvalidHomomorphism(f"column {j} times source order {dj} is "
+                                          f"{target._trusted([dj * x for x in col])}, not zero")
 
     @classmethod
     def identity(cls, group: FGAbelian) -> "AbHom":

@@ -24,9 +24,9 @@ def _two_generator(porders, bord, carries) -> nil2.Nil2Group:
     a = ab.FGAbelian(porders)
     b = ab.FGAbelian([bord])
     z = b.zero()
-    one = b.element([1])
+    one = b._trusted([1])
     bil = [[z, one], [z, z]]
-    carry = [b.element([c]) for c in carries]
+    carry = [b._trusted([c]) for c in carries]
     return nil2.Nil2Group(a, b, bil, carry)
 
 

@@ -41,8 +41,8 @@ canonical bijection verified on all n^2 products against `table()`.
 from __future__ import annotations
 
 import itertools
-from math import lcm
-from operator import itemgetter, mul
+from math import gcd, lcm
+from operator import itemgetter, mul, sub
 
 from . import abelian as ab
 from .errors import (
@@ -94,14 +94,11 @@ class Nil2Element:
         return self + (-other)
 
     def __mul__(self, n):
-        """n (x, u) = (n x, n u + `_lift_sum` of the one vector x); an int n."""
+        """n (x, u) by `CentralExtension._times`; an int n."""
         if not isinstance(n, int):
             return NotImplemented
-        g, x = self.group, self.a.coords
-        s = [n * c for c in x]
-        lift = g._lift_sum(g._lift_rows([x]), (n * (n - 1) // 2,), s)
-        return type(self)(g, g.A._trusted(s),
-                          g.B._trusted([n * u + v for u, v in zip(self.b.coords, lift)]))
+        s, v = self.group._times(n, self.a.coords, self.b.coords)
+        return type(self)(self.group, self.group.A._trusted(s), self.group.B._trusted(v))
 
     __rmul__ = __mul__
 
@@ -137,7 +134,7 @@ class CentralExtension:
     Subclasses validate their data and pass it to this constructor, which
     keeps flat coordinate caches for the hot cocycle path; elements are
     built as `element_class`.  `commutators[i][j]` = bil[i][j] - bil[j][i]
-    is [e_i, e_j] in B.
+    is [e_i, e_j] in B, formed on coordinates.
     """
 
     __slots__ = ("A", "B", "commutators", "_orders", "_borders", "_bilc",
@@ -147,13 +144,13 @@ class CentralExtension:
     def __init__(self, A, B, bil, carry):
         self.A, self.B = A, B
         self._orders, self._borders = A.orders, B.orders
-        r = A.rank
-        self.commutators = tuple(tuple(bil[i][j] - bil[j][i] for j in range(r))
-                                 for i in range(r))
+        bilc = [[e.coords for e in row] for row in bil]
+        self.commutators = tuple(tuple(B._trusted(map(sub, x, y)) for x, y in zip(row, col))
+                                 for row, col in zip(bilc, zip(*bilc)))
         self._bilc, self._commc = (
-            tuple(tuple(None if e.is_zero() else e.coords for e in row) for row in mat)
-            for mat in (bil, self.commutators))
-        self._carryc = tuple(None if e.is_zero() else e.coords for e in carry)
+            tuple(tuple(c if any(c) else None for c in row) for row in mat)
+            for mat in (bilc, [[e.coords for e in row] for row in self.commutators]))
+        self._carryc = tuple(e.coords if any(e.coords) else None for e in carry)
 
     @property
     def rank(self):
@@ -225,6 +222,12 @@ class CentralExtension:
                 acc = [u + st // d * et for u, et in zip(acc, e)]
         return acc
 
+    def _times(self, n, x, u):
+        """n (x, u) on coordinates, unreduced: the closed form's one-vector case."""
+        s = [n * c for c in x]
+        lift = self._lift_sum(self._lift_rows([x]), (n * (n - 1) // 2,), s)
+        return s, [n * v + w for v, w in zip(u, lift)]
+
     def commutator_pairing(self, x: ab.AbElement, y: ab.AbElement) -> ab.AbElement:
         """The commutator [(x,*), (y,*)] in B: the antisymmetrized cocycle,
         whose symmetric carries cancel, so sum_ij x_i y_j commutators[i][j]."""
@@ -249,23 +252,25 @@ def _check_entries(name, entries, r, B):
 
 
 def _check_torsion(name, mat, orders, error):
-    """mat[i][j] is killed by the generator orders d_i and d_j."""
+    """mat[i][j] is killed by the generator orders d_i and d_j (by their gcd)."""
     for i, di in enumerate(orders):
         for j, dj in enumerate(orders):
             e = mat[i][j]
-            if not (di * e).is_zero() or not (dj * e).is_zero():
+            if not ab._kills(gcd(di, dj), e.coords, e.group.orders):
                 raise error(f"{name}[{i+1}][{j+1}] = {e} not killed by generator "
                             f"orders ({di}, {dj})")
 
 
 def _check_generates(what, mat, B):
-    """The values mat[i][j], i < j, generate B."""
-    if not B.is_trivial():
-        sub = ab.subgroup_generated([e for i, row in enumerate(mat) for e in row[i + 1:]], B)
-        if not sub.is_whole():
-            raise CommutatorMismatch(
-                f"{what} generate a proper subgroup of B with invariants "
-                f"{list(sub.invariants())}, B = {B}")
+    """The values mat[i][j], i < j, generate B: one Smith form, without row
+    transforms, of B's relation columns and the values is all ones."""
+    values = [e for i, row in enumerate(mat) for e in row[i + 1:]]
+    cols = ab._relation_columns(B) + [e.coords for e in values]
+    if B.orders and ab.SmithForm(list(zip(*cols)), B.rank, len(cols),
+                                 rows=False).diag.count(1) != B.rank:
+        raise CommutatorMismatch(
+            f"{what} generate a proper subgroup of B with invariants "
+            f"{list(ab.subgroup_generated(values, B).invariants())}, B = {B}")
 
 
 class Nil2Group(CentralExtension):
@@ -283,7 +288,7 @@ class Nil2Group(CentralExtension):
         _check_entries("carry", self.carry, r, B)
         _check_torsion("bil", self.bil, A.orders, InvalidCocycle)
         for i, d in enumerate(A.orders):
-            if d == 0 and not self.carry[i].is_zero():
+            if d == 0 and any(self.carry[i].coords):
                 raise InvalidCocycle(f"carry[{i+1}] nonzero on an infinite cyclic factor")
         super().__init__(A, B, self.bil, self.carry)
         _check_generates("commutators", self.commutators, B)
@@ -390,19 +395,19 @@ def from_abelian(A: ab.FGAbelian) -> Nil2Group:
 
 def _block_sum(g1: Nil2Group, g2: Nil2Group, tail: ab.FGAbelian):
     """Data of g1 x g2 with B widened by `tail`: (A1 + A2, B1 + B2 + tail,
-    block-diagonal bil, carry, the embedding of tail into B)."""
+    block-diagonal bil, carry, the embedding of tail's coordinates into B)."""
     A = ab.direct_sum(g1.A, g2.A)
     B = ab.direct_sum(ab.direct_sum(g1.B, g2.B), tail)
 
     def embedding(offset):
-        return lambda e: B.element((0,) * offset + e.coords
-                                   + (0,) * (B.rank - offset - len(e.coords)))
+        return lambda c: B._trusted((0,) * offset + tuple(c)
+                                    + (0,) * (B.rank - offset - len(c)))
 
     emb1, emb2 = embedding(0), embedding(g1.B.rank)
     z = B.zero()
-    bil = ([[emb1(e) for e in row] + [z] * g2.rank for row in g1.bil]
-           + [[z] * g1.rank + [emb2(e) for e in row] for row in g2.bil])
-    carry = [emb1(e) for e in g1.carry] + [emb2(e) for e in g2.carry]
+    bil = ([[emb1(e.coords) for e in row] + [z] * g2.rank for row in g1.bil]
+           + [[z] * g1.rank + [emb2(e.coords) for e in row] for row in g2.bil])
+    carry = [emb1(e.coords) for e in g1.carry] + [emb2(e.coords) for e in g2.carry]
     return A, B, bil, carry, embedding(g1.B.rank + g2.B.rank)
 
 
@@ -437,7 +442,7 @@ def coproduct(g1: Nil2Group, g2: Nil2Group) -> Nil2Group:
     r1 = g1.rank
     for j in range(g2.rank):
         for i in range(r1):
-            bil[r1 + j][i] = embt(-tens.pure(g1.A.gen(i), g2.A.gen(j)))
+            bil[r1 + j][i] = embt([-c for c in tens.pure(g1.A.gen(i), g2.A.gen(j)).coords])
     return Nil2Group(A, B, bil, carry,
                      provenance=("coproduct", g1, g2, tens))
 
@@ -493,8 +498,8 @@ class P2Extension(CentralExtension):
         self.tensor = tens = ab.tensor(base.A, base.A)
         _, B, bil, carry, embt = _block_sum(base, from_abelian(ab.FGAbelian([])), tens.group)
         e = base.A.gen
-        bil = [[x + embt(-tens.pure(e(i), e(j))) for j, x in enumerate(row)]
-               for i, row in enumerate(bil)]
+        bil = [[B._trusted(map(sub, x.coords, embt(tens.pure(e(i), e(j)).coords).coords))
+                for j, x in enumerate(row)] for i, row in enumerate(bil)]
         super().__init__(base.A, B, bil, carry)
 
     def element(self, xi, g):
@@ -750,8 +755,9 @@ def semidirect(n: int, m: int, k: int) -> GroupOracle:
     # row (a, b) is, for each a2, the block of a + k^b a2 rotated by b
     block = [[ids[s + b:s + m] + ids[s:s + b] for s in range(0, n * m, m)]
              for b in range(m)]
+    kb = [pow(k, b, n) for b in range(m)]
     table = [list(itertools.chain.from_iterable(
-        block[b][(a + pow(k, b, n) * a2) % n] for a2 in range(n))) for a, b in elems]
+        block[b][(a + kb[b] * a2) % n] for a2 in range(n))) for a, b in elems]
     labels = [f"({a},{b})" for a, b in elems]
     return GroupOracle(labels, table, 0)
 

@@ -101,7 +101,8 @@ class _FabPlan(dict):
 
     def __init__(self, table, target, fab):
         self.table, self.target, self.fab = table, target, fab
-        self.rows = target._lift_rows([c.coords for c in fab.columns()])
+        self.rows = target._lift_rows([[row[j] for row in fab.matrix]
+                                       for j in range(fab.source.rank)])
 
     def __missing__(self, x):
         monos, s = self.table[x], ab.mat_vec(self.fab.matrix, x)
@@ -425,14 +426,16 @@ def _product(lists):
 
 def _relations(g: nil2.CentralExtension, h: nil2.CentralExtension, homs: bool):
     """(fcomm, fab columns xs, k) -> the lists of delta_kk (with gamma_k's)
-    and delta_ik, i < k, or None if one is empty, once per relation value."""
-    orders, eb, A = g.A.orders, h.B.orders, h.A._trusted
-    tors = [(d * g.gen(i)).b for i, d in enumerate(orders)]
+    and delta_ik, i < k, or None if one is empty, once per relation value.
+    All terms are unreduced coordinates until `red`: no element arithmetic."""
+    orders, eb = g.A.orders, h.B.orders
+    tors = [g._times(d, e, (0,) * g.B.rank)[1] for d, e in zip(orders, ab._identity(g.rank))]
+    comms = [[e.coords for e in row] for row in g.commutators]
     el = functools.partial(ab.AbElement, h.B)
-    image = functools.cache(lambda f: ([f.apply(t).coords for t in tors],
-                                       [[f.apply(c).coords for c in r] for r in g.commutators]))
-    power = functools.cache(lambda d, x: (d * h.pair(A(x), h.B.zero())).b.coords)
-    pair = functools.cache(lambda x, y: h.commutator_pairing(A(x), A(y)).coords)
+    image = functools.cache(lambda f: ([ab.mat_vec(f.matrix, t) for t in tors],
+                                       [[ab.mat_vec(f.matrix, c) for c in r] for r in comms]))
+    power = functools.cache(lambda d, x: h._times(d, x, (0,) * len(eb))[1])
+    pair = functools.cache(lambda x, y: ab._bilinear_into([0] * len(eb), x, y, h._commc))
     gammas = functools.cache(lambda d, y: _lazy(ab._scalar_solutions(d, el(y))))
 
     def red(v):

@@ -166,6 +166,18 @@ def test_hom_validation_and_apply():
         ab.AbHom(Z2, Z3, [[1]])
 
 
+def test_hom_validation_on_free_coordinates():
+    # an order-0 target coordinate is not reduced: 2 * 1 is not zero in Z
+    z2_z = ab.FGAbelian([2, 0])
+    assert ab.AbHom(Z, Z, [[5]]).matrix == ((5,),)
+    assert ab.AbHom(Z2, Z, [[0]]).is_zero()
+    assert ab.AbHom(Z2, z2_z, [[1], [0]]).matrix == ((1,), (0,))
+    for target, matrix, shown in ((Z, [[1]], "(2)"), (z2_z, [[1], [3]], "(0, 6)")):
+        with pytest.raises(InvalidHomomorphism) as exc:
+            ab.AbHom(Z2, target, matrix)
+        assert str(exc.value) == f"column 0 times source order 2 is {shown}, not zero"
+
+
 def test_hom_compose_identity_assoc():
     f = ab.AbHom(Z4, V4, [[1], [1]])
     g = ab.AbHom(V4, Z2, [[1, 1]])

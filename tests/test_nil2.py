@@ -164,6 +164,49 @@ def test_generator_data_validation(kind, fault, error):
         _generator_data(kind, mat, B)
 
 
+def _free_factor_group(aorders, borders, bil, carry):
+    """nil2.make on A, B with the given nonzero bil[(i, j)] and carry[i]
+    coordinates, every other entry zero."""
+    A, B = ab.FGAbelian(aorders), ab.FGAbelian(borders)
+    r = A.rank
+    rows = [[B.element(bil[i, j]) if (i, j) in bil else B.zero() for j in range(r)]
+            for i in range(r)]
+    return nil2.make(A, B, rows, [B.element(carry.get(i, [0] * B.rank)) for i in range(r)])
+
+
+@pytest.mark.parametrize("aorders, borders, bil, carry, error, message", [
+    # a bil entry on a Z factor of B over infinite A factors is accepted ...
+    ([0, 0], [0], {(0, 1): [1]}, {}, None, None),
+    ([0, 0, 0], [0, 0], {(0, 1): [1, 5], (1, 2): [0, -1]}, {}, None, None),
+    # ... and over a finite A factor it is not killed
+    ([0, 0, 2], [0], {(0, 1): [1], (0, 2): [1]}, {}, InvalidCocycle,
+     "bil[1][3] = (1) not killed by generator orders (0, 2)"),
+    ([0, 0, 2], [2, 0], {(0, 1): [0, 1], (0, 2): [1, 1]}, {}, InvalidCocycle,
+     "bil[1][3] = (1, 1) not killed by generator orders (0, 2)"),
+    ([0, 0, 2], [2, 0], {(0, 1): [0, 1], (0, 2): [1, 0]}, {}, None, None),
+    # a carry into Z: free over a finite A factor, refused over an infinite one
+    ([0, 0, 2], [0], {(0, 1): [1]}, {2: [5]}, None, None),
+    ([0, 0], [0], {(0, 1): [1]}, {0: [1]}, InvalidCocycle,
+     "carry[1] nonzero on an infinite cyclic factor"),
+    # commutators that miss a Z summand of B, or reach only 2Z
+    ([0, 0], [2, 0], {(0, 1): [1, 0]}, {}, CommutatorMismatch,
+     "commutators generate a proper subgroup of B with invariants [2], B = Z/2 + Z"),
+    ([0, 0], [0, 0], {(0, 1): [1, 3]}, {}, CommutatorMismatch,
+     "commutators generate a proper subgroup of B with invariants [0], B = Z + Z"),
+    ([0, 0], [0], {(0, 1): [2]}, {}, CommutatorMismatch,
+     "commutators generate a proper subgroup of B with invariants [0], B = Z"),
+])
+def test_validation_on_free_coordinates(aorders, borders, bil, carry, error, message):
+    # order-0 coordinates take the unreduced branch of the coordinate checks
+    if error is None:
+        g = _free_factor_group(aorders, borders, bil, carry)
+        assert g.commutators[0][1] == g.B.element(bil[0, 1])
+    else:
+        with pytest.raises(error) as exc:
+            _free_factor_group(aorders, borders, bil, carry)
+        assert str(exc.value) == message
+
+
 def test_q8_structure():
     assert Q8.order() == 8
     assert Q8.exponent() == 4
@@ -578,6 +621,17 @@ def test_semidirect_oracles():
         nil2.semidirect(5, 2, 3)  # 3^2 = 9 != 1 mod 5
     with pytest.raises(NotClassTwo):
         nil2.semidirect(8, 2, 3)  # (3-1)^2 = 4 != 0 mod 8
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 1, 1), (4, 2, 3), (8, 2, 5), (4, 4, 3),
+                                     (25, 5, 6), (49, 7, 8)])
+def test_semidirect_table_matches_definition(n, m, k):
+    # (a, b)(a2, b2) = (a + k^b a2, b + b2), element (a, b) at a m + b
+    o = nil2.semidirect(n, m, k)
+    assert o.labels == tuple(f"({a},{b})" for a in range(n) for b in range(m))
+    assert o.table == tuple(tuple((a + k ** b * a2) % n * m + (b + b2) % m
+                                  for a2 in range(n) for b2 in range(m))
+                            for a in range(n) for b in range(m))
 
 
 def test_canonicalize_q8_oracle():

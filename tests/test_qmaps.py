@@ -1067,6 +1067,33 @@ def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
     assert len(maps) == len(tables) == 256
 
 
+def test_set_up_and_enumeration_do_no_element_arithmetic(monkeypatch):
+    # groups are built and validated, and the solver's relation terms read,
+    # on coordinates: with every AbElement and Nil2Element +, -, negation
+    # and multiple raising, the catalog groups, products, coproducts and
+    # the enumeration and tabulation of q-maps still run
+    def forbidden(*args):
+        raise AssertionError("element arithmetic in set-up")
+
+    for cls in (ab.AbElement, nil2.Nil2Element):
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, forbidden)
+    q8, d4, heis3 = catalog.quaternion(), catalog.dihedral4(), catalog.heisenberg(3)
+    catalog.modular_semidirect(3)
+    nil2.product(q8, catalog.cyclic(2))
+    nil2.coproduct(catalog.cyclic(2), catalog.cyclic(2))
+    pairs = [(d4, catalog.cyclic(4)), (q8, q8), (heis3, catalog.abelian_group([2, 2]))]
+    tables = []
+    for g, h in pairs:
+        pts = list(g.elements())
+        tables.append([(q, [q.eval(z) for z in pts]) for q in qmaps.enumerate_qmaps(g, h)])
+    monkeypatch.undo()
+    assert [len(t) for t in tables] == [4, 256, 1]
+    for (g, _), maps in zip(pairs, tables):
+        for q, values in maps:
+            assert values == [reference_eval(q, z) for z in g.elements()]
+
+
 def test_enumerated_eval_shares_values_per_plan_entry(monkeypatch):
     # a plan entry keeps the values it returns: tabulating all 256 D4 -> Q8
     # maps builds at most one element per fab, point of A and value in B
