@@ -102,7 +102,7 @@ def _iso_pair(g, h, homs: bool):
         raise Unsupported("isomorphism search needs finite groups")
     if g.order() != h.order():
         return None
-    column = qmaps._relations(g, h, homs)
+    column = qmaps._relations(g, h, homs)[1]
     live = [list(ab.isomorphisms(g.B, h.B))]   # live[k]: the fcomm kept by the k-column prefix
 
     def keep(cols):

@@ -16,6 +16,9 @@ homomorphism enumeration (delta pinned to zero), q-split section search
 (fab = id, fcomm = 0 out of G_ab) and the iso-pair search of `classify`.
 It and `QMap` read only `nil2.CentralExtension` data, so they serve any
 finite central extension: groups, P2(G) and the Lie rings of `maltsev`.
+`QMap` validation checks data on the solver's own terms (`_relations`),
+with no element arithmetic, so the independent check of both is the
+definition-level one below.
 Evaluation is the closed form of the ascending generator expansion: as
 (0, gamma) is central, f(x, u) = (fab(x), base_fab(x) + sum_i [x_i gamma_i
 + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i delta_pi + fcomm(u - kappa(x))),
@@ -44,7 +47,6 @@ along the nonzero members S' of a generating set, by one test (proof there).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import gcd
 from operator import add, mul, sub
@@ -59,35 +61,40 @@ from .errors import (
 )
 
 
+class _Memo(dict):
+    """key -> fn(*key), filled on first lookup: no wrapper set up per call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(*key)
+        return value
+
+
 class _Monomials(dict):
     """u -> the monomials x + `nil2._quadratic(x)` + (u - kappa(x)) of
-    `QMap.eval` at the source element (x, u), for one A-point x, filled on
-    first lookup; `quad` is `nil2._quadratic(x)`, `kappa` is kappa(x)."""
+    `QMap.eval` at the source element (x, u), for one A-point x of G, filled
+    on first lookup; `quad` is `nil2._quadratic(x)`, `kappa` is kappa(x):
+    `CentralExtension._lift_sum` over G with the unit vectors, on `rows`."""
 
     __slots__ = ("quad", "kappa", "head")
 
-    def __init__(self, x, quad, kappa):
-        self.quad, self.kappa, self.head = quad, kappa, x + quad
+    def __init__(self, x, source, rows):
+        self.quad = quad = nil2._quadratic(x)
+        self.kappa, self.head = source._lift_sum(rows, quad, x), x + quad
 
     def __missing__(self, u):
         self[u] = mono = self.head + tuple(map(sub, u, self.kappa))
         return mono
 
 
-class _SourceTable(dict):
-    """x -> the `_Monomials` of the A-point x of G, filled on first lookup:
-    kappa(x) is `CentralExtension._lift_sum` over G with the unit vectors,
-    on G's lift rows, built once here.  Nothing in it depends on fab, so
-    one table serves every fab plan of an enumeration."""
-
-    def __init__(self, source):
-        self.source = source
-        self.rows = source._lift_rows(ab._identity(source.rank))
-
-    def __missing__(self, x):
-        quad = nil2._quadratic(x)
-        self[x] = hit = _Monomials(x, quad, self.source._lift_sum(self.rows, quad, x))
-        return hit
+def _source_table(source):
+    """x -> the `_Monomials` of the A-point x of G (its coordinates are the
+    `_Memo` key), on G's lift rows, built once here.  Nothing in it depends
+    on fab, so one table serves every fab plan of an enumeration."""
+    rows = source._lift_rows(ab._identity(source.rank))
+    return _Memo(lambda *x: _Monomials(x, source, rows))
 
 
 class _FabPlan(dict):
@@ -97,7 +104,7 @@ class _FabPlan(dict):
     columns, on rows kept here; `values` keeps each value (fab(x), u) that
     `QMap.eval` has returned at a point over x, by u's coordinates, for
     every map sharing the plan.  The plans of one enumeration share one
-    `_SourceTable` of G."""
+    `_source_table` of G."""
 
     def __init__(self, table, target, fab):
         self.table, self.target, self.fab = table, target, fab
@@ -134,7 +141,7 @@ class QMap:
             nil2._check_entries("delta", self.delta, source.rank, target.B)
             self._validate()
         if _plan is None:
-            _plan = _FabPlan(_SourceTable(source), target, fab)
+            _plan = _FabPlan(_source_table(source), target, fab)
         self._plan = _plan
         # eval's coefficients, per B-coordinate: the source table's monomials, fcomm
         cols = [e.coords for e in self.gamma]
@@ -146,26 +153,26 @@ class QMap:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        G, H = self.source, self.target
-        r = G.rank
+        """The relations on the solver's terms: delta_ki = delta_ik + s_ik and
+        d_k gamma_k + C(d_k, 2) delta_kk = rhs_k.  A failure's message prints
+        the relation's fcomm side and that side plus the defect."""
+        G, H, B = self.source, self.target, self.target.B
         nil2._check_torsion("delta", self.delta, G.A.orders, NotAQMap)
-        for i in range(r):
-            for j in range(i + 1, r):
-                lhs = self.fcomm.apply(G.commutators[i][j])
-                rhs = (H.commutator_pairing(self.fab.column(i), self.fab.column(j))
-                       + self.delta[i][j] - self.delta[j][i])
-                if lhs != rhs:
-                    raise NotAQMap(
-                        f"commutator relation fails at generator pair "
-                        f"({i+1}, {j+1}): {lhs} != {rhs}")
-        for i, di in enumerate(G.A.orders):
-            if di == 0:
-                continue
-            lhs = di * self.gen_image(i) + H.central((di * (di - 1) // 2) * self.delta[i][i])
-            rhs = H.central(self.fcomm.apply((di * G.gen(i)).b))
-            if lhs != rhs:
+        terms, xs = _relations(G, H, False)[0], list(zip(*self.fab.matrix)) or [()] * G.rank
+        rhs, s = zip(*[terms(self.fcomm, xs, k) for k in range(G.rank)]) if xs else ((), ())
+        for i, k in itertools.combinations(range(G.rank), 2):
+            if B._trusted(map(add, self.delta[i][k].coords, s[k][i])) != self.delta[k][i]:
+                side = self.fcomm.apply(G.commutators[i][k])
                 raise NotAQMap(
-                    f"order relation fails at generator {i+1}: {lhs!r} != {rhs!r}")
+                    f"commutator relation fails at generator pair ({i+1}, {k+1}): {side} != "
+                    f"{side + B._trusted(s[k][i]) + self.delta[i][k] - self.delta[k][i]}")
+        for k, d in enumerate(G.A.orders):
+            v = B._trusted([d * y + d * (d - 1) // 2 * z
+                            for y, z in zip(self.gamma[k].coords, self.delta[k][k].coords)])
+            if v.coords != rhs[k]:
+                side = H.central(self.fcomm.apply((d * G.gen(k)).b))
+                raise NotAQMap(f"order relation fails at generator {k+1}: "
+                               f"{side + H.central(v - B._trusted(rhs[k]))!r} != {side!r}")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -425,43 +432,47 @@ def _product(lists):
 
 
 def _relations(g: nil2.CentralExtension, h: nil2.CentralExtension, homs: bool):
-    """(fcomm, fab columns xs, k) -> the lists of delta_kk (with gamma_k's)
-    and delta_ik, i < k, or None if one is empty, once per relation value.
-    All terms are unreduced coordinates until `red`: no element arithmetic."""
-    orders, eb = g.A.orders, h.B.orders
+    """terms(fcomm, fab columns xs, k) -> (rhs_k, [s_ik for i < k]), and
+    column(fcomm, xs, k) -> the lists of delta_kk (with gamma_k's) and
+    delta_ik, i < k, read off them, or None if one is empty, once per
+    relation value.  Coordinates throughout, reduced by `red`."""
+    orders, eb, el = g.A.orders, h.B.orders, h.B._trusted
     tors = [g._times(d, e, (0,) * g.B.rank)[1] for d, e in zip(orders, ab._identity(g.rank))]
     comms = [[e.coords for e in row] for row in g.commutators]
-    el = functools.partial(ab.AbElement, h.B)
-    image = functools.cache(lambda f: ([ab.mat_vec(f.matrix, t) for t in tors],
-                                       [[ab.mat_vec(f.matrix, c) for c in r] for r in comms]))
-    power = functools.cache(lambda d, x: h._times(d, x, (0,) * len(eb))[1])
-    pair = functools.cache(lambda x, y: ab._bilinear_into([0] * len(eb), x, y, h._commc))
-    gammas = functools.cache(lambda d, y: _lazy(ab._scalar_solutions(d, el(y))))
+    image = _Memo(lambda f, k: (ab.mat_vec(f.matrix, tors[k]),
+                                [ab.mat_vec(f.matrix, comms[i][k]) for i in range(k)]))
+    power = _Memo(lambda d, x: h._times(d, x, (0,) * len(eb))[1])
+    pair = _Memo(lambda x, y: ab._bilinear_into([0] * len(eb), x, y, h._commc))
+    gammas = _Memo(lambda d, y: _lazy(ab._scalar_solutions(d, el(y))))
 
     def red(v):
-        return tuple([x % e for x, e in zip(v, eb)])
+        return tuple([x % e if e else x for x, e in zip(v, eb)])
 
-    @functools.cache
+    def terms(f, xs, k):
+        (t, cs), x = image[f, k], xs[k]
+        return (red(map(sub, t, power[orders[k], x])),
+                [red(map(sub, pair[xs[i], x], c)) for i, c in enumerate(cs)])
+
+    @_Memo
     def diag(d, rhs):
         c = 0 if homs else d * (d - 1) // 2
         if ab._solvable(d, el(rhs), c):
             ys = ((e, red([t - c * u for t, u in zip(rhs, e)]))
                   for e in ab._killed(eb, 1 if homs else d))
-            return _lazy((el(e), gammas(d, y)) for e, y in ys if ab._solvable(d, el(y)))
+            return _lazy((el(e), gammas[d, y]) for e, y in ys if ab._solvable(d, el(y)))
 
-    @functools.cache
+    @_Memo
     def upper(m, s):
         if not any(m * t % e for t, e in zip(s, eb)):
-            return _lazy((el(v), el(red(map(add, v, s)))) for v in ab._killed(eb, m))
+            return _lazy((el(v), el(map(add, v, s))) for v in ab._killed(eb, m))
 
     def column(f, xs, k):
-        (tors_f, comm_f), x, d = image(f), xs[k], orders[k]
-        lists = [diag(d, red(map(sub, tors_f[k], power(d, x))))]
-        lists += [upper(1 if homs else gcd(orders[i], d),
-                        red(map(sub, pair(xs[i], x), comm_f[i][k]))) for i in range(k)]
+        (rhs, ss), d = terms(f, xs, k), orders[k]
+        lists = [diag[d, rhs]] + [upper[1 if homs else gcd(orders[i], d), s]
+                                  for i, s in enumerate(ss)]
         return None if None in lists else lists
 
-    return column
+    return terms, column
 
 
 def _presentations(g: nil2.CentralExtension, h: nil2.CentralExtension, fabs, fcomms,
@@ -478,7 +489,7 @@ def _presentations(g: nil2.CentralExtension, h: nil2.CentralExtension, fabs, fco
     delta's diagonal, its upper triangle, gamma (lexicographic); maps with
     one diagonal and upper triangle share a delta.  `homs` pins delta to 0.
     """
-    column, r = _relations(g, h, homs), g.rank
+    column, r = _relations(g, h, homs)[1], g.rank
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     for fab in fabs:
         xs = [tuple([row[i] for row in fab.matrix]) for i in range(r)]
@@ -499,7 +510,7 @@ def _enumerate(g, h, what, homs=False):
     and all plans share one source table of G."""
     if not (g.is_finite() and h.is_finite()):
         raise UnsupportedEnumeration(f"{what} enumeration needs finite groups")
-    table, plan = _SourceTable(g), None
+    table, plan = _source_table(g), None
     for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A),
                                list(ab.enumerate_homs(g.B, h.B)), homs):
         if plan is None or plan.fab is not data[0]:

@@ -285,11 +285,15 @@ def suite_enumeration():
     for gn, hn in BRUTE_PAIRS:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        at, gel = _law(h)[3], list(g.elements())
-        enum = sorted(tuple(at(q.eval(z)) for z in gel)
-                      for q in qmaps.enumerate_qmaps(g, h))
+        (gadd, _, _, gat), (hadd, hneg, _, at) = _law(g), _law(h)
+        gel, gens, enum, ok = list(g.elements()), [gat(g.gen(i)) for i in range(g.rank)], [], True
+        for q in qmaps.enumerate_qmaps(g, h):
+            # each map, not only the set: its cross-effect (s|y), s a generator, is its delta's
+            enum.append(v := tuple(at(q.eval(z)) for z in gel))
+            ok &= all(hadd[hneg[hadd[v[s]][v[y]]]][v[gadd[s][y]]] == at(q.cross(gel[s], z))
+                      for s in gens for y, z in enumerate(gel))
         brute = qmaps.quadratic_functions_bruteforce(g, h, kind="qmap")
-        ok = enum == brute and len(set(enum)) == len(enum)
+        ok &= sorted(enum) == brute and len(set(enum)) == len(enum)
         results.append(CheckResult("enumeration-matches-bruteforce", inst, ok,
                                    f"{len(enum)} maps"))
     # abelian targets: q-maps are exactly homomorphisms

@@ -52,6 +52,18 @@ def test_qsplit_positive():
             assert z.a == a
 
 
+def test_every_section_is_a_qmap_by_the_definition():
+    # a section's data are validated on the solver's own relation terms, so
+    # the independent check is the definition on the Cayley tables
+    found = []
+    for name, g in catalog.standard_catalog(125):
+        s = classify.is_qsplit(g).section
+        if s is not None:
+            assert qmaps.is_qmap_function(s.eval, s.source, g), name
+            found.append(name)
+    assert "D4xD4" in found and "Heis5" in found and "G27" not in found
+
+
 def test_qsplit_q8_witness_matches_known_section():
     s = classify.is_qsplit(Q8).section
     src = s.source

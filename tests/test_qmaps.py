@@ -93,6 +93,58 @@ def test_commutator_relation_failure():
                    [bz, bz], [[bz, one], [bz, bz]])
 
 
+Q8Z2, Q8V4, F2 = nil2.product(Q8, Z2), nil2.product(Q8, V4), nil2.free(2)
+# (G, H, fab, fcomm, {k: gamma_k}, {(i, k): delta_ik}, verdict): fab and
+# fcomm are n times the unit diagonal, gamma and delta entries are the one
+# coordinate of B_H (1-based, others zero); the verdict is "valid" or the
+# exception class and message that validation gives
+VALIDATION_CASES = [
+    (Q8Z2, Q8, 0, 0, {}, {(2, 3): 1},
+     (NotAQMap, "commutator relation fails at generator pair (2, 3): (0) != (1)")),
+    (Q8Z2, Q8, 0, 0, {}, {(3, 3): 1},
+     (NotAQMap, "order relation fails at generator 3: (0,0 | 1) != (0,0 | 0)")),
+    (Q8Z2, Q8, 0, 0, {}, {(2, 3): 1, (3, 2): 1}, "valid"),
+    (Q8Z2, Q8, 0, 0, {}, {(2, 3): 1, (3, 3): 1},
+     (NotAQMap, "commutator relation fails at generator pair (2, 3): (0) != (1)")),
+    (Q8V4, Q8, 0, 0, {}, {(1, 4): 1, (2, 3): 1},
+     (NotAQMap, "commutator relation fails at generator pair (1, 4): (0) != (1)")),
+    (Q8, F2, 0, 0, {1: 1}, {},
+     (NotAQMap, "order relation fails at generator 1: (0,0 | 2) != (0,0 | 0)")),
+    (F2, F2, 1, 1, {}, {(1, 2): 1},
+     (NotAQMap, "commutator relation fails at generator pair (1, 2): (1) != (2)")),
+    (F2, Q8, 1, 1, {}, {}, "valid"),
+    (F2, Q8, 1, 1, {}, {(1, 2): 1, (2, 1): 1}, "valid"),
+    (F2, Q8, 1, 1, {}, {(1, 2): 1},
+     (NotAQMap, "commutator relation fails at generator pair (1, 2): (1) != (0)")),
+    (F2, Q8, 1, 1, {}, {(2, 1): 1},
+     (NotAQMap, "commutator relation fails at generator pair (1, 2): (1) != (0)")),
+]
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES, ids=range(len(VALIDATION_CASES)))
+def test_validation_verdicts_and_messages_are_pinned(case):
+    # free (order-0) coordinates on either side; of several failing
+    # relations, the first commutator pair (lexicographic) is reported, and
+    # an order relation only when every commutator relation holds
+    g, h, nfab, nfcomm, gamma, delta, verdict = case
+
+    def unit(n, src, dst):
+        return ab.AbHom(src, dst, [[n * (i == j) for j in range(src.rank)]
+                                   for i in range(dst.rank)])
+
+    r = g.rank
+    data = (g, h, unit(nfab, g.A, h.A), unit(nfcomm, g.B, h.B),
+            [h.B.element([gamma.get(k + 1, 0)]) for k in range(r)],
+            [[h.B.element([delta.get((i + 1, k + 1), 0)]) for k in range(r)]
+             for i in range(r)])
+    if verdict == "valid":
+        qmaps.QMap(*data)
+    else:
+        with pytest.raises(verdict[0]) as exc:
+            qmaps.QMap(*data)
+        assert type(exc.value) is verdict[0] and str(exc.value) == verdict[1]
+
+
 def test_eval_zero_is_zero():
     for q in itertools.islice(qmaps.enumerate_qmaps(Q8, D4), 50):
         assert q.eval(Q8.zero()).is_zero()
@@ -1092,6 +1144,32 @@ def test_set_up_and_enumeration_do_no_element_arithmetic(monkeypatch):
     for (g, _), maps in zip(pairs, tables):
         for q, values in maps:
             assert values == [reference_eval(q, z) for z in g.elements()]
+
+
+def test_validation_does_no_element_arithmetic(monkeypatch):
+    # validation reads the solver's relation terms on coordinates: with every
+    # AbElement and Nil2Element +, -, negation and multiple raising, the
+    # solver's data rebuilt as maps without `_validated`, and the structural
+    # maps, still validate
+    def forbidden(*args):
+        raise AssertionError("element arithmetic in validation")
+
+    pairs = [(D4, Q8), (HEIS3, V4)]
+    p, c = nil2.product(Z2, Z4), nil2.coproduct(Z2, Z2)
+    for cls in (ab.AbElement, nil2.Nil2Element):
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, forbidden)
+    rebuilt = [[qmaps.QMap(g, h, *data) for data in qmaps._presentations(
+        g, h, ab.enumerate_homs(g.A, h.A), list(ab.enumerate_homs(g.B, h.B)))]
+        for g, h in pairs]
+    structural = [qmaps.identity_qmap(Q8), qmaps.zero_qmap(D4, Q8),
+                  qmaps.product_projection(p, 1), qmaps.coproduct_inclusion(c, 0)]
+    monkeypatch.undo()
+    assert [len(maps) for maps in rebuilt] == [256, 1]
+    for (g, h), maps in zip(pairs, rebuilt):
+        assert maps == list(qmaps.enumerate_qmaps(g, h))
+    for q in structural:
+        assert q in list(qmaps.enumerate_qmaps(q.source, q.target))
 
 
 def test_enumerated_eval_shares_values_per_plan_entry(monkeypatch):
