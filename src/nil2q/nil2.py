@@ -134,15 +134,16 @@ class CentralExtension:
     Subclasses validate their data and pass it to this constructor, which
     keeps flat coordinate caches for the hot cocycle path; elements are
     built as `element_class`.  `commutators[i][j]` = bil[i][j] - bil[j][i]
-    is [e_i, e_j] in B, formed on coordinates.
+    is [e_i, e_j] in B, formed on coordinates.  `_terms` is the last pair
+    (target, `qmaps._relations` terms) that q-map validation used from here.
     """
 
     __slots__ = ("A", "B", "commutators", "_orders", "_borders", "_bilc",
-                 "_commc", "_carryc")
+                 "_commc", "_carryc", "_terms")
     element_class = Nil2Element
 
     def __init__(self, A, B, bil, carry):
-        self.A, self.B = A, B
+        self.A, self.B, self._terms = A, B, None
         self._orders, self._borders = A.orders, B.orders
         bilc = [[e.coords for e in row] for row in bil]
         self.commutators = tuple(tuple(B._trusted(map(sub, x, y)) for x, y in zip(row, col))
@@ -349,8 +350,10 @@ class CayleyTable:
     Element i is the i-th of `group.elements()`, so zero is 0; `index` maps
     its coordinates (a.coords, b.coords) to i, and `add[i][j]` and `neg[i]`
     are the indices of sums and negatives.  (a, u) is at pos(a) |B| + pos(u),
-    so `add` comes from the sums in A and B and the cocycle.  Keys are
-    coordinates, not elements, so the table holds no reference to its group.
+    so `add` comes from the sums in A and B and the cocycle.  Coordinates
+    come from `itertools.product` over the cyclic orders (`elements()`
+    order), and keys are coordinates, so the table holds no element and no
+    reference to its group.
     `by_max` and `masks` are kept here for the function-level oracles of
     `qmaps`, which fill them on first use.
     """
@@ -358,15 +361,17 @@ class CayleyTable:
     __slots__ = ("index", "add", "neg", "by_max", "masks")
 
     def __init__(self, group):
-        self.index = {(z.a.coords, z.b.coords): i for i, z in enumerate(group.elements())}
+        if not group.is_finite():
+            raise UnsupportedEnumeration(f"cannot enumerate infinite group {group}")
         A, B = group.A, group.B
+        acoords, bcoords = (list(itertools.product(*map(range, K.orders))) for K in (A, B))
+        self.index = {z: i for i, z in enumerate(itertools.product(acoords, bcoords))}
         asum, bsum = _sum_table(A.orders), _sum_table(B.orders)
         na, nb = len(asum), len(bsum)
         if nb == 1:         # B = 0: the sums in A, and no cocycle call
             self.add = asum
         else:
-            acoords = [a.coords for a in A.elements()]
-            bpos = {u.coords: i for i, u in enumerate(B.elements())}
+            bpos = {u: i for i, u in enumerate(bcoords)}
             coc = [[bpos[tuple(c % d for c, d in zip(group._cocycle_coords(x, y), B.orders))]
                     for y in acoords] for x in acoords]
             self.add = [[asum[i][j] * nb + bsum[bsum[u][v]][coc[i][j]]
@@ -571,12 +576,30 @@ def _greedy_generators(table, identity):
     for x in range(len(table)):
         if x not in span:
             gens.append(x)
-            todo = list(span)
-            for s in todo:
-                new = {table[s][g] for g in gens} - span
-                span |= new
-                todo += new
+            span = _closure(table, identity, gens)
     return gens
+
+
+def _comm(table, neg, x, y):
+    """[x, y] = -(y + x) + (x + y) in additive convention."""
+    return table[neg[table[y][x]]][table[x][y]]
+
+
+def _closure(table, identity, gens):
+    """The subgroup `gens` generate in a finite table: what right
+    multiplication by them reaches from the identity."""
+    span, todo = {identity}, [identity]
+    for x in todo:
+        new = {table[x][g] for g in gens} - span
+        span |= new
+        todo += new
+    return span
+
+
+def _derived(table, neg, identity, gens):
+    """[G, G] of a class-two table: the commutator is bilinear there, so the
+    [s, t] over the generating set `gens` generate it."""
+    return _closure(table, identity, {_comm(table, neg, s, t) for s in gens for t in gens})
 
 
 class GroupOracle:
@@ -629,9 +652,7 @@ class GroupOracle:
         return len(self.labels)
 
     def comm(self, x, y):
-        """[x, y] = -x - y + x + y in additive convention."""
-        t = self.table
-        return t[t[self._inv[x]][self._inv[y]]][t[x][y]]
+        return _comm(self.table, self._inv, x, y)
 
     def power(self, x, n):
         if n < 0:
@@ -642,27 +663,13 @@ class GroupOracle:
         return acc
 
     def subgroup_closure(self, gens):
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.table[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        return _closure(self.table, self.identity, list(gens))
 
     def generating_set(self):
         return _greedy_generators(self.table, self.identity)
 
     def commutator_subgroup(self):
-        """[G, G] of a class-two table: the commutator is bilinear there, so
-        the [s, t] over the generating set generate it."""
-        gens = self.generating_set()
-        comms = {self.comm(s, t) for s in gens for t in gens} - {self.identity}
-        return self.subgroup_closure(sorted(comms))
+        return _derived(self.table, self._inv, self.identity, self.generating_set())
 
     def is_class_two(self) -> bool:
         """Each [s, t] over the generating set S commutes with S: then the

@@ -40,9 +40,11 @@ projections.
 The independent completeness oracle is the exhaustive set-map filter over
 the defining conditions; it and the function-level checks are one kernel,
 `_tables`, on integer Cayley tables built from the group law
-(`Nil2Group.table`), never from q-map data.  It tests each cross value
-(i|j) once, at position max(i, j, i+j) of its backtracking, and bilinearity
-along the nonzero members S' of a generating set, by one test (proof there).
+(`Nil2Group.table`), never from q-map data; the masks of [H,H] and of the
+center come from H's table too, with no `nil2.center` and no `elements()`.
+It tests each cross value (i|j) once, at position max(i, j, i+j) of its
+backtracking, and bilinearity along the nonzero members S' of a generating
+set, by one test (proof there).
 """
 
 from __future__ import annotations
@@ -155,10 +157,14 @@ class QMap:
     def _validate(self):
         """The relations on the solver's terms: delta_ki = delta_ik + s_ik and
         d_k gamma_k + C(d_k, 2) delta_kk = rhs_k.  A failure's message prints
-        the relation's fcomm side and that side plus the defect."""
+        the relation's fcomm side and that side plus the defect.  G keeps the
+        terms of its last target in `_terms`, so maps between one pair of
+        groups share them."""
         G, H, B = self.source, self.target, self.target.B
         nil2._check_torsion("delta", self.delta, G.A.orders, NotAQMap)
-        terms, xs = _relations(G, H, False)[0], list(zip(*self.fab.matrix)) or [()] * G.rank
+        if G._terms is None or G._terms[0] is not H:
+            G._terms = (H, _relations(G, H, False)[0])
+        terms, xs = G._terms[1], list(zip(*self.fab.matrix)) or [()] * G.rank
         rhs, s = zip(*[terms(self.fcomm, xs, k) for k in range(G.rank)]) if xs else ((), ())
         for i, k in itertools.combinations(range(G.rank), 2):
             if B._trusted(map(add, self.delta[i][k].coords, s[k][i])) != self.delta[k][i]:
@@ -538,14 +544,18 @@ def enumerate_homs(g: nil2.Nil2Group, h: nil2.Nil2Group):
 
 def _member_mask(h: nil2.Nil2Group, kind: str):
     """good[w] per H-index w: in [H,H] ("qmap") or central ("quadratic"),
-    kept in the `masks` of H's table."""
+    kept in the `masks` of H's table and read off its `add` alone: over its
+    greedy generators S, [H,H] is `nil2._derived`, and w is central iff it
+    commutes with each s in S (its centralizer is a subgroup)."""
     if kind not in ("qmap", "quadratic"):
         raise InvalidArgument(f"unknown filter kind {kind!r}")
-    masks = h.table().masks
-    if kind not in masks:
-        member = nil2.center(h).contains if kind == "quadratic" else lambda w: w.a.is_zero()
-        masks[kind] = [member(w) for w in h.elements()]
-    return masks[kind]
+    t = h.table()
+    if kind not in t.masks:
+        add, gens = t.add, nil2._greedy_generators(t.add, 0)
+        member = (nil2._derived(add, t.neg, 0, gens) if kind == "qmap" else
+                  {w for w, row in enumerate(add) if all(row[s] == add[s][w] for s in gens)})
+        t.masks[kind] = [w in member for w in range(len(add))]
+    return t.masks[kind]
 
 
 def _generators(gadd):

@@ -121,6 +121,21 @@ VALIDATION_CASES = [
 ]
 
 
+def test_sums_set_up_the_relation_terms_once(monkeypatch):
+    # sums are validated; the source keeps the relation terms of its last
+    # target, so 100 sums of D4 -> Q8 maps set them up once
+    d4, q8 = catalog.dihedral4(), catalog.quaternion()
+    qs = list(qmaps.enumerate_qmaps(d4, q8))
+    calls, real = [], qmaps._relations
+    monkeypatch.setattr(qmaps, "_relations", lambda *args: calls.append(args) or real(*args))
+    sums = [qs[i % len(qs)] + qs[7 * i % len(qs)] for i in range(100)]
+    assert len(calls) == 1
+    gel = list(d4.elements())
+    for i, q in enumerate(sums[:5]):
+        p, r = qs[i % len(qs)], qs[7 * i % len(qs)]
+        assert [q.eval(z) for z in gel] == [p.eval(z) + r.eval(z) for z in gel]
+
+
 @pytest.mark.parametrize("case", VALIDATION_CASES, ids=range(len(VALIDATION_CASES)))
 def test_validation_verdicts_and_messages_are_pinned(case):
     # free (order-0) coordinates on either side; of several failing
@@ -666,6 +681,48 @@ def test_constructor_rejects_entries_outside_target_b():
         qmaps.QMap(Q8, Q8, q.fab, q.fcomm, q.gamma, [[q.delta[0][0], other], q.delta[1]])
     with pytest.raises(InvalidArgument, match="gamma must have 2 entries"):
         qmaps.QMap(Q8, Q8, q.fab, q.fcomm, q.gamma[:1], q.delta)
+
+
+MASK_GROUPS = list(catalog.standard_catalog(125)) + [
+    ("Q8xV4", nil2.product(catalog.quaternion(), catalog.abelian_group([2, 2])))]
+
+
+@pytest.mark.parametrize("name, h", MASK_GROUPS, ids=[n for n, _ in MASK_GROUPS])
+def test_member_masks_match_the_presentation(name, h):
+    # the masks read off the addition table mark exactly [H,H] = B and the
+    # center of the presentation; Q8xZ2's center Z2xZ2 exceeds its [H,H] = Z2
+    elems = list(h.elements())
+    qmap, quadratic = qmaps._member_mask(h, "qmap"), qmaps._member_mask(h, "quadratic")
+    assert qmap == [w.a.is_zero() for w in elems]
+    assert quadratic == [nil2.center(h).contains(w) for w in elems]
+    if name == "Q8xZ2":
+        assert sum(quadratic) == 4 and sum(qmap) == 2
+
+
+def test_oracle_set_up_uses_no_presentation(monkeypatch):
+    # the Cayley table, both masks and the brute-force filter read only the
+    # group law's integer tables: no element enumeration and no center
+    groups = [catalog.dihedral4(), nil2.product(catalog.quaternion(), catalog.cyclic(2)),
+              catalog.heisenberg(3), nil2.canonicalize_finite(nil2.semidirect(25, 5, 6)).group]
+
+    def runs():         # fresh groups: no table or mask is cached yet
+        return [(catalog.abelian_group([2, 2]), catalog.quaternion(), "quadratic"),
+                (catalog.dihedral4(), catalog.cyclic(2), "qmap")]
+
+    want, fresh = [qmaps.quadratic_functions_bruteforce(*run) for run in runs()], runs()
+
+    def refuse(*args):
+        raise AssertionError("the oracle read the presentation")
+
+    monkeypatch.setattr(nil2, "center", refuse)
+    monkeypatch.setattr(nil2.CentralExtension, "elements", refuse)
+    monkeypatch.setattr(ab.FGAbelian, "elements", refuse)
+    for g in groups:
+        table = nil2.CayleyTable(g)
+        assert len(table.add) == g.order()
+        for kind in ("qmap", "quadratic"):
+            assert len(qmaps._member_mask(g, kind)) == g.order()
+    assert [qmaps.quadratic_functions_bruteforce(*run) for run in fresh] == want
 
 
 def test_bruteforce_quadratic_contains_qmaps_d4_q8():
