@@ -3,14 +3,16 @@
 A group is a direct sum of cyclic factors Z/d_i, encoded by its list of
 generator orders (d = 0 means an infinite cyclic factor, d >= 2 a finite
 one; order-1 factors are normalized away).  Elements are coordinate
-vectors in canonical form, homomorphisms are integer matrices validated
-for torsion compatibility, and the multilinear constructions (tensor,
-exterior square, symmetric square) come with a fixed generator indexing.
+vectors in canonical form, and homomorphisms are integer matrices
+validated for torsion compatibility.
 
 Every quotient, kernel, decomposition and subgroup question is answered by
 one Smith-form presentation, `_present`: a group given by generators and
-relations, in invariant-factor form, with the maps to and from it.  A
-`Subgroup` builds nothing until it is asked a question.
+relations, in invariant-factor form, with the maps to and from it.  This
+module holds what every query runs (the arithmetic, kernels, and the
+enumeration of homomorphisms and isomorphisms); subgroups, cokernels,
+isomorphism witnesses, the multilinear constructions and hom counts are in
+`abelian_constructions`, which loads on first use.
 
 All arithmetic uses Python integers, so it is exact at every scale and
 cannot wrap; the "overflow must raise" requirement is met vacuously.
@@ -19,7 +21,6 @@ cannot wrap; the "overflow must raise" requirement is met vacuously.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import InvalidArgument, InvalidHomomorphism, UnsupportedEnumeration
@@ -469,7 +470,7 @@ class AbHom:
 
 
 # ---------------------------------------------------------------------------
-# Kernels, cokernels, subgroups.
+# Relation lattices and kernels.
 
 def _relation_columns(group: FGAbelian):
     """Columns d_i * e_i spanning the relation lattice (finite factors only)."""
@@ -486,66 +487,6 @@ def _preimage_lattice(matrix_rows, target: FGAbelian, nsrc: int):
     return [col[:nsrc] for col in snf.kernel_basis()]
 
 
-class Subgroup:
-    """Subgroup of an FGAbelian group generated by a list of elements.
-
-    The constructor computes nothing.  `is_whole`, `index` and `contains`
-    read the quotient ambient / subgroup, one `_present` Smith form: x is
-    a member exactly when its image there is zero.  `group` (and so
-    `order` and `invariants`) presents Z^k modulo the preimage of the
-    ambient relation lattice on first use.  Each is cached.
-    """
-
-    def __init__(self, ambient: FGAbelian, elements):
-        elements = list(elements)
-        for e in elements:
-            if e.group != ambient:
-                raise InvalidArgument("generator not in the ambient group")
-        self.ambient = ambient
-        self.generators = elements
-
-    @cached_property
-    def _quotient(self):
-        """(ambient / subgroup, the rows of the projection onto it)."""
-        return _present(self.ambient.rank, _relation_columns(self.ambient)
-                        + [e.coords for e in self.generators])[:2]
-
-    @cached_property
-    def group(self) -> FGAbelian:
-        """The subgroup as an abstract group, in invariant-factor form."""
-        k, rank = len(self.generators), self.ambient.rank
-        gen_rows = [[e.coords[i] for e in self.generators] for i in range(rank)]
-        return presented(k, _preimage_lattice(gen_rows, self.ambient, k))
-
-    def invariants(self) -> tuple:
-        return self.group.orders
-
-    def order(self) -> int:
-        return self.group.order()
-
-    def contains(self, x: AbElement) -> bool:
-        if x.group != self.ambient:
-            raise InvalidArgument("element not in the ambient group")
-        quotient, proj = self._quotient
-        return quotient._trusted(mat_vec(proj, x.coords)).is_zero()
-
-    def is_whole(self) -> bool:
-        return self._quotient[0].is_trivial()
-
-    def index(self) -> int:
-        """Index in the ambient group; 0 when infinite."""
-        return self._quotient[0].order()
-
-
-def subgroup_generated(elements, ambient: FGAbelian = None) -> Subgroup:
-    elements = list(elements)
-    if ambient is None:
-        if not elements:
-            raise InvalidArgument("need an ambient group for the empty subgroup")
-        ambient = elements[0].group
-    return Subgroup(ambient, elements)
-
-
 def kernel(h: AbHom):
     """Kernel of h as (group K, inclusion K -> source)."""
     src = h.source
@@ -559,133 +500,6 @@ def kernel(h: AbHom):
     # K = Z^s / <rel_in_w>, its generators mapped back to the source through W
     k, _, section = _present(len(lat), rel_in_w)
     return k, AbHom(k, src, mat_mul(w, section))
-
-
-def cokernel(h: AbHom):
-    """Cokernel of h as (group C, projection target -> C)."""
-    tgt = h.target
-    c, proj, _ = _present(tgt.rank, _relation_columns(tgt) + [y.coords for y in h.columns()])
-    return c, AbHom(tgt, c, proj)
-
-
-# ---------------------------------------------------------------------------
-# Canonical decomposition and isomorphism witnesses.
-
-def canonical_decomposition(group: FGAbelian):
-    """(C, to_c, from_c) with C the invariant-factor form of `group`."""
-    c, proj, section = _present(group.rank, _relation_columns(group))
-    return c, AbHom(group, c, proj), AbHom(c, group, section)
-
-
-def isomorphic(a: FGAbelian, b: FGAbelian) -> bool:
-    return a.invariant_factors() == b.invariant_factors()
-
-
-def isomorphism(a: FGAbelian, b: FGAbelian):
-    """(forward, backward) AbHom witnesses, or None when not isomorphic."""
-    if not isomorphic(a, b):
-        return None
-    _, to_ca, from_ca = canonical_decomposition(a)
-    _, to_cb, from_cb = canonical_decomposition(b)
-    return from_cb.compose(to_ca), from_ca.compose(to_cb)
-
-
-# ---------------------------------------------------------------------------
-# Multilinear constructions with fixed generator indexing.
-
-class IndexedGroup:
-    """An FGAbelian generated by symbols (i, j) for the index pairs `pairs`,
-    in that order, the symbol (i, j) of order `order(i, j)`.
-
-    Pairs of order 1 are dropped from the group but keep a `positions`
-    entry mapping to None, so that `position`, `columns` and `at` stay
-    well-defined on them.
-    """
-
-    def __init__(self, pairs, order):
-        self.positions, orders = {}, []
-        for i, j in pairs:
-            d = order(i, j)
-            self.positions[(i, j)] = None if d == 1 else len(orders)
-            if d != 1:
-                orders.append(d)
-        self.group = FGAbelian(orders)
-
-    def position(self, i, j):
-        return self.positions.get((i, j))
-
-    def columns(self, value):
-        """[value(i, j)] over the kept pairs, in generator order."""
-        return [value(i, j) for (i, j), p in self.positions.items() if p is not None]
-
-    def at(self, hom: "AbHom", i, j) -> AbElement:
-        """hom on the generator of (i, j); zero for a dropped pair."""
-        p = self.positions.get((i, j))
-        return hom.target.zero() if p is None else hom.column(p)
-
-    def _unit(self, i, j, sign=1):
-        """sign times the coordinates of the generator of (i, j), or None."""
-        p = self.positions.get((i, j))
-        if p is None:
-            return None
-        return tuple(sign if t == p else 0 for t in range(self.group.rank))
-
-
-class TensorProduct(IndexedGroup):
-    """A (x) B with generators e_i (x) f_j ordered lexicographically."""
-
-    def __init__(self, a: FGAbelian, b: FGAbelian):
-        self.left, self.right = a, b
-        super().__init__(itertools.product(range(a.rank), range(b.rank)),
-                         lambda i, j: gcd(a.orders[i], b.orders[j]))
-        self._units = [[self._unit(i, j) for j in range(b.rank)]
-                       for i in range(a.rank)]
-
-    def pure(self, x: AbElement, y: AbElement) -> AbElement:
-        """The elementary tensor x (x) y."""
-        if x.group != self.left or y.group != self.right:
-            raise InvalidArgument("pure tensor arguments in the wrong groups")
-        return self.group._trusted(_bilinear_into([0] * self.group.rank,
-                                                  x.coords, y.coords, self._units))
-
-
-class ExteriorSquare(IndexedGroup):
-    """Lambda^2 A with generators e_i ^ e_j for i < j."""
-
-    def __init__(self, a: FGAbelian):
-        self.base = a
-        n = a.rank
-        super().__init__(itertools.combinations(range(n), 2),
-                         lambda i, j: gcd(a.orders[i], a.orders[j]))
-        # (j, i) holds minus the generator of (i, j); the diagonal is zero
-        self._units = [[self._unit(i, j) if i <= j else self._unit(j, i, -1)
-                        for j in range(n)] for i in range(n)]
-
-    def wedge(self, x: AbElement, y: AbElement) -> AbElement:
-        return self.group._trusted(_bilinear_into([0] * self.group.rank,
-                                                  x.coords, y.coords, self._units))
-
-
-class SymmetricSquare(IndexedGroup):
-    """Sym^2 A with generators e_i e_j for i <= j."""
-
-    def __init__(self, a: FGAbelian):
-        self.base = a
-        # gcd(d_i, d_i) = d_i on the diagonal
-        super().__init__(itertools.combinations_with_replacement(range(a.rank), 2),
-                         lambda i, j: gcd(a.orders[i], a.orders[j]))
-
-
-def tensor(a: FGAbelian, b: FGAbelian) -> TensorProduct:
-    return TensorProduct(a, b)
-
-
-def exterior_square(a: FGAbelian) -> ExteriorSquare:
-    return ExteriorSquare(a)
-
-
-def sym_square(a: FGAbelian) -> SymmetricSquare:
-    return SymmetricSquare(a)
 
 
 def direct_sum(a: FGAbelian, b: FGAbelian) -> FGAbelian:
@@ -784,18 +598,3 @@ def _iso_columns(rank, rels, choices, want, images, keep):
     for x in choices[k]:
         if keep is None or keep(images + [x]):
             yield from _iso_columns(rank, rels, choices, want, images + [x], keep)
-
-
-def hom_count(source: FGAbelian, target: FGAbelian) -> int:
-    n = 1
-    for d in source.orders:
-        for dt in target.orders:
-            if d == 0:
-                if dt == 0:
-                    raise UnsupportedEnumeration("infinite hom set")
-                n *= dt
-            elif dt == 0:
-                pass
-            else:
-                n *= gcd(dt, d)
-    return n

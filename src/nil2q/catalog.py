@@ -2,7 +2,8 @@
 
 Encodings follow the cocycle normal form: for instance Q8 and D4 share
 A = Z/2 + Z/2, B = Z/2 and the bilinear part bil[1][2] = 1; they differ
-only in the carries ((1),(1)) versus ((1),(0)).
+only in the carries ((1),(1)) versus ((1),(0)).  The `*_oracle` tables
+load `ingest` when called.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def modular_semidirect(p: int) -> nil2.Nil2Group:
     return _two_generator([p, p], p, [1, 0])
 
 
-def quaternion_oracle() -> nil2.GroupOracle:
-    """The standard Q8 table on {1,-1,i,-i,j,-j,k,-k}."""
+def quaternion_oracle():
+    """The standard Q8 table on {1,-1,i,-i,j,-j,k,-k}, an `ingest.GroupOracle`."""
+    from .ingest import GroupOracle
     units = ["1", "i", "j", "k"]
     mul_unit = {
         ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
@@ -71,14 +73,15 @@ def quaternion_oracle() -> nil2.GroupOracle:
             s3, u3 = mul_unit[(u1, u2)]
             row.append(index[(s1 * s2 * s3, u3)])
         table.append(row)
-    return nil2.GroupOracle(labels, table, index[(1, "1")])
+    return GroupOracle(labels, table, index[(1, "1")])
 
 
-def dihedral4_oracle() -> nil2.GroupOracle:
-    return nil2.semidirect(4, 2, 3)
+def dihedral4_oracle():
+    from .ingest import semidirect
+    return semidirect(4, 2, 3)
 
 
-def heisenberg_oracle(p: int) -> nil2.GroupOracle:
+def heisenberg_oracle(p: int):
     return nil2.table_of(heisenberg(p))
 
 

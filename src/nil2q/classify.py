@@ -27,7 +27,8 @@ from .errors import InternalInvariant, Unsupported
 
 def similar(g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
     """Isomorphic abelianizations and isomorphic commutator subgroups."""
-    return ab.isomorphic(g.A, h.A) and ab.isomorphic(g.B, h.B)
+    return (g.A.invariant_factors() == h.A.invariant_factors()
+            and g.B.invariant_factors() == h.B.invariant_factors())
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,8 @@ def _iso_search(g: nil2.Nil2Group, h: nil2.Nil2Group, homs: bool):
     table = {q.eval(z): z for z in g.elements()}
     if len(table) != g.order() or not qmaps.is_qmap_function(table.__getitem__, h, g):
         raise InternalInvariant("iso-pair q-map has no q-map inverse")
-    qinv = qmaps.qmap_from_function(h, g, table.__getitem__)
+    from .qmap_constructions import qmap_from_function
+    qinv = qmap_from_function(h, g, table.__getitem__)
     if homs and not qinv.is_hom():
         raise InternalInvariant("iso-pair homomorphism has no homomorphism inverse")
     return q, qinv
@@ -173,8 +175,11 @@ def niq_iso_decide(g: nil2.Nil2Group, h: nil2.Nil2Group,
     qs_g, qs_h = is_qsplit(g), is_qsplit(h)
     if qs_g.verdict and qs_h.verdict:
         paths["qsplit-similar"] = similar(g, h)
-    if g.order() % 2 == 1 and h.order() % 2 == 1 and (
-            not paths or ab.hom_count(g.B, h.B) <= search_guard ** 2):
+    odd = g.order() % 2 == 1 and h.order() % 2 == 1
+    if odd and paths:
+        from .abelian_constructions import hom_count
+        odd = hom_count(g.B, h.B) <= search_guard ** 2
+    if odd:
         from . import maltsev
         ok, _ = maltsev.log_criterion_decide(g, h)
         paths["log-criterion"] = ok

@@ -1,9 +1,10 @@
 """Command-line interface: ingest group definitions, run the decision
 procedures and verification suites, emit deterministic reports.  Every
 query pays for the modules it imports and the groups it builds, so
-`verify` is imported by `selftest` and `maltsev` by the odd-order `iso`
-path, when they run; a built-in group is built when a query names it, and
-group files are read by a small list reader, not by `ast`.
+`verify` is imported by `selftest`, `maltsev` by the odd-order `iso` path
+and `ingest` by `semidirect(...)` and `oracle { ... }` definitions, when
+they run; a built-in group is built when a query names it, and group files
+are read by a small list reader, not by `ast`.
 
 Exit status: 0 all pass / verdict yes, 1 verdict no (not an error for
 iso and q-split queries), 2 input error, 3 internal invariant violation.
@@ -69,8 +70,9 @@ def parse_definitions(text: str, defs: dict, max_order: int) -> dict:
                 close = text.find("}", start)
                 if close < 0:
                     raise InputError(f"missing closing brace for oracle {name!r}")
-                oracle = nil2.GroupOracle.from_text(text[start:close])
-                defs[name] = nil2.canonicalize_finite(oracle).group
+                from .ingest import GroupOracle, canonicalize_finite
+                oracle = GroupOracle.from_text(text[start:close])
+                defs[name] = canonicalize_finite(oracle).group
                 pos = close + 1
             elif brace:
                 close = text.find(")", m.end())
@@ -190,7 +192,8 @@ def build_expression(expr: str, defs: dict, max_order: int) -> nil2.Nil2Group:
             raise InputError(f"semidirect({n},{m},{k}) has order {n * m}, above "
                              f"{max_order ** 2} (--max-order {max_order} squared); "
                              f"raise the guard")
-        return nil2.canonicalize_finite(nil2.semidirect(n, m, k)).group
+        from .ingest import canonicalize_finite, semidirect
+        return canonicalize_finite(semidirect(n, m, k)).group
     if op == "free":
         if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
             raise InputError("free takes one nonnegative integer")

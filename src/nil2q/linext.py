@@ -1,7 +1,7 @@
 """Linear extensions of Niq and Nil (Baues-Wirsching): the group actions
 on morphisms, the ~ and == equivalences they induce, the maps q-maps induce
-on kernels and on the universal quadratic extension, and the verifiers of
-the linear-extension and weak-coproduct structure.
+on kernels and on the universal quadratic extension P2(G), P2(G) itself,
+and the verifiers of the linear-extension and weak-coproduct structure.
 
 A homomorphism alpha : G_ab (x) G_ab -> [H,H] translates a q-map G -> H,
 (f + alpha)(z) = f(z) + alpha(z^ (x) z^), and k : G_ab -> [H,H] translates a
@@ -13,9 +13,12 @@ same (fab, fcomm).  No `info` or `iso` query reaches this module: only the
 from __future__ import annotations
 
 import itertools
+from operator import sub
 
 from . import abelian as ab
+from . import abelian_constructions as abx
 from . import nil2, qmaps
+from . import qmap_constructions as qmc
 from .errors import (
     InternalInvariant,
     InvalidArgument,
@@ -44,7 +47,7 @@ class BetaData:
             raise UnsupportedEnumeration("beta is computed for finite groups")
         self.qmap = qmap
         self.kernel, self.incl = ab.kernel(qmap.fab)
-        self.coker, self.proj = ab.cokernel(qmap.fcomm)
+        self.coker, self.proj = abx.cokernel(qmap.fcomm)
         self.additive = all(
             self.value(x + y) == self.value(x) + self.value(y)
             for x in self.kernel.elements() for y in self.kernel.elements())
@@ -68,7 +71,68 @@ def qmap_beta(qmap: qmaps.QMap) -> BetaData:
 
 
 # ---------------------------------------------------------------------------
-# Factorization through the universal quadratic extension.
+# The universal quadratic central extension P2, and factorization through it.
+
+class P2Element(nil2.Nil2Element):
+    """Element (xi, g) of P2(G), stored as (a, (u, xi)) with g = (a, u)."""
+
+    __slots__ = ()
+
+    @property
+    def xi(self):
+        ext = self.group
+        return ab.AbElement(ext.tensor.group, self.b.coords[ext.base.B.rank:])
+
+    @property
+    def g(self):
+        base = self.group.base
+        return nil2.Nil2Element(base, self.a, ab.AbElement(base.B, self.b.coords[:base.B.rank]))
+
+
+class P2Extension(nil2.CentralExtension):
+    """The central extension 0 -> A (x) A -> P2(G) -> G -> 0.
+
+    Pairs (xi, g) with (xi, g) + (xi', g') = (xi + xi' - g^ (x) g'^, g + g'):
+    G's data with B widened by A (x) A and -(e_i (x) e_j) added to bil[i][j].
+    The section p2(g) = (0, g) is the universal quadratic map out of G.
+    """
+
+    __slots__ = ("base", "tensor")
+    element_class = P2Element
+
+    def __init__(self, base: nil2.Nil2Group):
+        self.base = base
+        self.tensor = tens = abx.tensor(base.A, base.A)
+        _, B, bil, carry, embt = nil2._block_sum(base, nil2.from_abelian(ab.FGAbelian([])),
+                                                tens.group)
+        e = base.A.gen
+        bil = [[B._trusted(map(sub, x.coords, embt(tens.pure(e(i), e(j)).coords).coords))
+                for j, x in enumerate(row)] for i, row in enumerate(bil)]
+        super().__init__(base.A, B, bil, carry)
+
+    def element(self, xi, g):
+        if xi.group != self.tensor.group or g.group != self.base:
+            raise InvalidArgument("components not in A (x) A and G")
+        return P2Element(self, g.a, ab.AbElement(self.B, g.b.coords + xi.coords))
+
+    def p2(self, g: nil2.Nil2Element) -> P2Element:
+        return self.element(self.tensor.group.zero(), g)
+
+    def proj(self, el: P2Element) -> nil2.Nil2Element:
+        return el.g
+
+    def elements(self):
+        """All elements, xi-major: A (x) A outer, G's order inner."""
+        if not self.is_finite():
+            raise UnsupportedEnumeration("cannot enumerate an infinite extension")
+        for xi in self.tensor.group.elements():
+            for g in self.base.elements():
+                yield self.element(xi, g)
+
+
+def p2_extension(g: nil2.Nil2Group) -> P2Extension:
+    return P2Extension(g)
+
 
 class P2Factorization:
     """The homomorphism P2(G) -> H induced by a q-map q : G -> H,
@@ -76,12 +140,12 @@ class P2Factorization:
 
     def __init__(self, qmap: qmaps.QMap):
         self.qmap = qmap
-        self.extension = nil2.p2_extension(qmap.source)
+        self.extension = p2_extension(qmap.source)
         tens = self.extension.tensor
         self.cross_hom = ab.AbHom.from_columns(
             tens.group, qmap.target.B, tens.columns(lambda i, j: qmap.delta[i][j]))
 
-    def eval(self, el: nil2.P2Element) -> nil2.Nil2Element:
+    def eval(self, el: P2Element) -> nil2.Nil2Element:
         return (self.qmap.target.central(self.cross_hom.apply(el.xi))
                 + self.qmap.eval(el.g))
 
@@ -103,7 +167,7 @@ class EquivalenceWitness:
 def translate_qmap(f: qmaps.QMap, alpha: ab.AbHom) -> qmaps.QMap:
     """The action (f + alpha)(z) = f(z) + alpha(z^ (x) z^)."""
     g, h = f.source, f.target
-    tens = ab.tensor(g.A, g.A)
+    tens = abx.tensor(g.A, g.A)
     if alpha.source != tens.group or alpha.target != h.B:
         raise InvalidArgument("alpha must map G_ab (x) G_ab into [H,H]")
     r = g.rank
@@ -139,7 +203,7 @@ def qmap_sim_equiv(f: qmaps.QMap, g: qmaps.QMap):
         for j in range(i + 1, r):
             if ddelta[i][j] != ddelta[j][i]:
                 return False, None
-    tens = ab.tensor(src.A, src.A)
+    tens = abx.tensor(src.A, src.A)
     zero = tgt.B.zero()
     cols = tens.columns(lambda i, j: dgamma[i] if i == j
                         else ddelta[i][j] if i < j else zero)
@@ -203,12 +267,12 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
             return a.compose(gq.fab)
     elif level == "niq":
         morphisms = list(qmaps.enumerate_qmaps(g, h))
-        tens_g = ab.tensor(g.A, g.A)
+        tens_g = abx.tensor(g.A, g.A)
         actors = list(ab.enumerate_homs(tens_g.group, h.B))
         act = translate_qmap
         null_size = sum(1 for a in actors if _null_tensor_hom(a, g, tens_g))
         morphisms_hh = list(qmaps.enumerate_qmaps(h, h))
-        tens_h = ab.tensor(h.A, h.A)
+        tens_h = abx.tensor(h.A, h.A)
         actors_hh = list(ab.enumerate_homs(tens_h.group, h.B))
 
         def pull(gq, a):
@@ -287,8 +351,8 @@ def weak_coproduct_verify(x1: nil2.Nil2Group, x2: nil2.Nil2Group,
     """W = X1 x X2 with f = f1 p1 + f2 p2 satisfies f i_k = f_k for the
     first `max_pairs` enumerated pairs (f1, f2) in product order."""
     w = nil2.product(x1, x2)
-    p1, p2 = qmaps.product_projection(w, 0), qmaps.product_projection(w, 1)
-    i1, i2 = qmaps.product_inclusion(w, 0), qmaps.product_inclusion(w, 1)
+    p1, p2 = qmc.product_projection(w, 0), qmc.product_projection(w, 1)
+    i1, i2 = qmc.product_inclusion(w, 0), qmc.product_inclusion(w, 1)
     f1s = list(qmaps.enumerate_qmaps(x1, z))
     f2s = list(qmaps.enumerate_qmaps(x2, z))
     inst = instance or f"{x1}|{x2}->{z}"

@@ -258,7 +258,8 @@ def lie_qmap_decompose(q: qmaps.QMap) -> QMapDecomposition:
 
 
 def lie_qmap_recompose(d: QMapDecomposition) -> qmaps.QMap:
-    return qmaps.qmap_from_function(d.source, d.target, d.eval)
+    from .qmap_constructions import qmap_from_function
+    return qmap_from_function(d.source, d.target, d.eval)
 
 
 def linear_part(q: qmaps.QMap):

@@ -21,37 +21,29 @@ sum_i x_i c_i unreduced; n (x, u) is the one-vector case):
 `CentralExtension` holds this layer: the cocycle, the element
 constructors and `Nil2Element`, the one element arithmetic.  `Nil2Group`
 adds validation, the Cayley table and the group invariants; the class-two
-Lie ring of `maltsev` is the extension with zero bilinear part, and the
-universal quadratic extension P2(G) is G's data with B widened by
-A (x) A.  B is required to be exactly the commutator subgroup: the
-antisymmetrized bilinear part must generate B, otherwise construction is
-rejected.  One set of validators checks generator data over B (shape and
-membership, torsion, values generating B) for `bil`, the Lie bracket and
-q-map `delta` alike.
+Lie ring of `maltsev` and the universal quadratic extension P2(G) of
+`linext` are extensions too.  B is required to be exactly the commutator
+subgroup: the antisymmetrized bilinear part must generate B, otherwise
+construction is rejected.  One set of validators checks generator data
+over B (shape and membership, torsion, values generating B) for `bil`,
+the Lie bracket and q-map `delta` alike.
 
 The module also provides the constructions (product, coproduct, free
-group, the universal quadratic extension), ingestion of concrete finite
-groups via multiplication tables, and canonicalization of any finite
-class-two table into this format.  Ingestion costs O(n^2 |S|) integer
-steps for a greedy generating set S: Light's associativity test at each
-generator, class two from the commutators of generator pairs, and the
-canonical bijection verified on all n^2 products against `table()`.
+group), the center, and the closure routines on integer tables that the
+oracle masks of `qmaps` and the table ingestion of `ingest` share.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from . import abelian as ab
 from .errors import (
     CommutatorMismatch,
     InvalidArgument,
     InvalidCocycle,
-    NotAGroup,
-    NotAnAction,
-    NotClassTwo,
     UnsupportedEnumeration,
 )
 
@@ -269,9 +261,10 @@ def _check_generates(what, mat, B):
     cols = ab._relation_columns(B) + [e.coords for e in values]
     if B.orders and ab.SmithForm(list(zip(*cols)), B.rank, len(cols),
                                  rows=False).diag.count(1) != B.rank:
+        from .abelian_constructions import subgroup_generated
         raise CommutatorMismatch(
             f"{what} generate a proper subgroup of B with invariants "
-            f"{list(ab.subgroup_generated(values, B).invariants())}, B = {B}")
+            f"{list(subgroup_generated(values, B).invariants())}, B = {B}")
 
 
 class Nil2Group(CentralExtension):
@@ -442,7 +435,8 @@ def coproduct(g1: Nil2Group, g2: Nil2Group) -> Nil2Group:
     -(e_i (x) f_j), matching the group law
     (xi, g, h) + (xi', g', h') = (xi + xi' - g'^ (x) h^, g + g', h + h').
     """
-    tens = ab.tensor(g1.A, g2.A)
+    from .abelian_constructions import tensor
+    tens = tensor(g1.A, g2.A)
     A, B, bil, carry, embt = _block_sum(g1, g2, tens.group)
     r1 = g1.rank
     for j in range(g2.rank):
@@ -456,8 +450,9 @@ def free(n: int) -> Nil2Group:
     """The free nil_2-group of rank n: B = Lambda^2(Z^n)."""
     if n < 0:
         raise InvalidArgument("rank must be nonnegative")
+    from .abelian_constructions import exterior_square
     A = ab.FGAbelian([0] * n)
-    ext = ab.exterior_square(A)
+    ext = exterior_square(A)
     B = ext.group
     z = B.zero()
     bil = [[z] * n for _ in range(n)]
@@ -466,69 +461,6 @@ def free(n: int) -> Nil2Group:
             bil[i][j] = B.gen(ext.position(i, j))
     carry = [z] * n
     return Nil2Group(A, B, bil, carry, provenance=("free", n, ext))
-
-
-# ---------------------------------------------------------------------------
-# The universal quadratic central extension P2.
-
-class P2Element(Nil2Element):
-    """Element (xi, g) of P2(G), stored as (a, (u, xi)) with g = (a, u)."""
-
-    __slots__ = ()
-
-    @property
-    def xi(self):
-        ext = self.group
-        return ab.AbElement(ext.tensor.group, self.b.coords[ext.base.B.rank:])
-
-    @property
-    def g(self):
-        base = self.group.base
-        return Nil2Element(base, self.a, ab.AbElement(base.B, self.b.coords[:base.B.rank]))
-
-
-class P2Extension(CentralExtension):
-    """The central extension 0 -> A (x) A -> P2(G) -> G -> 0.
-
-    Pairs (xi, g) with (xi, g) + (xi', g') = (xi + xi' - g^ (x) g'^, g + g'):
-    G's data with B widened by A (x) A and -(e_i (x) e_j) added to bil[i][j].
-    The section p2(g) = (0, g) is the universal quadratic map out of G.
-    """
-
-    __slots__ = ("base", "tensor")
-    element_class = P2Element
-
-    def __init__(self, base: Nil2Group):
-        self.base = base
-        self.tensor = tens = ab.tensor(base.A, base.A)
-        _, B, bil, carry, embt = _block_sum(base, from_abelian(ab.FGAbelian([])), tens.group)
-        e = base.A.gen
-        bil = [[B._trusted(map(sub, x.coords, embt(tens.pure(e(i), e(j)).coords).coords))
-                for j, x in enumerate(row)] for i, row in enumerate(bil)]
-        super().__init__(base.A, B, bil, carry)
-
-    def element(self, xi, g):
-        if xi.group != self.tensor.group or g.group != self.base:
-            raise InvalidArgument("components not in A (x) A and G")
-        return P2Element(self, g.a, ab.AbElement(self.B, g.b.coords + xi.coords))
-
-    def p2(self, g: Nil2Element) -> P2Element:
-        return self.element(self.tensor.group.zero(), g)
-
-    def proj(self, el: P2Element) -> Nil2Element:
-        return el.g
-
-    def elements(self):
-        """All elements, xi-major: A (x) A outer, G's order inner."""
-        if not self.is_finite():
-            raise UnsupportedEnumeration("cannot enumerate an infinite extension")
-        for xi in self.tensor.group.elements():
-            for g in self.base.elements():
-                yield self.element(xi, g)
-
-
-def p2_extension(g: Nil2Group) -> P2Extension:
-    return P2Extension(g)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +498,8 @@ def center(group: Nil2Group) -> CenterInfo:
 
 
 # ---------------------------------------------------------------------------
-# Concrete finite groups as multiplication tables.
+# Finite integer tables: the closure routines of `qmaps`' oracle masks and
+# of `ingest`.
 
 def _greedy_generators(table, identity):
     """Greedy generators of a finite Cayley table: each element, in index
@@ -602,316 +535,8 @@ def _derived(table, neg, identity, gens):
     return _closure(table, identity, {_comm(table, neg, s, t) for s in gens for t in gens})
 
 
-class GroupOracle:
-    """A finite group given by labels and a total multiplication table."""
-
-    def __init__(self, labels, table, identity):
-        self.labels = tuple(str(x) for x in labels)
-        self.table = tuple(tuple(map(int, row)) for row in table)
-        self.identity = int(identity)
-        self._inv = None
-        self._validate()
-
-    def _validate(self):
-        n = len(self.labels)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise NotAGroup("multiplication table is not total")
-        for row in self.table:
-            if min(row) < 0 or max(row) >= n:
-                v = next(v for v in row if not 0 <= v < n)
-                raise NotAGroup(f"table entry {v} out of range")
-        e = self.identity
-        for x in range(n):
-            if self.table[e][x] != x or self.table[x][e] != x:
-                raise NotAGroup(f"'{self.labels[e]}' is not an identity")
-        # the first y with xy = e = yx, scanning only where row x holds e
-        inv = []
-        for x, row in enumerate(self.table):
-            try:
-                y = row.index(e)
-                while self.table[y][x] != e:
-                    y = row.index(e, y + 1)
-            except ValueError:
-                raise NotAGroup(f"'{self.labels[x]}' has no inverse") from None
-            inv.append(y)
-        self._inv = tuple(inv)
-        # Light's test: {a : (xa)y = x(ay) for all x, y} holds e and is closed
-        # under the product, so it is everything once it holds a generating set
-        t = self.table
-        for a in self.generating_set():
-            right = itemgetter(*t[a])       # row of x -> the row of x(ay) over y
-            for x in range(n):
-                xa = t[x][a]
-                if t[xa] != right(t[x]):
-                    y = next(y for y in range(n) if t[xa][y] != t[x][t[a][y]])
-                    raise NotAGroup(
-                        f"associativity fails at ({self.labels[x]}, "
-                        f"{self.labels[a]}, {self.labels[y]})")
-
-    def __len__(self):
-        return len(self.labels)
-
-    def comm(self, x, y):
-        return _comm(self.table, self._inv, x, y)
-
-    def power(self, x, n):
-        if n < 0:
-            return self.power(self._inv[x], -n)
-        acc = self.identity
-        for _ in range(n):
-            acc = self.table[acc][x]
-        return acc
-
-    def subgroup_closure(self, gens):
-        return _closure(self.table, self.identity, list(gens))
-
-    def generating_set(self):
-        return _greedy_generators(self.table, self.identity)
-
-    def commutator_subgroup(self):
-        return _derived(self.table, self._inv, self.identity, self.generating_set())
-
-    def is_class_two(self) -> bool:
-        """Each [s, t] over the generating set S commutes with S: then the
-        images of S commute in G/Z(G), which they generate."""
-        gens, t = self.generating_set(), self.table
-        comms = {self.comm(a, b) for a in gens for b in gens}
-        return all(t[c][s] == t[s][c] for c in comms for s in gens)
-
-    @classmethod
-    def from_text(cls, text: str) -> "GroupOracle":
-        """Parse the ingestion format: element labels, `id = <label>`,
-        and one `a * b = c` line per product."""
-        labels = None
-        identity_label = None
-        products = {}           # (a, b) -> c, in the order given
-        statements = []
-        for raw in text.replace(";", "\n").splitlines():
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                statements.append(line)
-        for line in statements:
-            if "*" in line:
-                lhs, _, rhs = line.partition("=")
-                a, _, b = lhs.partition("*")
-                a, b, c = a.strip(), b.strip(), rhs.strip()
-                if not (a and b and c):
-                    raise NotAGroup(f"malformed product line: {line!r}")
-                if (a, b) in products:
-                    raise NotAGroup(f"product {a} * {b} is given twice")
-                products[a, b] = c
-            elif line.startswith("elements"):
-                if labels is not None:
-                    raise NotAGroup("`elements` is declared twice")
-                _, _, rhs = line.partition("=")
-                labels = [tok for tok in rhs.replace(",", " ").split() if tok]
-                seen = set()
-                for tok in labels:
-                    if tok in seen:
-                        raise NotAGroup(f"element label {tok!r} is repeated in `elements`")
-                    seen.add(tok)
-            elif line.startswith("id"):
-                if identity_label is not None:
-                    raise NotAGroup("`id` is declared twice")
-                _, _, rhs = line.partition("=")
-                identity_label = rhs.strip()
-            else:
-                raise NotAGroup(f"unrecognized oracle line: {line!r}")
-        if identity_label is None:
-            raise NotAGroup("missing `id = <label>` line")
-        if labels is None:
-            labels = list(dict.fromkeys(tok for (a, b), c in products.items()
-                                        for tok in (a, b, c)))
-        index = {lab: i for i, lab in enumerate(labels)}
-        if identity_label not in index:
-            raise NotAGroup(f"identity label {identity_label!r} not declared")
-        n = len(labels)
-        table = [[None] * n for _ in range(n)]
-        for (a, b), c in products.items():
-            for tok in (a, b, c):
-                if tok not in index:
-                    raise NotAGroup(f"undeclared element label {tok!r}")
-            table[index[a]][index[b]] = index[c]
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] is None:
-                    raise NotAGroup(
-                        f"table is not total: missing {labels[i]} * {labels[j]}")
-        return cls(labels, table, index[identity_label])
-
-
-def table_of(group: Nil2Group) -> GroupOracle:
-    """Multiplication table of a finite Nil2Group (elements in lex order)."""
+def table_of(group: Nil2Group):
+    """Multiplication table of a finite Nil2Group (elements in lex order),
+    as an `ingest.GroupOracle`."""
+    from .ingest import GroupOracle
     return GroupOracle([repr(z) for z in group.elements()], group.table().add, 0)
-
-
-def semidirect(n: int, m: int, k: int) -> GroupOracle:
-    """The semidirect product Z/n x| Z/m, generator acting by a -> k*a.
-
-    Requires k^m = 1 (mod n) for a genuine action and (k-1)^2 = 0 (mod n)
-    for nilpotence class two.
-    """
-    if n < 1 or m < 1:
-        raise InvalidArgument("moduli must be positive")
-    if pow(k, m, n) != 1 % n:
-        raise NotAnAction(f"k^m = {pow(k, m, n)} != 1 (mod {n})")
-    if (k - 1) ** 2 % n != 0:
-        raise NotClassTwo(f"(k-1)^2 = {(k - 1) ** 2} != 0 (mod {n})")
-    elems = [(a, b) for a in range(n) for b in range(m)]
-    ids = list(range(n * m))            # (a, b) is a * m + b
-    # row (a, b) is, for each a2, the block of a + k^b a2 rotated by b
-    block = [[ids[s + b:s + m] + ids[s:s + b] for s in range(0, n * m, m)]
-             for b in range(m)]
-    kb = [pow(k, b, n) for b in range(m)]
-    table = [list(itertools.chain.from_iterable(
-        block[b][(a + kb[b] * a2) % n] for a2 in range(n))) for a, b in elems]
-    labels = [f"({a},{b})" for a, b in elems]
-    return GroupOracle(labels, table, 0)
-
-
-# ---------------------------------------------------------------------------
-# Abelian structure of a (sub)table, and canonicalization.
-
-def _element_orders(table, identity):
-    out = []
-    for i in range(len(table)):
-        n, x = 1, i
-        while x != identity:
-            x = table[x][i]
-            n += 1
-        out.append(n)
-    return out
-
-
-def _quotient(table, sub):
-    """Left cosets x + sub of the subgroup `sub` of a finite table, as
-    (coset_of, reps, qtable): the coset index of each element, the
-    smallest element of each coset, and the quotient table on indices."""
-    coset_of = [None] * len(table)
-    reps = []
-    for x in range(len(table)):
-        if coset_of[x] is None:
-            # x is the smallest element not yet in a coset, so it is the
-            # smallest element of its own coset
-            for y in (table[x][s] for s in sub):
-                coset_of[y] = len(reps)
-            reps.append(x)
-    qtable = [[coset_of[table[c1][c2]] for c2 in reps] for c1 in reps]
-    return coset_of, reps, qtable
-
-
-def _abelian_basis(table, identity):
-    """Basis of a finite abelian multiplication table.
-
-    Returns (gens, orders, coords): generator indices with orders in a
-    decreasing divisibility chain, and a dict element -> coordinates.
-    Greedy: an element of maximal order splits off as a direct summand;
-    the quotient basis is lifted preserving orders.
-    """
-    n = len(table)
-    if n == 1:
-        return [], [], {identity: ()}
-    orders = _element_orders(table, identity)
-    d = max(orders)
-    q = orders.index(d)
-    powers = [identity]
-    x = identity
-    for _ in range(d - 1):
-        x = table[x][q]
-        powers.append(x)
-    power_index = {p: i for i, p in enumerate(powers)}
-    if d == n:
-        coords = {p: (i,) for i, p in enumerate(powers)}
-        return [q], [d], coords
-    coset_of, reps, qtable = _quotient(table, powers)
-    qgens, qorders, _ = _abelian_basis(qtable, coset_of[identity])
-    gens, gorders = [q], [d]
-    for cg, m in zip(qgens, qorders):
-        h = reps[cg]
-        mh = identity
-        for _ in range(m):
-            mh = table[mh][h]
-        k = power_index[mh]
-        assert k % m == 0, "maximal-order summand lift failed"
-        t = (-(k // m)) % d
-        gens.append(table[h][powers[t]])
-        gorders.append(m)
-    coords = {}
-    for tup in itertools.product(*(range(o) for o in gorders)):
-        acc = identity
-        for g, c in zip(gens, tup):
-            for _ in range(c):
-                acc = table[acc][g]
-        assert acc not in coords, "generator coordinates collide"
-        coords[acc] = tup
-    assert len(coords) == n, "generators do not span the table"
-    return gens, gorders, coords
-
-
-class Canonicalization:
-    """Result of canonicalizing a finite class-two table: `to_oracle[i]` is
-    the oracle index of the i-th element of `group.elements()`."""
-
-    def __init__(self, group, oracle, to_oracle):
-        self.group = group
-        self.oracle = oracle
-        self.to_oracle = to_oracle
-
-
-def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
-    """Read central-extension data off a finite class-two table.
-
-    The table has already passed Light's associativity test; class two is
-    checked on commutators of generator pairs.  Chooses invariant-factor
-    generators of G/[G,G] greedily, lifts them (smallest element index in
-    each coset), and reads bil from commutators of the lifts and carry from
-    their d_i-fold sums.  The returned bijection, built in
-    `group.elements()` order, is verified on all n^2 products against
-    `group.table()`, which comes from the cocycle and not from the oracle.
-    """
-    if not oracle.is_class_two():
-        raise NotClassTwo("table has nilpotence class greater than two")
-    n = len(oracle)
-    t = oracle.table
-    comm_set = oracle.commutator_subgroup()
-    celems = sorted(comm_set)
-    cindex = {x: i for i, x in enumerate(celems)}
-    ctable = [[cindex[t[x][y]] for y in celems] for x in celems]
-    cgens, corders, ccoords = _abelian_basis(ctable, cindex[oracle.identity])
-    B = ab.FGAbelian(corders)
-
-    def bcoords(x):
-        return B.element(ccoords[cindex[x]])
-
-    coset_of, reps, qtable = _quotient(t, celems)
-    qgens, qorders, _ = _abelian_basis(qtable, coset_of[oracle.identity])
-    lifts = [reps[c] for c in qgens]
-    A = ab.FGAbelian(qorders)
-    r = len(lifts)
-    z = B.zero()
-    bil = [[z] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i):
-            bil[i][j] = bcoords(oracle.comm(lifts[i], lifts[j]))
-    carry = [bcoords(oracle.power(lifts[i], qorders[i])) for i in range(r)]
-    group = Nil2Group(A, B, bil, carry)
-
-    to_oracle = []
-    for acoords in itertools.product(*(range(d) for d in qorders)):
-        s = oracle.identity
-        for g, c in zip(lifts, acoords):
-            s = t[s][oracle.power(g, c)]
-        for bco in itertools.product(*(range(e) for e in corders)):
-            x = s
-            for cg, c in zip(cgens, bco):
-                x = t[x][oracle.power(celems[cg], c)]
-            to_oracle.append(x)
-    if len(set(to_oracle)) != n:
-        raise NotAGroup("canonicalization bijection failed")  # pragma: no cover
-    image = to_oracle.__getitem__
-    for i, row in enumerate(group.table().add):
-        if list(map(image, row)) != list(map(t[image(i)].__getitem__, to_oracle)):
-            raise NotAGroup(
-                "canonicalized data does not reproduce the table at "
-                f"element {i} of the group")  # pragma: no cover
-    return Canonicalization(group, oracle, to_oracle)

@@ -16,7 +16,9 @@ import itertools
 from math import gcd
 
 from . import abelian as ab
+from . import abelian_constructions as abx
 from . import catalog, classify, maltsev, nil2, qmaps
+from . import qmap_constructions as qmc
 from .report import CheckResult
 
 # The fixed scales of the suites; only the catalog order caps vary by caller.
@@ -160,14 +162,14 @@ def suite_coproduct():
     checked = 0
     for g1, g2 in factor_pairs:
         c = nil2.coproduct(g1, g2)
-        i1, i2 = qmaps.coproduct_inclusion(c, 0), qmaps.coproduct_inclusion(c, 1)
+        i1, i2 = qmc.coproduct_inclusion(c, 0), qmc.coproduct_inclusion(c, 1)
         for _, x in targets:
             homs1 = list(qmaps.enumerate_homs(g1, x))
             homs2 = list(qmaps.enumerate_homs(g2, x))
             all_homs = list(qmaps.enumerate_homs(c, x))
             for u in homs1:
                 for v in homs2:
-                    uv = qmaps.coproduct_couniversal(c, u, v)
+                    uv = qmc.coproduct_couniversal(c, u, v)
                     if uv.compose(i1) != u or uv.compose(i2) != v:
                         ok_univ = False
                     matches = [t for t in all_homs
@@ -180,7 +182,7 @@ def suite_coproduct():
 
     for n in (1, 2, 3):
         f = nil2.free(n)
-        ext = ab.exterior_square(ab.FGAbelian([0] * n))
+        ext = abx.exterior_square(ab.FGAbelian([0] * n))
         ok = f.B.invariant_factors() == ext.group.invariant_factors()
         # centrality of the kernel on a finite window
         window = list(itertools.product([-1, 0, 1, 2], repeat=n))[:6]
@@ -301,7 +303,7 @@ def suite_enumeration():
         g, h = cat[gn], cat[hn]
         qs = list(qmaps.enumerate_qmaps(g, h))
         gadd, (hadd, _, _, at) = _law(g)[0], _law(h)
-        ok = len(qs) == ab.hom_count(g.A, h.A)
+        ok = len(qs) == abx.hom_count(g.A, h.A)
         for q in qs:
             v = [at(q.eval(z)) for z in g.elements()]
             ok &= q.is_hom() and all(v[s] == hadd[v[x]][v[y]] for x, y, s in _pairs(gadd))
@@ -312,7 +314,7 @@ def suite_enumeration():
     seen = set()
     for a in q8.elements():
         for b in q8.B.elements():
-            seen.add(qmaps.qmap_from_z(q8, a, q8.central(b)))
+            seen.add(qmc.qmap_from_z(q8, a, q8.central(b)))
     results.append(CheckResult("qw-from-z-count", "Z->Q8", len(seen) == 16,
                                f"{len(seen)} maps"))
     # |qw(G1 x G2, H)| = |qw(G1,H)| |qw(G2,H)| |Hom(A1 (x) A2, [H,H])|
@@ -324,8 +326,8 @@ def suite_enumeration():
         n = sum(1 for _ in qmaps.enumerate_qmaps(p, h))
         n1 = sum(1 for _ in qmaps.enumerate_qmaps(g1, h))
         n2 = sum(1 for _ in qmaps.enumerate_qmaps(g2, h))
-        t = ab.tensor(g1.A, g2.A).group
-        if n != n1 * n2 * ab.hom_count(t, h.B):
+        t = abx.tensor(g1.A, g2.A).group
+        if n != n1 * n2 * abx.hom_count(t, h.B):
             ok_prod = False
     results.append(CheckResult("product-source-count-identity", "3 cases", ok_prod))
     return results
@@ -508,7 +510,7 @@ def suite_negative_control():
         l, m, n = z.a.coords
         return l * w.central(w.B.gen(0)) + m * w.gen(0) + n * w.gen(1)
 
-    q = qmaps.qmap_from_function(cube, w, fn)
+    q = qmc.qmap_from_function(cube, w, fn)
     table = {z: q.eval(z) for z in cube.elements()}
     bijective = len(set(table.values())) == 8
     inverse = {v: k for k, v in table.items()}

@@ -5,7 +5,7 @@ unpruned sweep of `qmaps._presentations` over every isomorphism pair."""
 import itertools
 
 from nil2q import abelian as ab
-from nil2q import nil2, qmaps
+from nil2q import ingest, nil2, qmaps
 
 
 def _extend_hom(o1, o2, gens, images):
@@ -31,7 +31,7 @@ def _extend_hom(o1, o2, gens, images):
     return phi
 
 
-def reference_find_group_isomorphism(o1: nil2.GroupOracle, o2: nil2.GroupOracle):
+def reference_find_group_isomorphism(o1: ingest.GroupOracle, o2: ingest.GroupOracle):
     """Brute-force isomorphism search between finite tables.
 
     Generator images are enumerated lexicographically (filtered by element
@@ -40,8 +40,8 @@ def reference_find_group_isomorphism(o1: nil2.GroupOracle, o2: nil2.GroupOracle)
     n = len(o1)
     if n != len(o2):
         return None
-    orders1 = nil2._element_orders(o1.table, o1.identity)
-    orders2 = nil2._element_orders(o2.table, o2.identity)
+    orders1 = ingest._element_orders(o1.table, o1.identity)
+    orders2 = ingest._element_orders(o2.table, o2.identity)
     if sorted(orders1) != sorted(orders2):
         return None
     gens = o1.generating_set()

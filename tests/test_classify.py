@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nil2q import abelian as ab
-from nil2q import catalog, classify, linext, nil2, qmaps
+from nil2q import abelian_constructions as abx
+from nil2q import catalog, classify, ingest, linext, nil2, qmaps
+from nil2q import qmap_constructions as qmc
 from nil2q.errors import AlgebraError, Unsupported
 from nil2q.report import CheckResult, all_ok
 
@@ -34,7 +36,7 @@ def test_similar():
 
 
 def test_group_isomorphism_oracle():
-    assert classify.groups_isomorphic(D4, nil2.canonicalize_finite(
+    assert classify.groups_isomorphic(D4, ingest.canonicalize_finite(
         catalog.dihedral4_oracle()).group)
     assert not classify.groups_isomorphic(D4, Q8)
     # coproduct Z/2 v Z/2 is D4 as a group
@@ -159,7 +161,7 @@ def test_qsplit_closed_under_product_and_coproduct():
 def test_qsplit_invariant_under_group_isomorphism():
     # canonicalization round trips land on the same verdict
     for g, expect in [(Q8, True), (D4, True), (G27, False), (HEIS3, True)]:
-        res = nil2.canonicalize_finite(nil2.table_of(g))
+        res = ingest.canonicalize_finite(nil2.table_of(g))
         assert classify.is_qsplit(res.group).verdict == expect
 
 
@@ -211,7 +213,7 @@ def test_bijective_qmap_with_non_qmap_inverse_is_rejected():
         l, m, n = z.a.coords
         return l * w.central(w.B.gen(0)) + m * w.gen(0) + n * w.gen(1)
 
-    q = qmaps.qmap_from_function(cube, w, fn)
+    q = qmc.qmap_from_function(cube, w, fn)
     table = {z: q.eval(z) for z in cube.elements()}
     assert len(set(table.values())) == 8
     inverse = {v: k for k, v in table.items()}
@@ -231,7 +233,7 @@ def reference_niq_witness(g, h):
     fab_ok, fcomm_ok = {}, {}
     for q in qmaps.enumerate_qmaps(g, h):
         if q.fab not in fab_ok:
-            fab_ok[q.fab] = ab.subgroup_generated(q.fab.columns(), h.A).is_whole()
+            fab_ok[q.fab] = abx.subgroup_generated(q.fab.columns(), h.A).is_whole()
         if q.fcomm not in fcomm_ok:
             fcomm_ok[q.fcomm] = ab.kernel(q.fcomm)[0].is_trivial()
         if not (fab_ok[q.fab] and fcomm_ok[q.fcomm]):
@@ -240,7 +242,7 @@ def reference_niq_witness(g, h):
         if len(table) != len(elems):
             continue
         if qmaps.is_qmap_function(table.__getitem__, h, g):
-            return q, qmaps.qmap_from_function(h, g, table.__getitem__)
+            return q, qmc.qmap_from_function(h, g, table.__getitem__)
     return None
 
 
@@ -266,7 +268,7 @@ def test_niq_witness_matches_reference_filter():
 
 
 def semidirect(n, m, k):
-    return nil2.canonicalize_finite(nil2.semidirect(n, m, k)).group
+    return ingest.canonicalize_finite(ingest.semidirect(n, m, k)).group
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,7 +398,7 @@ def cocycle_groups(draw):
 @settings(max_examples=30, deadline=None)
 @given(cocycle_groups())
 def test_canonicalized_table_is_isomorphic_to_the_group(g):
-    h = nil2.canonicalize_finite(nil2.table_of(g)).group
+    h = ingest.canonicalize_finite(nil2.table_of(g)).group
     assert classify.groups_isomorphic(h, g)
     assert reference_groups_isomorphic(h, g)
 
@@ -407,14 +409,14 @@ def test_sim_equiv_basics():
     assert ok and wit.alpha.is_zero()
     # cubing induces the identity on Q8_ab and [Q8,Q8] and differs from the
     # identity by a translation, so it is ~-equivalent to it
-    g = qmaps.power_qmap(Q8, 3)
+    g = qmc.power_qmap(Q8, 3)
     assert g.fab == f.fab and g.fcomm == f.fcomm
     ok2, wit2 = linext.qmap_sim_equiv(f, g)
     assert ok2
     assert linext.translate_qmap(f, wit2.alpha) == g
     # pointwise witness validation
     for z in Q8.elements():
-        tens = ab.tensor(Q8.A, Q8.A)
+        tens = abx.tensor(Q8.A, Q8.A)
         corr = wit2.alpha.apply(tens.pure(z.a, z.a))
         assert f.eval(z) + Q8.central(corr) == g.eval(z)
 
@@ -459,7 +461,7 @@ def test_approx_without_sim_separating_pair():
     z, one = b.zero(), b.element([1])
     h = nil2.Nil2Group(a, b, [[z, one], [z, z]], [z, z])
     src = catalog.cyclic(2)
-    f = qmaps.zero_qmap(src, h)
+    f = qmc.zero_qmap(src, h)
     g = qmaps.QMap(src, h, ab.AbHom.zero(src.A, h.A), ab.AbHom.zero(src.B, h.B),
                    [b.element([1])], [[b.element([2])]])
     assert linext.qmap_approx_equiv(f, g)
@@ -471,7 +473,7 @@ def test_approx_without_sim_separating_pair():
 
 def test_zero_vs_identity_not_approx():
     assert not linext.qmap_approx_equiv(
-        qmaps.zero_qmap(Q8, Q8), qmaps.identity_qmap(Q8))
+        qmc.zero_qmap(Q8, Q8), qmaps.identity_qmap(Q8))
 
 
 def distributivity_detail(res):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nil2q import cli
+from nil2q import cli, ingest
 
 
 def run(argv):
@@ -238,7 +238,7 @@ def test_huge_semidirect_builds_no_table(tmp_path, monkeypatch):
     def no_table(*args):
         raise AssertionError("semidirect table built")
 
-    monkeypatch.setattr(cli.nil2, "semidirect", no_table)
+    monkeypatch.setattr(ingest, "semidirect", no_table)
     f = tmp_path / "s.txt"
     f.write_text("group S = semidirect(99999999999,1,1)\n")
     for argv in (["info", "semidirect(99999999999,1,1)"],
@@ -409,12 +409,12 @@ print(repr((at_import, [m for m in lazy if m in sys.modules], code, out.getvalue
 """
 
 
-def run_fresh(argv, timeout=120):
-    """(lazy modules loaded by the import, lazy modules loaded after the
+def run_fresh(argv, timeout=120, lazy=LAZY):
+    """(`lazy` modules loaded by the import, `lazy` modules loaded after the
     command, exit code, output) of cli.main(argv) in a new interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _FRESH.format(lazy=LAZY, argv=argv)],
+    proc = subprocess.run([sys.executable, "-c", _FRESH.format(lazy=lazy, argv=argv)],
                           env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout)
@@ -436,6 +436,17 @@ def test_fresh_import_loads_no_lazy_module(tmp_path):
                                               "--category", "nil"])
     assert at_import == [] and after == []
     assert code == 0 and text == "iso K Q8 category=nil: YES\n"
+
+
+def test_fresh_queries_load_the_cold_blocks_on_first_use():
+    blocks = ("nil2q.abelian_constructions", "nil2q.ingest", "nil2q.qmap_constructions")
+    for argv, code, loaded in ((["info", "Q8"], 0, []),
+                               (["iso", "D4", "Q8", "--category", "nil"], 1, []),
+                               (["info", "semidirect(9,3,4)"], 0, ["nil2q.ingest"]),
+                               (["info", "free(2)"], 0, ["nil2q.abelian_constructions"]),
+                               (["iso", "D4", "Q8", "--witness"], 0,
+                                ["nil2q.qmap_constructions"])):
+        assert run_fresh(argv, lazy=blocks)[:3] == ([], loaded, code), argv
 
 
 def test_fresh_odd_order_iso_imports_maltsev():

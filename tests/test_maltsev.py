@@ -6,7 +6,9 @@ import itertools
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, classify, maltsev, nil2, qmaps
+from nil2q import abelian_constructions as abx
+from nil2q import catalog, classify, ingest, maltsev, nil2, qmaps
+from nil2q import qmap_constructions as qmc
 from nil2q.errors import (
     CommutatorMismatch,
     InvalidBracket,
@@ -191,7 +193,7 @@ def test_decompose_homomorphism_gives_zero_h():
 
 def test_decompose_recompose_round_trip():
     qs = list(itertools.islice(qmaps.enumerate_qmaps(HEIS3, G27), 40))
-    qs += [qmaps.power_qmap(HEIS3, 2), qmaps.power_qmap(G27, 2)]
+    qs += [qmc.power_qmap(HEIS3, 2), qmc.power_qmap(G27, 2)]
     for q in qs:
         d = maltsev.lie_qmap_decompose(q)
         back = maltsev.lie_qmap_recompose(d)
@@ -211,7 +213,7 @@ def test_decompose_recompose_round_trip():
 def test_power_map_decomposition_linear_part():
     # the linear part of the n-power map is multiplication by n
     for n in [2, 4, -1]:
-        q = qmaps.power_qmap(HEIS3, n)
+        q = qmc.power_qmap(HEIS3, n)
         g_fn = maltsev.linear_part(q)
         corr = maltsev.LogCorrespondence(HEIS3)
         for z in HEIS3.elements():
@@ -244,8 +246,8 @@ def test_hom_enumeration_fast_path_matches_filter():
 
 
 def test_linear_part_is_functorial():
-    f = qmaps.power_qmap(HEIS3, 2)
-    g = qmaps.power_qmap(HEIS3, 4)
+    f = qmc.power_qmap(HEIS3, 2)
+    g = qmc.power_qmap(HEIS3, 4)
     qf = maltsev.linear_part(f)
     qg = maltsev.linear_part(g)
     qfg = maltsev.linear_part(f.compose(g))
@@ -308,7 +310,7 @@ def test_log_criterion_non_chain_commutator_orders():
     g, h = group([15], [1]), group([3, 5], [1, 1])
     ok, w = maltsev.log_criterion_decide(g, h)
     assert ok and w is not None
-    assert ab.subgroup_generated(w.fcomm.columns(), h.B).is_whole()
+    assert abx.subgroup_generated(w.fcomm.columns(), h.B).is_whole()
 
 
 @pytest.mark.parametrize("n", [3, 9])
@@ -326,7 +328,7 @@ def test_log_criterion_heis3_times_cyclic(n):
 
 def _odd_pool():
     def sd(n, m, k):
-        return nil2.canonicalize_finite(nil2.semidirect(n, m, k)).group
+        return ingest.canonicalize_finite(ingest.semidirect(n, m, k)).group
 
     z3 = catalog.cyclic(3)
     return [HEIS3, G27, catalog.cyclic(27), catalog.abelian_group([9, 3]),

@@ -8,7 +8,9 @@ from math import lcm
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, linext, maltsev, nil2, qmaps
+from nil2q import abelian_constructions as abx
+from nil2q import catalog, ingest, linext, maltsev, nil2, qmaps
+from nil2q import qmap_constructions as qmc
 from nil2q.errors import (
     CommutatorMismatch,
     InvalidArgument,
@@ -226,7 +228,7 @@ def test_commutator_example_q8():
 
 
 def test_commutator_matches_definition():
-    for g in [D4, Q8, HEIS3, DIAG64, nil2.p2_extension(Q8), maltsev.lie_log(HEIS3)]:
+    for g in [D4, Q8, HEIS3, DIAG64, linext.p2_extension(Q8), maltsev.lie_log(HEIS3)]:
         for x in g.elements():
             for y in g.elements():
                 assert x.comm(y) == -x - y + x + y
@@ -253,7 +255,7 @@ def test_multiples_match_repeated_addition():
     f2 = nil2.free(2)
     window = [f2.element([s, t], [u]) for s in range(-2, 3) for t in range(-2, 3)
               for u in (-1, 0, 1)]
-    groups = [D4, Q8, G27, DIAG64, nil2.p2_extension(Q8), maltsev.lie_log(HEIS3),
+    groups = [D4, Q8, G27, DIAG64, linext.p2_extension(Q8), maltsev.lie_log(HEIS3),
               nil2.product(Q8, catalog.cyclic(2)), catalog.cyclic(8)]
     for g, pts in [(g, list(g.elements())) for g in groups] + [(f2, window)]:
         for z in pts:
@@ -390,7 +392,7 @@ def reference_product(g1, g2):
 def reference_coproduct(g1, g2):
     """The coproduct's data, block by block, with the A1 (x) A2 cross terms."""
     A = ab.direct_sum(g1.A, g2.A)
-    tens = ab.tensor(g1.A, g2.A)
+    tens = abx.tensor(g1.A, g2.A)
     B = ab.direct_sum(ab.direct_sum(g1.B, g2.B), tens.group)
     r1, r2 = g1.rank, g2.rank
     s1, s2, sT = g1.B.rank, g2.B.rank, tens.group.rank
@@ -436,7 +438,7 @@ def reference_exponent(g):
 
 def test_exponent_matches_element_sweep(monkeypatch):
     groups = [g for _, g in catalog.standard_catalog(200)]
-    groups += [nil2.canonicalize_finite(nil2.semidirect(*nmk)).group
+    groups += [ingest.canonicalize_finite(ingest.semidirect(*nmk)).group
                for nmk in [(4, 2, 3), (9, 3, 4), (8, 2, 5), (16, 4, 5), (25, 5, 6)]]
     groups.append(nil2.coproduct(catalog.cyclic(4), catalog.cyclic(2)))
     for g in groups:
@@ -462,7 +464,7 @@ def test_free_matches_exterior_square():
     for n in range(4):
         f = nil2.free(n)
         assert f.A.orders == (0,) * n
-        assert f.B.invariant_factors() == ab.exterior_square(
+        assert f.B.invariant_factors() == abx.exterior_square(
             ab.FGAbelian([0] * n)).group.invariant_factors()
     assert nil2.free(1).B.is_trivial()
     assert nil2.free(2).B.orders == (0,)
@@ -477,7 +479,7 @@ def test_free_equals_iterated_coproduct_up_to_twist():
         for _ in range(n - 1):
             cop = nil2.coproduct(cop, catalog.cyclic(0))
         fr = nil2.free(n)
-        assert ab.isomorphic(cop.B, fr.B)
+        assert abx.isomorphic(cop.B, fr.B)
         assert cop.A == fr.A
         # build sigma by matching antisymmetrized cocycle values on generators
         ext = fr.provenance[2]
@@ -522,14 +524,14 @@ def test_free_equals_iterated_coproduct_up_to_twist():
 
 def test_p2_extension():
     zgrp = catalog.cyclic(0)
-    p2 = nil2.p2_extension(zgrp)
+    p2 = linext.p2_extension(zgrp)
     x = p2.element(p2.tensor.group.element([3]), zgrp.element([2], []))
     y = p2.element(p2.tensor.group.element([1]), zgrp.element([5], []))
     s = x + y
     assert s.xi == p2.tensor.group.element([3 + 1 - 2 * 5])
     assert s.g == zgrp.element([7], [])
 
-    q8p2 = nil2.p2_extension(Q8)
+    q8p2 = linext.p2_extension(Q8)
     # pi o p2 = identity
     for g in Q8.elements():
         assert q8p2.proj(q8p2.p2(g)) == g
@@ -580,14 +582,14 @@ def test_p2_extension_matches_reference():
     Z = catalog.cyclic(0)
     for base in [Q8, D4, HEIS3, nil2.coproduct(catalog.cyclic(2), catalog.cyclic(4)),
                  catalog.cyclic(4), Z]:
-        ext = nil2.p2_extension(base)
+        ext = linext.p2_extension(base)
         T = ext.tensor.group
         if base is Z:
             w = range(-3, 4)
             ref = [(T.element([t]), Z.element([a], [])) for t in w for a in w]
             elems = [ext.element(*x) for x in ref]
             pairs = list(itertools.product(range(len(elems)), repeat=2))
-            qs = [qmaps.qmap_from_z(Q8, a, Q8.central(Q8.B.gen(0)))
+            qs = [qmc.qmap_from_z(Q8, a, Q8.central(Q8.B.gen(0)))
                   for a in itertools.islice(Q8.elements(), 4)]
         else:
             # xi-major enumeration order, and order()
@@ -598,7 +600,7 @@ def test_p2_extension_matches_reference():
             pairs = _stride(list(itertools.product(range(len(elems)), repeat=2)), 400)
             qs = _stride(list(itertools.islice(qmaps.enumerate_qmaps(base, Q8), 64)), 4)
         for z, x in zip(elems, ref):
-            assert type(z) is nil2.P2Element and pair(-z) == reference_p2_neg(ext, x)
+            assert type(z) is linext.P2Element and pair(-z) == reference_p2_neg(ext, x)
         for i, j in pairs:
             assert pair(elems[i] + elems[j]) == reference_p2_add(ext, ref[i], ref[j])
         for q in qs:
@@ -610,24 +612,24 @@ def test_p2_extension_matches_reference():
 
 
 def test_semidirect_oracles():
-    g27 = nil2.semidirect(9, 3, 4)
+    g27 = ingest.semidirect(9, 3, 4)
     assert len(g27) == 27
     assert len(g27.commutator_subgroup()) == 3
-    g125 = nil2.semidirect(25, 5, 6)
+    g125 = ingest.semidirect(25, 5, 6)
     assert len(g125) == 125
-    d4 = nil2.semidirect(4, 2, 3)
+    d4 = ingest.semidirect(4, 2, 3)
     assert len(d4) == 8
     with pytest.raises(NotAnAction):
-        nil2.semidirect(5, 2, 3)  # 3^2 = 9 != 1 mod 5
+        ingest.semidirect(5, 2, 3)  # 3^2 = 9 != 1 mod 5
     with pytest.raises(NotClassTwo):
-        nil2.semidirect(8, 2, 3)  # (3-1)^2 = 4 != 0 mod 8
+        ingest.semidirect(8, 2, 3)  # (3-1)^2 = 4 != 0 mod 8
 
 
 @pytest.mark.parametrize("n, m, k", [(1, 1, 1), (4, 2, 3), (8, 2, 5), (4, 4, 3),
                                      (25, 5, 6), (49, 7, 8)])
 def test_semidirect_table_matches_definition(n, m, k):
     # (a, b)(a2, b2) = (a + k^b a2, b + b2), element (a, b) at a m + b
-    o = nil2.semidirect(n, m, k)
+    o = ingest.semidirect(n, m, k)
     assert o.labels == tuple(f"({a},{b})" for a in range(n) for b in range(m))
     assert o.table == tuple(tuple((a + k ** b * a2) % n * m + (b + b2) % m
                                   for a2 in range(n) for b2 in range(m))
@@ -635,7 +637,7 @@ def test_semidirect_table_matches_definition(n, m, k):
 
 
 def test_canonicalize_q8_oracle():
-    res = nil2.canonicalize_finite(catalog.quaternion_oracle())
+    res = ingest.canonicalize_finite(catalog.quaternion_oracle())
     g = res.group
     assert g.A.invariant_factors() == (2, 2)
     assert g.B.invariant_factors() == (2,)
@@ -645,17 +647,17 @@ def test_canonicalize_q8_oracle():
 
 
 def test_canonicalize_cyclic_and_heisenberg():
-    c4 = nil2.canonicalize_finite(nil2.table_of(catalog.cyclic(4)))
+    c4 = ingest.canonicalize_finite(nil2.table_of(catalog.cyclic(4)))
     assert c4.group.A.invariant_factors() == (4,)
     assert c4.group.B.is_trivial()
-    h = nil2.canonicalize_finite(catalog.heisenberg_oracle(3))
+    h = ingest.canonicalize_finite(catalog.heisenberg_oracle(3))
     assert h.group.A.invariant_factors() == (3, 3)
     assert h.group.B.invariant_factors() == (3,)
     assert all(c.is_zero() for c in h.group.carry)
 
 
 def test_canonicalize_semidirect_matches_catalog():
-    res = nil2.canonicalize_finite(nil2.semidirect(9, 3, 4))
+    res = ingest.canonicalize_finite(ingest.semidirect(9, 3, 4))
     g = res.group
     assert g.A.invariant_factors() == (3, 3)
     assert g.B.invariant_factors() == (3,)
@@ -666,13 +668,52 @@ def test_canonicalize_semidirect_matches_catalog():
     assert max(ords) == 9  # exponent 9 distinguishes it from Heis3
     # the catalog carry encoding is the same group
     assert reference_find_group_isomorphism(nil2.table_of(G27),
-                                            nil2.semidirect(9, 3, 4)) is not None
+                                            ingest.semidirect(9, 3, 4)) is not None
 
 
 def test_canonicalize_round_trip():
     for g in [Q8, D4, HEIS3, G27, catalog.abelian_group([2, 4])]:
-        res = nil2.canonicalize_finite(nil2.table_of(g))
+        res = ingest.canonicalize_finite(nil2.table_of(g))
         assert reference_find_group_isomorphism(nil2.table_of(res.group), nil2.table_of(g)) is not None
+
+
+def test_canonicalization_check_rejects_data_off_the_table(monkeypatch):
+    # faults planted in the data read off the table, past Nil2Group's own
+    # validation: only the check along generators can reject them
+    real = nil2.Nil2Group.__init__
+    heis3 = catalog.heisenberg_oracle(3)
+
+    def zero_carry(self, A, B, bil, carry, provenance=None):
+        real(self, A, B, bil, [B.zero()] * len(carry), provenance)
+
+    def doubled_bil(self, A, B, bil, carry, provenance=None):
+        bil = [list(row) for row in bil]
+        bil[1][0] = 2 * bil[1][0]           # still generates B = Z/3
+        real(self, A, B, bil, carry, provenance)
+
+    # Q8's table with D4's data, and Heis3's with a wrong commutator
+    for fault, oracle in ((zero_carry, catalog.quaternion_oracle()), (doubled_bil, heis3)):
+        with monkeypatch.context() as m:
+            m.setattr(nil2.Nil2Group, "__init__", fault)
+            with pytest.raises(NotAGroup, match="canonicalized data does not reproduce "
+                                                "the table at element"):
+                ingest.canonicalize_finite(oracle)
+
+
+def test_canonicalization_builds_no_cayley_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Cayley table was built")
+
+    oracle = ingest.semidirect(25, 5, 6)
+    monkeypatch.setattr(nil2.CayleyTable, "__init__", refuse)
+    g = ingest.canonicalize_finite(oracle).group
+    assert g.order() == 125 and g.B.invariant_factors() == (5,)
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_table():
+    t = ingest.semidirect(6, 1, 1).table
+    coset_of, reps, qtable = ingest._quotient(t, [0])
+    assert qtable is t and list(coset_of) == list(reps) == list(range(6))
 
 
 def reduced_latin_squares(n):
@@ -715,7 +756,7 @@ def reference_is_group(table, identity):
 
 def accepts(table, identity):
     try:
-        nil2.GroupOracle([str(i) for i in range(len(table))], table, identity)
+        ingest.GroupOracle([str(i) for i in range(len(table))], table, identity)
     except NotAGroup:
         return False
     return True
@@ -732,8 +773,8 @@ def test_oracle_validation_matches_reference():
             accepted += ok
         assert (seen, accepted) == (squares, groups)
     oracles = [catalog.quaternion_oracle(), catalog.dihedral4_oracle(),
-               catalog.heisenberg_oracle(3), nil2.semidirect(9, 3, 4),
-               nil2.semidirect(25, 5, 6), nil2.semidirect(4, 2, 3)]
+               catalog.heisenberg_oracle(3), ingest.semidirect(9, 3, 4),
+               ingest.semidirect(25, 5, 6), ingest.semidirect(4, 2, 3)]
     for o in oracles:
         assert reference_is_group(o.table, o.identity)
         # swapping two products off the identity and inverse positions
@@ -752,7 +793,7 @@ def test_oracle_validation_matches_reference():
     for magma, message in [(later, "associativity fails"), (none, "'2' has no inverse")]:
         assert accepts(magma, 0) == reference_is_group(magma, 0)
         with pytest.raises(NotAGroup, match=re.escape(message)):
-            nil2.GroupOracle(["0", "1", "2"], magma, 0)
+            ingest.GroupOracle(["0", "1", "2"], magma, 0)
 
 
 def dihedral16_oracle():
@@ -761,7 +802,7 @@ def dihedral16_oracle():
     index = {z: i for i, z in enumerate(elems)}
     table = [[index[((a + 7 ** b * a2) % 8, (b + b2) % 2)] for a2, b2 in elems]
              for a, b in elems]
-    return nil2.GroupOracle([f"({a},{b})" for a, b in elems], table, 0)
+    return ingest.GroupOracle([f"({a},{b})" for a, b in elems], table, 0)
 
 
 def reference_class_two(o):
@@ -773,7 +814,7 @@ def reference_class_two(o):
 
 
 def test_class_two_check_matches_reference():
-    oracles = [nil2.GroupOracle([str(i) for i in range(6)], sq, 0)
+    oracles = [ingest.GroupOracle([str(i) for i in range(6)], sq, 0)
                for sq in reduced_latin_squares(6) if reference_is_group(sq, 0)]
     assert len(oracles) == 80
     oracles.append(dihedral16_oracle())
@@ -792,7 +833,7 @@ def test_class_two_check_matches_reference():
     assert len(s3) == 20 and not any(o.is_class_two() for o in s3)
     assert verdicts[80] is False and all(verdicts[81:])
     with pytest.raises(NotClassTwo):
-        nil2.canonicalize_finite(dihedral16_oracle())
+        ingest.canonicalize_finite(dihedral16_oracle())
 
 
 def test_oracle_text_round_trip():
@@ -802,11 +843,11 @@ def test_oracle_text_round_trip():
     for i in range(len(o)):
         for j in range(len(o)):
             lines.append(f"{labels[i]} * {labels[j]} = {labels[o.table[i][j]]}")
-    parsed = nil2.GroupOracle.from_text("\n".join(lines))
+    parsed = ingest.GroupOracle.from_text("\n".join(lines))
     assert parsed.table == o.table
     from nil2q.errors import NotAGroup
     with pytest.raises(NotAGroup):
-        nil2.GroupOracle.from_text("id = e\ne * e = e\ne * f = f")
+        ingest.GroupOracle.from_text("id = e\ne * e = e\ne * f = f")
 
 
 Z2_LINES = ["elements = e a", "id = e", "e * e = e", "e * a = a", "a * e = a", "a * a = e"]
@@ -820,8 +861,8 @@ Z2_LINES = ["elements = e a", "id = e", "e * e = e", "e * a = a", "a * e = a", "
 ])
 def test_oracle_text_rejects_repeated_definitions(extra, message):
     # the last value used to win silently
-    nil2.GroupOracle.from_text("\n".join(Z2_LINES))
+    ingest.GroupOracle.from_text("\n".join(Z2_LINES))
     with pytest.raises(NotAGroup, match=re.escape(message)):
-        nil2.GroupOracle.from_text("\n".join(Z2_LINES + [extra]))
+        ingest.GroupOracle.from_text("\n".join(Z2_LINES + [extra]))
     with pytest.raises(NotAGroup, match="label 'a' is repeated in `elements`"):
-        nil2.GroupOracle.from_text("\n".join(["elements = e a a"] + Z2_LINES[1:]))
+        ingest.GroupOracle.from_text("\n".join(["elements = e a a"] + Z2_LINES[1:]))

@@ -11,7 +11,9 @@ import random
 import pytest
 
 from nil2q import abelian as ab
-from nil2q import catalog, classify, linext, maltsev, nil2, qmaps
+from nil2q import abelian_constructions as abx
+from nil2q import catalog, classify, ingest, linext, maltsev, nil2, qmaps
+from nil2q import qmap_constructions as qmc
 from nil2q.errors import InvalidArgument, NotAQMap, UnsupportedEnumeration
 
 Q8 = catalog.quaternion()
@@ -46,7 +48,7 @@ def test_identity_and_zero():
         idq = qmaps.identity_qmap(g)
         for z in g.elements():
             assert idq.eval(z) == z
-        zq = qmaps.zero_qmap(g, Q8)
+        zq = qmc.zero_qmap(g, Q8)
         for z in g.elements():
             assert zq.eval(z).is_zero()
         assert idq.is_hom() and reference_is_hom(idq)
@@ -168,10 +170,10 @@ def test_eval_zero_is_zero():
 def test_power_map():
     for g in [Q8, HEIS3]:
         for n in range(-3, 5):
-            q = qmaps.power_qmap(g, n)
+            q = qmc.power_qmap(g, n)
             for z in g.elements():
                 assert q.eval(z) == n * z
-    two = qmaps.power_qmap(Q8, 2)
+    two = qmc.power_qmap(Q8, 2)
     # (a|b)_2 = -[a,b]
     for x in Q8.elements():
         for y in Q8.elements():
@@ -181,15 +183,15 @@ def test_power_map():
 
 def test_power_map_composition():
     for m, n in [(2, 3), (3, -1), (2, 2)]:
-        q = qmaps.power_qmap(HEIS3, m).compose(qmaps.power_qmap(HEIS3, n))
-        expect = qmaps.power_qmap(HEIS3, m * n)
+        q = qmc.power_qmap(HEIS3, m).compose(qmc.power_qmap(HEIS3, n))
+        expect = qmc.power_qmap(HEIS3, m * n)
         for z in HEIS3.elements():
             assert q.eval(z) == expect.eval(z)
 
 
 def test_addition_map_cross():
     for g in [Q8, HEIS3]:
-        plus = qmaps.addition_qmap(g)
+        plus = qmc.addition_qmap(g)
         p = plus.source
         pairs = list(p.elements())
 
@@ -222,7 +224,7 @@ def test_sum_and_negation_pointwise():
             assert n.eval(z) == -(f.eval(z))
         zsum = f + (-f)
         assert all(zsum.eval(z).is_zero() for z in elems)
-        assert (f + qmaps.zero_qmap(Q8, Q8)) == f
+        assert (f + qmc.zero_qmap(Q8, Q8)) == f
 
 
 def test_cross_effect_sum_formula():
@@ -262,7 +264,7 @@ def test_compose_pointwise_and_formula():
 
 
 def test_identity_neutral_and_associative():
-    f = qmaps.power_qmap(Q8, 3)
+    f = qmc.power_qmap(Q8, 3)
     idq = qmaps.identity_qmap(Q8)
     assert f.compose(idq) == f
     assert idq.compose(f) == f
@@ -335,12 +337,12 @@ def test_eval_independent_of_expansion_order():
 
 
 def test_qmap_from_z():
-    assert qmaps.qmap_from_z(Q8, Q8.zero(), Q8.zero()).is_zero()
+    assert qmc.qmap_from_z(Q8, Q8.zero(), Q8.zero()).is_zero()
     # |qw(Z, Q8)| = 16 via the (a, b) classification; all data spaces valid
     seen = set()
     for a in Q8.elements():
         for b in Q8.B.elements():
-            q = qmaps.qmap_from_z(Q8, a, Q8.central(b))
+            q = qmc.qmap_from_z(Q8, a, Q8.central(b))
             seen.add(q)
     assert len(seen) == 16
     # and the data space of q-maps Z -> Q8 is exactly that large
@@ -356,7 +358,7 @@ def test_qmap_from_z():
     # f_{a,b}(-1) = -a + b
     a = Q8.gen(0)
     b = Q8.central(Q8.B.element([1]))
-    q = qmaps.qmap_from_z(Q8, a, b)
+    q = qmc.qmap_from_z(Q8, a, b)
     minus1 = src.element([-1], [])
     assert q.eval(minus1) == -a + b
     # cross-effect (n|m) = nm b
@@ -364,7 +366,7 @@ def test_qmap_from_z():
     z3 = src.element([3], [])
     assert q.cross(z2, z3) == 6 * b
     with pytest.raises(NotAQMap):
-        qmaps.qmap_from_z(Q8, a, Q8.gen(1))
+        qmc.qmap_from_z(Q8, a, Q8.gen(1))
 
 
 def test_sum_formula_for_z_maps():
@@ -375,10 +377,10 @@ def test_sum_formula_for_z_maps():
         for a2 in itertools.islice(Q8.elements(), 4):
             for b in Q8.B.elements():
                 for b2 in Q8.B.elements():
-                    f = qmaps.qmap_from_z(Q8, a, Q8.central(b))
-                    g = qmaps.qmap_from_z(Q8, a2, Q8.central(b2))
+                    f = qmc.qmap_from_z(Q8, a, Q8.central(b))
+                    g = qmc.qmap_from_z(Q8, a2, Q8.central(b2))
                     s = f + g
-                    expect = qmaps.qmap_from_z(
+                    expect = qmc.qmap_from_z(
                         Q8, a + a2, Q8.central(b + b2) + a.comm(a2))
                     for z in elems:
                         assert s.eval(z) == expect.eval(z)
@@ -388,7 +390,7 @@ def test_beta_examples():
     idq = qmaps.identity_qmap(Q8)
     bd = linext.qmap_beta(idq)
     assert bd.kernel.is_trivial() and bd.additive
-    zq = qmaps.zero_qmap(Q8, Q8)
+    zq = qmc.zero_qmap(Q8, Q8)
     bz = linext.qmap_beta(zq)
     assert bz.kernel.invariant_factors() == (2, 2)
     assert bz.coker.invariant_factors() == (2,)
@@ -416,7 +418,7 @@ def test_beta_additive_with_hom_for_homomorphisms():
 
 def test_beta_nonzero_and_monomorphism():
     # the central homomorphism Z/2 -> Q8 has nonzero, injective beta
-    f = qmaps.qmap_from_function(
+    f = qmc.qmap_from_function(
         Z2, Q8, lambda z: Q8.central(z.a.coords[0] * Q8.B.element([1])))
     bd = linext.qmap_beta(f)
     assert bd.kernel.invariant_factors() == (2,)
@@ -430,7 +432,7 @@ def test_beta_nonzero_and_monomorphism():
 def test_beta_additivity_fails_for_squaring_on_q8():
     # regression: the defining formula is not additive for every q-map;
     # the squaring map has beta(e1) = beta(e2) = 1 but beta(e1+e2) = 1
-    two = qmaps.power_qmap(Q8, 2)
+    two = qmc.power_qmap(Q8, 2)
     bd = linext.qmap_beta(two)
     assert bd.kernel.invariant_factors() == (2, 2)
     assert not bd.additive and bd.hom is None
@@ -456,7 +458,7 @@ def test_p2_factorization():
     for x in itertools.islice(fid.extension.elements(), 32):
         assert fid.eval(x) == fid.extension.proj(x)
     # q = 0: f_q = 0
-    f0 = linext.qmap_p2_factorize(qmaps.zero_qmap(Q8, D4))
+    f0 = linext.qmap_p2_factorize(qmc.zero_qmap(Q8, D4))
     assert all(f0.eval(x).is_zero()
                for x in itertools.islice(f0.extension.elements(), 32))
 
@@ -467,7 +469,7 @@ def test_p2_factorization():
 def test_p2_universal_property_through_hom_solver(g, h):
     # the homomorphisms P2(G) -> H, composed with p2, are exactly the
     # q-maps G -> H, each once
-    ext = nil2.p2_extension(g)
+    ext = linext.p2_extension(g)
     lifts = [ext.p2(z) for z in g.elements()]
     via_p2 = [tuple(phi.eval(x) for x in lifts) for phi in qmaps.enumerate_homs(ext, h)]
     direct = [value_table(q) for q in qmaps.enumerate_qmaps(g, h)]
@@ -487,13 +489,13 @@ def test_log_criterion_witness_values_are_lie_elements():
 
 def test_from_function_round_trip():
     for q in itertools.islice(qmaps.enumerate_qmaps(D4, Q8), 20):
-        q2 = qmaps.qmap_from_function(D4, Q8, q.eval)
+        q2 = qmc.qmap_from_function(D4, Q8, q.eval)
         assert q2 == q
     with pytest.raises(NotAQMap):
         # cross-effect at (e1, e2) leaves the commutator subgroup
         table = {(0, 0): Q8.zero(), (1, 0): Q8.gen(0), (0, 1): Q8.gen(1),
                  (1, 1): Q8.zero()}
-        qmaps.qmap_from_function(V4, Q8, lambda z: table[z.a.coords])
+        qmc.qmap_from_function(V4, Q8, lambda z: table[z.a.coords])
 
 
 def test_enumeration_matches_bruteforce_small():
@@ -703,7 +705,7 @@ def test_oracle_set_up_uses_no_presentation(monkeypatch):
     # the Cayley table, both masks and the brute-force filter read only the
     # group law's integer tables: no element enumeration and no center
     groups = [catalog.dihedral4(), nil2.product(catalog.quaternion(), catalog.cyclic(2)),
-              catalog.heisenberg(3), nil2.canonicalize_finite(nil2.semidirect(25, 5, 6)).group]
+              catalog.heisenberg(3), ingest.canonicalize_finite(ingest.semidirect(25, 5, 6)).group]
 
     def runs():         # fresh groups: no table or mask is cached yet
         return [(catalog.abelian_group([2, 2]), catalog.quaternion(), "quadratic"),
@@ -776,7 +778,7 @@ def test_qw_equals_hom_for_abelian_targets():
         assert all(q.is_hom() and reference_is_hom(q) for q in qs)
         homs = {tuple(q.fab.matrix) for q in qs}
         assert len(homs) == len(qs)
-        assert len(qs) == ab.hom_count(g.A, h.A)
+        assert len(qs) == abx.hom_count(g.A, h.A)
 
 
 def test_product_count_identity():
@@ -787,8 +789,8 @@ def test_product_count_identity():
         n = sum(1 for _ in qmaps.enumerate_qmaps(p, h))
         n1 = sum(1 for _ in qmaps.enumerate_qmaps(g1, h))
         n2 = sum(1 for _ in qmaps.enumerate_qmaps(g2, h))
-        t = ab.tensor(g1.A, g2.A).group
-        assert n == n1 * n2 * ab.hom_count(t, h.B)
+        t = abx.tensor(g1.A, g2.A).group
+        assert n == n1 * n2 * abx.hom_count(t, h.B)
 
 
 def test_coproduct_count_identity():
@@ -798,8 +800,8 @@ def test_coproduct_count_identity():
         n = sum(1 for _ in qmaps.enumerate_qmaps(c, h))
         n1 = sum(1 for _ in qmaps.enumerate_qmaps(g1, h))
         n2 = sum(1 for _ in qmaps.enumerate_qmaps(g2, h))
-        t = ab.tensor(g1.A, g2.A).group
-        assert n == ab.hom_count(t, h.B) ** 2 * n1 * n2
+        t = abx.tensor(g1.A, g2.A).group
+        assert n == abx.hom_count(t, h.B) ** 2 * n1 * n2
 
 
 def test_quadratic_product_count_identity():
@@ -834,7 +836,7 @@ def test_qw_is_normal_in_qu():
 
 def test_coproduct_inclusions_and_couniversal():
     c = nil2.coproduct(Z2, Z2)
-    i1, i2 = qmaps.coproduct_inclusion(c, 0), qmaps.coproduct_inclusion(c, 1)
+    i1, i2 = qmc.coproduct_inclusion(c, 0), qmc.coproduct_inclusion(c, 1)
     assert all(i.is_hom() and reference_is_hom(i) for i in (i1, i2))
     x = Q8
     homs1 = [q for q in qmaps.enumerate_qmaps(Z2, x) if q.is_hom()]
@@ -842,7 +844,7 @@ def test_coproduct_inclusions_and_couniversal():
     all_homs_c = [q for q in qmaps.enumerate_qmaps(c, x) if q.is_hom()]
     for u in homs1:
         for v in homs2:
-            w = qmaps.coproduct_couniversal(c, u, v)
+            w = qmc.coproduct_couniversal(c, u, v)
             assert w.is_hom() and reference_is_hom(w)
             assert w.compose(i1) == u and w.compose(i2) == v
             matches = [t for t in all_homs_c
@@ -852,8 +854,8 @@ def test_coproduct_inclusions_and_couniversal():
 
 def test_product_projections_inclusions():
     p = nil2.product(Q8, Z2)
-    p1, p2 = qmaps.product_projection(p, 0), qmaps.product_projection(p, 1)
-    i1, i2 = qmaps.product_inclusion(p, 0), qmaps.product_inclusion(p, 1)
+    p1, p2 = qmc.product_projection(p, 0), qmc.product_projection(p, 1)
+    i1, i2 = qmc.product_inclusion(p, 0), qmc.product_inclusion(p, 1)
     for z in Q8.elements():
         assert p1.eval(i1.eval(z)) == z
         assert p2.eval(i1.eval(z)).is_zero()
@@ -967,31 +969,31 @@ def test_structural_maps_match_reference():
     cases = 0
     for g in [Q8, D4, HEIS3, Z4, V4, nil2.free(2), nil2.coproduct(Z2, Z4)]:
         cases += same(qmaps.identity_qmap(g), reference_identity(g))
-        cases += same(qmaps.addition_qmap(g), reference_addition(g))
+        cases += same(qmc.addition_qmap(g), reference_addition(g))
         cases += same(classify.abelianization_projection(g),
                       reference_abelianization_projection(g))
         for n in range(-3, 4):
-            cases += same(qmaps.power_qmap(g, n), reference_power(g, n))
+            cases += same(qmc.power_qmap(g, n), reference_power(g, n))
     for g1, g2 in itertools.product([Q8, D4, HEIS3], repeat=2):
         p, c = nil2.product(g1, g2), nil2.coproduct(g1, g2)
         for k, gk in enumerate((g1, g2)):
-            cases += same(qmaps.product_projection(p, k), reference_product_projection(p, k))
-            cases += same(qmaps.product_inclusion(p, k), reference_inclusion(p, k))
-            cases += same(qmaps.coproduct_inclusion(c, k), reference_inclusion(c, k))
+            cases += same(qmc.product_projection(p, k), reference_product_projection(p, k))
+            cases += same(qmc.product_inclusion(p, k), reference_inclusion(p, k))
+            cases += same(qmc.coproduct_inclusion(c, k), reference_inclusion(c, k))
             for w in (p, c):
-                cases += same(qmaps.zero_qmap(w, gk), reference_zero(w, gk))
-                cases += same(qmaps.zero_qmap(gk, w), reference_zero(gk, w))
+                cases += same(qmc.zero_qmap(w, gk), reference_zero(w, gk))
+                cases += same(qmc.zero_qmap(gk, w), reference_zero(gk, w))
     for g1, g2, x in [(Z2, Z4, Q8), (Z2, Z2, D4)]:
         c = nil2.coproduct(g1, g2)
         for u, v in itertools.product(list(qmaps.enumerate_homs(g1, x)),
                                       list(qmaps.enumerate_homs(g2, x))):
-            cases += same(qmaps.coproduct_couniversal(c, u, v), reference_couniversal(c, u, v))
+            cases += same(qmc.coproduct_couniversal(c, u, v), reference_couniversal(c, u, v))
     assert cases == 248
 
 
 @pytest.mark.parametrize("build, tag", [
-    (qmaps.product_projection, "product"), (qmaps.product_inclusion, "product"),
-    (qmaps.coproduct_inclusion, "coproduct")])
+    (qmc.product_projection, "product"), (qmc.product_inclusion, "product"),
+    (qmc.coproduct_inclusion, "coproduct")])
 def test_structural_maps_reject_bad_factor(build, tag):
     whole = (nil2.product if tag == "product" else nil2.coproduct)(Q8, Z2)
     for k in (2, -1):
@@ -1071,7 +1073,7 @@ def test_eval_agrees_with_reference_expansion():
         _assert_eval_matches_reference(q, DIAG64.elements())
     for g in (D4, HEIS3, DIAG64):
         for n in (-3, -1, 2):
-            _assert_eval_matches_reference(qmaps.power_qmap(g, n), g.elements())
+            _assert_eval_matches_reference(qmc.power_qmap(g, n), g.elements())
     _assert_eval_matches_reference(qmaps.identity_qmap(DIAG64), DIAG64.elements())
     # infinite sources: negative multiples of free generators
     z1 = nil2.free(1)
@@ -1079,7 +1081,7 @@ def test_eval_agrees_with_reference_expansion():
     for a in Q8.elements():
         for b in Q8.B.elements():
             _assert_eval_matches_reference(
-                qmaps.qmap_from_z(Q8, a, Q8.central(b)), pts1)
+                qmc.qmap_from_z(Q8, a, Q8.central(b)), pts1)
     f2 = nil2.free(2)
     pts2 = [f2.element([s, t], [u]) for s in range(-3, 4)
             for t in range(-3, 4) for u in range(-3, 4)]
@@ -1092,7 +1094,7 @@ def test_eval_agrees_with_reference_expansion():
         q = qmaps.QMap(f2, Q8, fab, fcomm, [a1.b, a2.b], [[one, bz], [d21, one]])
         _assert_eval_matches_reference(q, pts2)
     _assert_eval_matches_reference(qmaps.identity_qmap(f2), pts2)
-    _assert_eval_matches_reference(qmaps.power_qmap(f2, -3), pts2)
+    _assert_eval_matches_reference(qmc.power_qmap(f2, -3), pts2)
 
 
 BOTH_ENUMS = (qmaps.enumerate_qmaps, qmaps.enumerate_homs)
@@ -1219,8 +1221,8 @@ def test_validation_does_no_element_arithmetic(monkeypatch):
     rebuilt = [[qmaps.QMap(g, h, *data) for data in qmaps._presentations(
         g, h, ab.enumerate_homs(g.A, h.A), list(ab.enumerate_homs(g.B, h.B)))]
         for g, h in pairs]
-    structural = [qmaps.identity_qmap(Q8), qmaps.zero_qmap(D4, Q8),
-                  qmaps.product_projection(p, 1), qmaps.coproduct_inclusion(c, 0)]
+    structural = [qmaps.identity_qmap(Q8), qmc.zero_qmap(D4, Q8),
+                  qmc.product_projection(p, 1), qmc.coproduct_inclusion(c, 0)]
     monkeypatch.undo()
     assert [len(maps) for maps in rebuilt] == [256, 1]
     for (g, h), maps in zip(pairs, rebuilt):
