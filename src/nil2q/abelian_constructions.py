@@ -7,7 +7,7 @@ indexing, and hom-set sizes.
 Loaded on first use: by `nil2.coproduct` and `nil2.free`, by the error
 branch of `nil2`'s check that commutators generate B, by the hom count of
 `classify.niq_iso_decide`'s log-criterion guard, and by `verify` and
-`linext`.  So `info` and `iso` on the built-in groups do not load it.
+`linext`.  So `info Q8` and `iso D4 Q8` do not load it.
 """
 
 from __future__ import annotations

@@ -198,6 +198,14 @@ def _element_orders(table, identity):
     return out
 
 
+def _multiples(table, identity, g, d):
+    """[0, g, 2g, ..., (d-1) g] in a finite table."""
+    out = [identity]
+    for _ in range(d - 1):
+        out.append(table[out[-1]][g])
+    return out
+
+
 def _quotient(table, sub):
     """Left cosets x + sub of the subgroup `sub` of a finite table, as
     (coset_of, reps, qtable): the coset index of each element, the
@@ -233,11 +241,7 @@ def _abelian_basis(table, identity):
     orders = _element_orders(table, identity)
     d = max(orders)
     q = orders.index(d)
-    powers = [identity]
-    x = identity
-    for _ in range(d - 1):
-        x = table[x][q]
-        powers.append(x)
+    powers = _multiples(table, identity, q, d)
     power_index = {p: i for i, p in enumerate(powers)}
     if d == n:
         coords = {p: (i,) for i, p in enumerate(powers)}
@@ -320,16 +324,8 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
                         for orders in (qorders, corders))
     apos, bpos = ({c: i for i, c in enumerate(cs)} for cs in (acoords, bcoords))
     nb = len(bcoords)
-
-    def multiples(g, d):
-        """[0, g, 2g, ..., (d-1) g] in the table."""
-        out = [oracle.identity]
-        for _ in range(d - 1):
-            out.append(t[out[-1]][g])
-        return out
-
-    amul = [multiples(g, d) for g, d in zip(lifts, qorders)]
-    bmul = [multiples(celems[cg], e) for cg, e in zip(cgens, corders)]
+    amul = [_multiples(t, oracle.identity, g, d) for g, d in zip(lifts, qorders)]
+    bmul = [_multiples(t, oracle.identity, celems[cg], e) for cg, e in zip(cgens, corders)]
     to_oracle = []
     for a in acoords:
         s = oracle.identity
@@ -349,7 +345,7 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
     shifts = {}                 # v in B -> the positions of u + v, over B's u
 
     def shifted(v):
-        v = plus(v, bcoords[0], corders)
+        v = tuple([x % d for x, d in zip(v, corders)])
         if v not in shifts:
             shifts[v] = [bpos[plus(u, v, corders)] for u in bcoords]
         return shifts[v]
@@ -365,13 +361,13 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
     # group is a word in S, so the y are all of G.  Each x + s is read off
     # the cocycle, (a, u) + (e_i, 0) = (a + e_i, u + beta(a, e_i)) and
     # (a, u) + (0, f_j) = (a, u + f_j): n (r + rank B) lookups.
-    ea, eb = ab._identity(r), ab._identity(len(corders))
-    along_b = [(to_oracle[bpos[tuple(f)]], shifted(f)) for f in eb]
+    gens_a = [(e, to_oracle[apos[tuple(e)] * nb]) for e in ab._identity(r)]
+    gens_b = [(to_oracle[bpos[tuple(f)]], shifted(f)) for f in ab._identity(len(corders))]
     for pa, a in enumerate(acoords):
         row = pa * nb
-        along = [(to_oracle[apos[tuple(e)] * nb], apos[plus(a, e, qorders)] * nb,
-                  shifted(group._cocycle_coords(a, e))) for e in ea]
-        for img, base, w in along + [(img, row, w) for img, w in along_b]:
+        steps = [(img, apos[plus(a, e, qorders)] * nb, shifted(group._cocycle_coords(a, e)))
+                 for e, img in gens_a] + [(img, row, w) for img, w in gens_b]
+        for img, base, w in steps:
             for k, wk in enumerate(w):
                 if t[to_oracle[row + k]][img] != to_oracle[base + wk]:
                     raise NotAGroup("canonicalized data does not reproduce the table "

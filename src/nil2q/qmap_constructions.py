@@ -7,9 +7,10 @@ Each is `qmaps._hom`, the zero-cross-effect constructor, mostly over the
 generator-shift maps `qmaps._shift` at the factor offsets of
 `nil2._factor`; the power map is `_shift` scaled by n with its forced
 cross-effect, and addition is the sum of the two product projections.
-Loaded on first use: by the witness search of `classify` (the inverse is
-read off its table), by `maltsev`'s recomposition, and by `verify` and
-`linext`.  So `info` and a plain `iso` query do not load it.
+Loaded on first use: by `classify`'s witness search when it finds a
+witness (the inverse is read off its table), by `maltsev`'s
+recomposition, and by `verify` and `linext`.  So `info` and an `iso`
+query that finds no witness, or runs no search, do not load it.
 """
 
 from __future__ import annotations
