@@ -26,7 +26,7 @@ class GroupOracle:
 
     def __init__(self, labels, table, identity):
         self.labels = tuple(str(x) for x in labels)
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.table = tuple(row if type(row) is tuple else tuple(row) for row in table)
         self.identity = int(identity)
         self._inv = None
         self._validate()
@@ -36,6 +36,9 @@ class GroupOracle:
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise NotAGroup("multiplication table is not total")
         for row in self.table:
+            if not set(map(type, row)) <= {int}:
+                v = next(v for v in row if type(v) is not int)
+                raise NotAGroup(f"table entry {v!r} is not an integer")
             if min(row) < 0 or max(row) >= n:
                 v = next(v for v in row if not 0 <= v < n)
                 raise NotAGroup(f"table entry {v} out of range")
@@ -178,7 +181,7 @@ def semidirect(n: int, m: int, k: int) -> GroupOracle:
     block = [[ids[s + b:s + m] + ids[s:s + b] for s in range(0, n * m, m)]
              for b in range(m)]
     kb = [pow(k, b, n) for b in range(m)]
-    table = [list(itertools.chain.from_iterable(
+    table = [tuple(itertools.chain.from_iterable(
         block[b][(a + kb[b] * a2) % n] for a2 in range(n))) for a, b in elems]
     labels = [f"({a},{b})" for a, b in elems]
     return GroupOracle(labels, table, 0)
@@ -259,12 +262,11 @@ def _abelian_basis(table, identity):
         t = (-(k // m)) % d
         gens.append(table[h][powers[t]])
         gorders.append(m)
-    coords = {}
+    coords, muls = {}, [_multiples(table, identity, g, m) for g, m in zip(gens, gorders)]
     for tup in itertools.product(*(range(o) for o in gorders)):
         acc = identity
-        for g, c in zip(gens, tup):
-            for _ in range(c):
-                acc = table[acc][g]
+        for mul, c in zip(muls, tup):
+            acc = table[acc][mul[c]]
         assert acc not in coords, "generator coordinates collide"
         coords[acc] = tup
     assert len(coords) == n, "generators do not span the table"

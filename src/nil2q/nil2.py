@@ -347,11 +347,11 @@ class CayleyTable:
     come from `itertools.product` over the cyclic orders (`elements()`
     order), and keys are coordinates, so the table holds no element and no
     reference to its group.
-    `by_max` and `masks` are kept here for the function-level oracles of
-    `qmaps`, which fill them on first use.
+    `masks` keeps the membership masks of `qmaps`' oracles, which fill it
+    on first use.
     """
 
-    __slots__ = ("index", "add", "neg", "by_max", "masks")
+    __slots__ = ("index", "add", "neg", "masks")
 
     def __init__(self, group):
         if not group.is_finite():
@@ -371,7 +371,7 @@ class CayleyTable:
                          for j in range(na) for v in range(nb)]
                         for i in range(na) for u in range(nb)]
         self.neg = [row.index(0) for row in self.add]
-        self.by_max, self.masks = None, {}
+        self.masks = {}
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def center(group: Nil2Group) -> CenterInfo:
 
 
 # ---------------------------------------------------------------------------
-# Finite integer tables: the closure routines of `qmaps`' oracle masks and
+# Finite integer tables: the closure routines of `qmaps`' oracles and
 # of `ingest`.
 
 def _greedy_generators(table, identity):

@@ -36,13 +36,15 @@ the other fixed q-maps (zero, power, addition, the structural maps of
 products and coproducts) and maps read off a function are in
 `qmap_constructions`, which loads on first use.
 The independent completeness oracle is the exhaustive set-map filter over
-the defining conditions; it and the function-level checks are one kernel,
-`_tables`, on integer Cayley tables built from the group law
-(`Nil2Group.table`), never from q-map data; the masks of [H,H] and of the
-center come from H's table too, with no `nil2.center` and no `elements()`.
-It tests each cross value (i|j) once, at position max(i, j, i+j) of its
-backtracking, and bilinearity along the nonzero members S' of a generating
-set, by one test (proof there).
+the defining conditions, the backtracking search `_tables`, on integer
+Cayley tables built from the group law (`Nil2Group.table`), never from
+q-map data; the masks of [H,H] and of the center come from H's table too,
+with no `nil2.center` and no `elements()`.  It tests each cross value (i|j)
+once, at position max(i, j, i+j), and bilinearity along the nonzero
+members S' of a generating set.  The function-level checks decide one
+function with no search: they read its rows (s|-), s in S', test their
+membership, and run the search's additivity test `_additive` on them
+(proof at `_function_ok`).
 """
 
 from __future__ import annotations
@@ -441,37 +443,37 @@ def _member_mask(h: nil2.Nil2Group, kind: str):
     return t.masks[kind]
 
 
-def _generators(gadd):
-    """S for `_tables`, as pairs (g, the column x -> x+g): 0, then
-    `nil2._greedy_generators` of the addition table alone, so |S| <= log2 n + 1."""
-    return [(g, [row[g] for row in gadd]) for g in [0] + nil2._greedy_generators(gadd, 0)]
+def _additive(rows, gens, hadd) -> bool:
+    """Each row v satisfies v(y+t) = v(y) + v(t) for every y and every t in
+    `gens`, pairs (t, the column y -> y+t of G's table): |rows| |gens| list
+    comparisons."""
+    return all([row[y] for y in shift] == [hadd[w][row[t]] for w in row]
+               for row in rows for t, shift in gens)
 
 
-def _tables(g, h, good, choices):
-    """Every value table vals, vals[x] the H-index of f(x) drawn from
-    choices[x], whose cross-effect (x|y)_f = -(f(x)+f(y)) + f(x+y) lies in
-    `good` and is bilinear, in lexicographic order.
+def _tables(g, h, good):
+    """Every value table vals, vals[x] the H-index of f(x), whose
+    cross-effect (x|y)_f = -(f(x)+f(y)) + f(x+y) lies in `good` and is
+    bilinear, in lexicographic order.
 
-    Backtracks over G's elements in index order.  Position p computes,
-    stores and tests (i|j) for every pair with max(i, j, i+j) = p, so each
-    pair is filled once, as soon as its three values are set, and a full
-    assignment has a whole cross table that passed the membership test.
-    The leaf tests bilinearity along S', the nonzero members of `_generators`
-    ([0] if G = 0), with one test, (R') (s|y+t) = (s|y) + (s|t) for all y
-    and s, t in S': |S'|^2 list comparisons.  `by_max` is kept with G's table.
+    Backtracks over G's elements in index order, with every H-index as the
+    choice at each position.  Position p computes, stores and tests (i|j)
+    for every pair with max(i, j, i+j) = p (the triples of `by_max`, built
+    per call), so each pair is filled once, as soon as its three values are
+    set, and a full assignment has a whole cross table in `good`.  The leaf
+    then runs `_additive` on the rows (s|-), s in S' (exact: see
+    `_function_ok`).
     """
-    gt, ht = g.table(), h.table()
-    gadd, hadd, hneg = gt.add, ht.add, ht.neg
-    gens, n = _generators(gadd)[1:] or [(0, [0])], len(gadd)
-    by_max = gt.by_max
-    if by_max is None:
-        gt.by_max = by_max = [[] for _ in range(n)]
-        for i, row in enumerate(gadd):
-            for j, k in enumerate(row):
-                m = j if j > i else i   # max(i, j, k), without the call
-                by_max[k if k > m else m].append((i, j, k))
+    gadd, hadd, hneg = g.table().add, h.table().add, h.table().neg
+    n, choices = len(gadd), range(len(hadd))
+    gens = [(s, [row[s] for row in gadd]) for s in nil2._greedy_generators(gadd, 0) or [0]]
+    by_max = [[] for _ in range(n)]
+    for i, row in enumerate(gadd):
+        for j, k in enumerate(row):
+            m = j if j > i else i       # max(i, j, k), without the call
+            by_max[k if k > m else m].append((i, j, k))
     vals, cross = [0] * n, [[0] * n for _ in range(n)]
-    untried = [iter(choices[0])]        # untried[p]: the values left at p
+    untried = [iter(choices)]           # untried[p]: the values left at p
     while untried:
         pos = len(untried) - 1
         for vals[pos] in untried[pos]:
@@ -485,26 +487,43 @@ def _tables(g, h, good, choices):
             untried.pop()               # no value left at pos
             continue
         if pos + 1 < n:
-            untried.append(iter(choices[pos + 1]))
-        # exact: for v into an abelian group, the t with v(y+t) = v(y) + v(t)
-        # for all y are closed under addition (v(y+t+u) = v(y) + v(t) + v(u)
-        # = v(y) + v(t+u)) and S' spans G as a monoid, so rows (s|-) are
-        # additive.  Cross values are central: (x|y) + (x+y|z) = (y|z) +
-        # (x|y+z); at x = s, (s+y|-) = (s|-) + (y|-), so by the same closure
-        # every row is a sum of additive rows of S'.  S' = [0] forces f(0) = 0
-        elif all([row[y] for y in shift] == [hadd[w][row[t]] for w in row]
-                 for row in [cross[s] for s, _ in gens] for t, shift in gens):
+            untried.append(iter(choices))
+        elif _additive([cross[s] for s, _ in gens], gens, hadd):
             yield tuple(vals)
 
 
 def _function_ok(fn, g, h, good) -> bool:
-    index, choices = h.table().index, []
+    """f's cross-effect lies in `good` and is bilinear, read off the rows
+    (s|-) of the nonzero greedy generators S' of G's table ([0] if G = 0):
+    n |S'| lookups, with no cross table and no search.
+
+    `good` is [H,H] or Z(H), a central subgroup.  Claim: the cross-effect
+    lies in `good` and is bilinear iff every row (s|-), s in S', lies in
+    `good` and (s|y+t) = (s|y) + (s|t) for all y in G and t in S' (the test
+    of `_additive`).  (=>) is clear.  (<=) (1) For v a map into an abelian
+    group, the t with v(y+t) = v(y) + v(t) for all y are closed under +
+    (v(y+t+u) = v(y+t) + v(u) = v(y) + v(t) + v(u) = v(y) + v(t+u)), and
+    S' spans G as a monoid, so each (s|-) is a homomorphism into `good`.
+    (2) At y = 0, (s|0) = -f(0) is 0, so f(0) = 0; for G = 0, S' = [0]
+    gives the same.  (3) Induct on a word in S' for y, from (0|-) = 0:
+    let (y|-) be a sum of rows of S'.  Expanding f(s+y+x) both ways gives
+    f(s) + f(y) + (s|y) + f(x) + (s+y|x) = f(s) + f(y) + f(x) + (y|x) +
+    (s|y+x), and (s|y), (y|x) and (s|y+x) = (s|y) + (s|x) are central, so
+    (s+y|x) = (y|x) + (s|x).  So every (y|-) is a sum of rows of S': it
+    lies in `good` and is additive in x, and (4) by the closure of (1),
+    applied to y -> (y|x), it is additive in y too.
+    """
+    gadd, ht = g.table().add, h.table()
+    index, hadd, hneg, vals = ht.index, ht.add, ht.neg, []
     for z in g.elements():
         w = fn(z)
-        if not isinstance(w, nil2.Nil2Element) or w.group != h:
+        if not isinstance(w, nil2.Nil2Element) or (w.group is not h and w.group != h):
             raise InvalidArgument(f"value {w!r} at {z!r} is not in the target group")
-        choices.append([index[w.a.coords, w.b.coords]])
-    return next(_tables(g, h, good, choices), None) is not None
+        vals.append(index[w.a.coords, w.b.coords])
+    gens = [(s, [row[s] for row in gadd]) for s in nil2._greedy_generators(gadd, 0) or [0]]
+    rows = [[hadd[hneg[hadd[vals[s]][v]]][vals[k]] for v, k in zip(vals, gadd[s])]
+            for s, _ in gens]
+    return all(good[c] for row in rows for c in row) and _additive(rows, gens, hadd)
 
 
 def is_qmap_function(fn, g: nil2.Nil2Group, h: nil2.Nil2Group) -> bool:
@@ -522,12 +541,11 @@ def quadratic_functions_bruteforce(g: nil2.Nil2Group, h: nil2.Nil2Group,
     """Exhaustive filter of all set maps G -> H by the defining conditions.
 
     `kind` = "qmap" requires the cross-effect in [H,H]; "quadratic"
-    requires it central.  Runs the kernel `_tables`, with every H-index as
-    the choice at each position, on the integer Cayley tables of G and H,
-    built from the group law and never from q-map data: each cross value
-    (i|j) is computed and tested once, at position max(i, j, i+j), and each
-    full table gets the bilinearity test along the nonzero generators.  Returns
-    tuples of H-element indices, in the lexicographic order of the search.
+    requires it central.  Runs the search `_tables` on the integer Cayley
+    tables of G and H, built from the group law and never from q-map data:
+    each cross value (i|j) is computed and tested once, at position
+    max(i, j, i+j), and each full table gets the bilinearity test along the
+    nonzero generators.  Returns tuples of H-element indices, in the
+    lexicographic order of the search.
     """
-    good = _member_mask(h, kind)
-    return list(_tables(g, h, good, [range(len(good))] * g.order()))
+    return list(_tables(g, h, _member_mask(h, kind)))

@@ -218,7 +218,7 @@ def suite_qmap_algebra():
             except Exception:
                 ok_neg = False
                 break
-            if any((f + nf).eval(z) != h.zero() for z in elems[:4]):
+            if any((f + nf).eval(z) != h.zero() for z in elems):
                 ok_neg = False
             for q2 in qs:
                 try:
@@ -257,14 +257,14 @@ def suite_qmap_algebra():
                 for z in elems:
                     if c.eval(z) != f.eval(gq.eval(z)):
                         ok_comp = False
-                for x in elems[:4]:
-                    for y in elems[:4]:
+                for x in elems:
+                    for y in elems:
                         expect = f.eval(gq.cross(x, y)) + f.cross(gq.eval(x), gq.eval(y))
                         if c.cross(x, y) != expect:
                             ok_comp = False
-        for f in fs[:4]:
-            for f2 in fs[:4]:
-                for gq in gs[:4]:
+        for f in fs:
+            for f2 in fs:
+                for gq in gs:
                     lhs = (f + f2).compose(gq)
                     rhs = f.compose(gq) + f2.compose(gq)
                     if lhs != rhs:
@@ -428,25 +428,19 @@ def suite_maltsev(max_order: int = 125):
         ring = maltsev.lie_log(g)
         ok_data = maltsev.lie_log(maltsev.lie_exp(ring)) == ring
         corr = maltsev.LogCorrespondence(g)
-        seen = set()
-        ok_iso = True
-        elems = list(g.elements())
-        for z in elems:
-            seen.add(corr.to_exp(z))
-        if len(seen) != g.order():
-            ok_iso = False
-        for z in _stride_sample(elems, 12):
-            for w in _stride_sample(elems, 12):
-                if corr.to_exp(z + w) != corr.to_exp(z) + corr.to_exp(w):
+        exps = {z: corr.to_exp(z) for z in g.elements()}
+        ok_iso = len(set(exps.values())) == g.order()
+        for z, ez in exps.items():
+            for w, ew in exps.items():
+                if exps[z + w] != ez + ew:
                     ok_iso = False
         results.append(CheckResult("exp-log-data-roundtrip", name, ok_data))
         results.append(CheckResult("exp-log-group-isomorphism", name, ok_iso))
         ok_br = True
         exp_g = maltsev.lie_exp(ring)
-        for x in _stride_sample(list(ring.elements()), 10):
-            for y in _stride_sample(list(ring.elements()), 10):
-                gx = exp_g.element(x.a.coords, x.b.coords)
-                gy = exp_g.element(y.a.coords, y.b.coords)
+        pts = [(x, exp_g.element(x.a.coords, x.b.coords)) for x in ring.elements()]
+        for x, gx in pts:
+            for y, gy in pts:
                 c, br = gx.comm(gy), x.bracket(y)
                 if (c.a.coords, c.b.coords) != (br.a.coords, br.b.coords):
                     ok_br = False

@@ -796,6 +796,16 @@ def test_oracle_validation_matches_reference():
             ingest.GroupOracle(["0", "1", "2"], magma, 0)
 
 
+@pytest.mark.parametrize("entry", [1.0, True, "1", "x"], ids=["float", "bool", "str", "word"])
+def test_oracle_rejects_entries_that_are_not_integers(entry):
+    # Z2's table with one entry replaced: an input error with a message,
+    # never a silent coercion to 1 or a ValueError
+    table = [[0, 1], [1, 0]]
+    table[1][0] = entry
+    with pytest.raises(NotAGroup, match=re.escape(f"table entry {entry!r} is not an integer")):
+        ingest.GroupOracle(["0", "1"], table, 0)
+
+
 def dihedral16_oracle():
     """Z/8 x| Z/2 acting by 7: nilpotence class three."""
     elems = [(a, b) for a in range(8) for b in range(2)]

@@ -582,8 +582,8 @@ def _kernel_agrees_with_reference(g, h, tables):
 
 
 def test_function_checks_agree_with_reference():
-    # Z8, Z2^3 and Q8 x Z2 have generating sets S (`qmaps._generators`)
-    # with one, two and three nonzero members
+    # Z8, Z2^3 and Q8 x Z2 have generating sets S (`nil2._greedy_generators`)
+    # with one, two and three members
     pairs = [(Z4, Q8), (V4, D4), (Q8, Z2), (catalog.cyclic(8), Q8),
              (catalog.abelian_group([2, 2, 2]), Z4), (nil2.product(Q8, Z2), Z2)]
     rng = random.Random(20240)
@@ -658,6 +658,31 @@ def test_function_checks_agree_with_bruteforce_on_every_set_map(g, h):
         for table in itertools.product(range(len(hel)), repeat=len(gel)):
             fn = dict(zip(gel, map(hel.__getitem__, table))).__getitem__
             assert check(fn, g, h) == (table in accepted), (kind, table)
+
+
+CUBE_GROUPS = [("Heis5", catalog.heisenberg(5)), ("G125", catalog.modular_semidirect(5)),
+               ("Heis7", catalog.heisenberg(7))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in CUBE_GROUPS], ids=[n for n, _ in CUBE_GROUPS])
+def test_function_checks_read_generator_rows_without_the_search(g, monkeypatch):
+    # a check decides one function by its generator rows (s|-), so it never
+    # enters the backtracking search, and G's table keeps nothing for it
+    def refuse(*args):
+        raise AssertionError("a function check entered the search")
+
+    monkeypatch.setattr(qmaps, "_tables", refuse)
+    gel = list(g.elements())
+    pos = {z: i for i, z in enumerate(gel)}
+    cube = {z: 3 * z for z in gel}
+    for check in (qmaps.is_qmap_function, qmaps.is_quadratic_function):
+        assert check(cube.__getitem__, g, g)
+        # the value at 0, at a generator and at the last element shifted by one
+        for z in (gel[0], g.gen(0), gel[-1]):
+            changed = dict(cube)
+            changed[z] = gel[(pos[cube[z]] + 1) % len(gel)]
+            assert not check(changed.__getitem__, g, g), z
+    assert not hasattr(nil2.CayleyTable, "by_max")
 
 
 def test_function_checks_reject_values_outside_target():
@@ -758,9 +783,9 @@ GROUPS_32 = [("trivial", catalog.abelian_group([]))] + list(catalog.standard_cat
 @pytest.mark.parametrize("g", [g for _, g in GROUPS_32], ids=[n for n, _ in GROUPS_32])
 def test_generating_set_spans_from_zero(g):
     gadd = g.table().add
-    gens = [x for x, _ in qmaps._generators(gadd)]
-    assert gens[0] == 0
-    assert len(gens) <= math.log2(len(gadd)) + 1
+    gens = nil2._greedy_generators(gadd, 0)
+    assert 0 not in gens
+    assert len(gens) <= math.log2(len(gadd))
     span, todo = {0}, [0]
     for x in todo:
         for y in gens:
@@ -1259,8 +1284,8 @@ def test_enumerated_eval_shares_values_per_plan_entry(monkeypatch):
 
 def test_bruteforce_leaves_no_cyclic_garbage():
     # the backtracking keeps no reference cycle: its working lists are
-    # freed by reference counting when the call returns, also when a
-    # function check abandons the kernel at its first table
+    # freed by reference counting when the call returns; nor does a
+    # function check leave one
     gc.collect()
     for kind in ("qmap", "quadratic"):
         qmaps.quadratic_functions_bruteforce(Z4, Z2, kind=kind)
