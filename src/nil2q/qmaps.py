@@ -504,8 +504,8 @@ def _function_ok(fn, g, h, good) -> bool:
     group, the t with v(y+t) = v(y) + v(t) for all y are closed under +
     (v(y+t+u) = v(y+t) + v(u) = v(y) + v(t) + v(u) = v(y) + v(t+u)), and
     S' spans G as a monoid, so each (s|-) is a homomorphism into `good`.
-    (2) At y = 0, (s|0) = -f(0) is 0, so f(0) = 0; for G = 0, S' = [0]
-    gives the same.  (3) Induct on a word in S' for y, from (0|-) = 0:
+    (2) At y = 0 the test gives (s|0) = 0, and (s|0) = -f(0), so f(0) = 0;
+    for G = 0, S' = [0] gives the same.  (3) Induct on a word in S' for y, from (0|-) = 0:
     let (y|-) be a sum of rows of S'.  Expanding f(s+y+x) both ways gives
     f(s) + f(y) + (s|y) + f(x) + (s+y|x) = f(s) + f(y) + f(x) + (y|x) +
     (s|y+x), and (s|y), (y|x) and (s|y+x) = (s|y) + (s|x) are central, so
