@@ -8,11 +8,15 @@ validated for torsion compatibility.
 
 Every quotient, kernel, decomposition and subgroup question is answered by
 one Smith-form presentation, `_present`: a group given by generators and
-relations, in invariant-factor form, with the maps to and from it.  This
-module holds what every query runs (the arithmetic, kernels, and the
-enumeration of homomorphisms and isomorphisms); subgroups, cokernels,
-isomorphism witnesses, the multilinear constructions and hom counts are in
-`abelian_constructions`, which loads on first use.
+relations, in invariant-factor form, with the maps to and from it.  Besides
+the kernels and invariant factors here, it serves the subgroups, cokernels
+and decompositions of `abelian_constructions`, and table ingestion, which
+presents [G,G] and G/[G,G] of a finite table by relations read off the
+table (`ingest._span`).  This module holds what every query runs (the
+arithmetic, kernels, and the enumeration of homomorphisms and
+isomorphisms); subgroups, cokernels, isomorphism witnesses, the
+multilinear constructions and hom counts are in `abelian_constructions`,
+which loads on first use.
 
 All arithmetic uses Python integers, so it is exact at every scale and
 cannot wrap; the "overflow must raise" requirement is met vacuously.

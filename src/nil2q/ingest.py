@@ -6,9 +6,12 @@ Loaded by the queries that ingest a table: `semidirect(...)` expressions and
 `oracle { ... }` blocks of the CLI, `nil2.table_of`, and the `*_oracle`
 helpers of `catalog`.  Ingestion costs O(n^2 |S|) integer steps for a
 greedy generating set S: Light's associativity test at each generator and
-class two from the commutators of generator pairs.  The canonical
-bijection is then verified along generators, in n (r + rank B) table
-lookups, with no second Cayley table (proof at the check).
+class two from the commutators of generator pairs.  [G,G] and G/[G,G] are
+then read by one walk each over their span, whose relations go to
+`abelian._present` (proof at `_span`): about n table lookups, and no
+quotient or subgroup table.  The canonical bijection is verified along
+generators, in n (r + rank B) table lookups, with no second Cayley table
+(proof at the check).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ class GroupOracle:
     def __init__(self, labels, table, identity):
         self.labels = tuple(str(x) for x in labels)
         self.table = tuple(row if type(row) is tuple else tuple(row) for row in table)
-        self.identity = int(identity)
+        self.identity = identity
         self._inv = None
         self._validate()
 
@@ -43,6 +46,8 @@ class GroupOracle:
                 v = next(v for v in row if not 0 <= v < n)
                 raise NotAGroup(f"table entry {v} out of range")
         e = self.identity
+        if type(e) is not int or not 0 <= e < n:
+            raise NotAGroup(f"identity {e!r} is not an element index")
         for x in range(n):
             if self.table[e][x] != x or self.table[x][e] != x:
                 raise NotAGroup(f"'{self.labels[e]}' is not an identity")
@@ -188,18 +193,7 @@ def semidirect(n: int, m: int, k: int) -> GroupOracle:
 
 
 # ---------------------------------------------------------------------------
-# Abelian structure of a (sub)table, and canonicalization.
-
-def _element_orders(table, identity):
-    out = []
-    for i in range(len(table)):
-        n, x = 1, i
-        while x != identity:
-            x = table[x][i]
-            n += 1
-        out.append(n)
-    return out
-
+# Abelian structure of a span, and canonicalization.
 
 def _multiples(table, identity, g, d):
     """[0, g, 2g, ..., (d-1) g] in a finite table."""
@@ -209,68 +203,63 @@ def _multiples(table, identity, g, d):
     return out
 
 
-def _quotient(table, sub):
-    """Left cosets x + sub of the subgroup `sub` of a finite table, as
-    (coset_of, reps, qtable): the coset index of each element, the
-    smallest element of each coset, and the quotient table on indices.
-    By the trivial subgroup each element is its own coset, and the quotient
-    table is `table` itself."""
-    if len(sub) == 1:
-        return range(len(table)), range(len(table)), table
-    coset_of = [None] * len(table)
-    reps = []
-    for x in range(len(table)):
-        if coset_of[x] is None:
-            # x is the smallest element not yet in a coset, so it is the
-            # smallest element of its own coset
-            for y in (table[x][s] for s in sub):
-                coset_of[y] = len(reps)
-            reps.append(x)
-    qtable = [[coset_of[table[c1][c2]] for c2 in reps] for c1 in reps]
-    return coset_of, reps, qtable
+def _span(oracle, base, gens):
+    """S/N from one `abelian._present`, for N the elements `base` of a
+    subgroup and S = <N, gens>, where N is normal in S and S/N is abelian.
 
+    Returns (C, lifts, span, coords): C = S/N in invariant-factor form,
+    `lifts` elements of S whose images are C's generators, `span` holding
+    the elements of S, and `coords(x)` the coordinates in C of x in S.
 
-def _abelian_basis(table, identity):
-    """Basis of a finite abelian multiplication table.
-
-    Returns (gens, orders, coords): generator indices with orders in a
-    decreasing divisibility chain, and a dict element -> coordinates.
-    Greedy: an element of maximal order splits off as a direct summand;
-    the quotient basis is lifted preserving orders.
+    Let S_j = <N, g_1..g_j>, and m_j the least m > 0 with m g_j in
+    S_{j-1}, found by walking the multiples of g_j.  The x + i g_j, for x
+    in S_{j-1} and 0 <= i < m_j, are pairwise distinct: if two were equal,
+    some (i - i') g_j with 0 < i - i' < m_j would lie in S_{j-1}.  They
+    cover S_j, as S_{j-1} is normal in S (S/N is abelian) and m_j g_j lies
+    in S_{j-1}.  So each x in S has one exponent vector v(x), with
+    0 <= v_j < m_j and x in N + sum_j v_j g_j, and |S/N| = prod m_j.  Each
+    r_j = m_j e_j - v(m_j g_j) lies in the lattice R of relations of the
+    g_j mod N.  The r_j are triangular with diagonal m_j, so Z^k/<r_j> has
+    at most prod m_j elements; it maps onto Z^k/R = S/N, so <r_j> = R.  A
+    g_j with m_j = 1 adds nothing and is left out.  The walk costs |S|
+    table steps plus the multiples walks; each coefficient of a lift's word
+    is reduced mod |G|, so no power is longer than the table.
     """
-    n = len(table)
-    if n == 1:
-        return [], [], {identity: ()}
-    orders = _element_orders(table, identity)
-    d = max(orders)
-    q = orders.index(d)
-    powers = _multiples(table, identity, q, d)
-    power_index = {p: i for i, p in enumerate(powers)}
-    if d == n:
-        coords = {p: (i,) for i, p in enumerate(powers)}
-        return [q], [d], coords
-    coset_of, reps, qtable = _quotient(table, powers)
-    qgens, qorders, _ = _abelian_basis(qtable, coset_of[identity])
-    gens, gorders = [q], [d]
-    for cg, m in zip(qgens, qorders):
-        h = reps[cg]
-        mh = identity
-        for _ in range(m):
-            mh = table[mh][h]
-        k = power_index[mh]
-        assert k % m == 0, "maximal-order summand lift failed"
-        t = (-(k // m)) % d
-        gens.append(table[h][powers[t]])
-        gorders.append(m)
-    coords, muls = {}, [_multiples(table, identity, g, m) for g, m in zip(gens, gorders)]
-    for tup in itertools.product(*(range(o) for o in gorders)):
-        acc = identity
-        for mul, c in zip(muls, tup):
-            acc = table[acc][mul[c]]
-        assert acc not in coords, "generator coordinates collide"
-        coords[acc] = tup
-    assert len(coords) == n, "generators do not span the table"
-    return gens, gorders, coords
+    t, n = oracle.table, len(oracle)
+    key = dict.fromkeys(base, 0)        # x -> v(x) in mixed radix, v_1 lowest
+    kept, radix, rels = [], [], []
+    size = 1                            # |S_{j-1}/N|, the weight of digit j
+
+    def digits(p):
+        out = []
+        for m in radix:
+            p, d = divmod(p, m)
+            out.append(d)
+        return out
+
+    for g in gens:
+        m, top = 1, g
+        while top not in key:
+            top, m = t[top][g], m + 1
+        if m == 1:
+            continue
+        rels.append([-d for d in digits(key[top])] + [m])
+        layer = list(key.items())
+        for _ in range(m - 1):          # the coset S_{j-1} + i g_j, from the last
+            layer = [(t[x][g], p + size) for x, p in layer]
+            key.update(layer)
+        kept.append(g)
+        radix.append(m)
+        size *= m
+    k = len(kept)
+    group, proj, section = ab._present(k, [r + [0] * (k - len(r)) for r in rels])
+    lifts = []
+    for col in zip(*section):
+        x = oracle.identity
+        for g, c in zip(kept, col):
+            x = t[x][oracle.power(g, c % n)]
+        lifts.append(x)
+    return group, lifts, key, lambda x: group.element(ab.mat_vec(proj, digits(key[x])))
 
 
 class Canonicalization:
@@ -287,9 +276,11 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
     """Read central-extension data off a finite class-two table.
 
     The table has already passed Light's associativity test; class two is
-    checked on commutators of generator pairs.  Chooses invariant-factor
-    generators of G/[G,G] greedily, lifts them (smallest element index in
-    each coset), and reads bil from commutators of the lifts and carry from
+    checked on commutators of generator pairs.  `_span` presents B = [G,G],
+    spanned by the commutators of the greedy generators, and then
+    A = G/[G,G], spanned by the greedy generators over B: it gives their
+    invariant factors, B's coordinates and basis, and lifts of A's
+    generators.  bil is read from commutators of the lifts and carry from
     their d_i-fold sums.  The returned bijection, built in
     `group.elements()` order, is verified along the generators of the
     canonical group, against sums read off its cocycle and not off the
@@ -297,22 +288,12 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
     """
     if not oracle.is_class_two():
         raise NotClassTwo("table has nilpotence class greater than two")
-    n = len(oracle)
-    t = oracle.table
-    comm_set = oracle.commutator_subgroup()
-    celems = sorted(comm_set)
-    cindex = {x: i for i, x in enumerate(celems)}
-    ctable = [[cindex[t[x][y]] for y in celems] for x in celems]
-    cgens, corders, ccoords = _abelian_basis(ctable, cindex[oracle.identity])
-    B = ab.FGAbelian(corders)
-
-    def belement(x):
-        return B.element(ccoords[cindex[x]])
-
-    coset_of, reps, qtable = _quotient(t, celems)
-    qgens, qorders, _ = _abelian_basis(qtable, coset_of[oracle.identity])
-    lifts = [reps[c] for c in qgens]
-    A = ab.FGAbelian(qorders)
+    n, t, e = len(oracle), oracle.table, oracle.identity
+    gens = oracle.generating_set()
+    B, bgens, bspan, belement = _span(
+        oracle, [e], [oracle.comm(s, u) for i, s in enumerate(gens) for u in gens[:i]])
+    A, lifts, _, _ = _span(oracle, bspan, gens)
+    qorders, corders = A.orders, B.orders
     r = len(lifts)
     z = B.zero()
     bil = [[z] * r for _ in range(r)]
@@ -326,11 +307,11 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
                         for orders in (qorders, corders))
     apos, bpos = ({c: i for i, c in enumerate(cs)} for cs in (acoords, bcoords))
     nb = len(bcoords)
-    amul = [_multiples(t, oracle.identity, g, d) for g, d in zip(lifts, qorders)]
-    bmul = [_multiples(t, oracle.identity, celems[cg], e) for cg, e in zip(cgens, corders)]
+    amul = [_multiples(t, e, g, d) for g, d in zip(lifts, qorders)]
+    bmul = [_multiples(t, e, g, d) for g, d in zip(bgens, corders)]
     to_oracle = []
     for a in acoords:
-        s = oracle.identity
+        s = e
         for m, c in zip(amul, a):
             s = t[s][m[c]]
         for u in bcoords:
@@ -338,7 +319,7 @@ def canonicalize_finite(oracle: GroupOracle) -> Canonicalization:
             for m, c in zip(bmul, u):
                 x = t[x][m[c]]
             to_oracle.append(x)
-    if to_oracle[0] != oracle.identity or len(set(to_oracle)) != n:
+    if to_oracle[0] != e or len(set(to_oracle)) != n:
         raise NotAGroup("canonicalization bijection failed")  # pragma: no cover
 
     def plus(c, v, orders):

@@ -8,6 +8,17 @@ from nil2q import abelian as ab
 from nil2q import ingest, nil2, qmaps
 
 
+def _element_orders(table, identity):
+    out = []
+    for i in range(len(table)):
+        n, x = 1, i
+        while x != identity:
+            x = table[x][i]
+            n += 1
+        out.append(n)
+    return out
+
+
 def _extend_hom(o1, o2, gens, images):
     """Extend generator images to a full map by right multiplication, or None."""
     n = len(o1)
@@ -40,8 +51,8 @@ def reference_find_group_isomorphism(o1: ingest.GroupOracle, o2: ingest.GroupOra
     n = len(o1)
     if n != len(o2):
         return None
-    orders1 = ingest._element_orders(o1.table, o1.identity)
-    orders2 = ingest._element_orders(o2.table, o2.identity)
+    orders1 = _element_orders(o1.table, o1.identity)
+    orders2 = _element_orders(o2.table, o2.identity)
     if sorted(orders1) != sorted(orders2):
         return None
     gens = o1.generating_set()

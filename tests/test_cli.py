@@ -507,8 +507,8 @@ _oracle = st.one_of(
     lambda lines: "oracle {\n" + "\n".join(lines) + "\n}")
 
 _names = st.sampled_from(["G", "H", "Q8", "D4", "Z2", "V4", "Heis3", "Nope"])
-# orders up to 900, or an argument past 4096 = 64^2 that the guard rejects
-_big = st.one_of(st.integers(-2, 30), st.integers(4097, 10 ** 12))
+# orders up to 4096 = 64^2, or an argument past it that the guard rejects
+_big = st.one_of(st.integers(-2, 64), st.integers(4097, 10 ** 12))
 _builders = st.one_of(
     st.tuples(_big, _big, _big).map(lambda t: "semidirect({},{},{})".format(*t)),
     st.sampled_from(["semidirect(9,3,4)", "semidirect(8,2,5)", "semidirect(25,5,6)",

@@ -2,6 +2,7 @@
 canonicalization of finite tables, and the class-two element identities."""
 
 import itertools
+import random
 import re
 from math import lcm
 
@@ -710,10 +711,47 @@ def test_canonicalization_builds_no_cayley_table(monkeypatch):
     assert g.order() == 125 and g.B.invariant_factors() == (5,)
 
 
-def test_quotient_by_the_trivial_subgroup_is_the_table():
-    t = ingest.semidirect(6, 1, 1).table
-    coset_of, reps, qtable = ingest._quotient(t, [0])
-    assert qtable is t and list(coset_of) == list(reps) == list(range(6))
+@pytest.mark.parametrize("g", [
+    catalog.abelian_group([2, 4, 8]), catalog.abelian_group([3, 3, 3, 3]),
+    catalog.abelian_group([2] * 6), nil2.product(Q8, Q8),
+    nil2.coproduct(catalog.cyclic(4), catalog.cyclic(4))],
+    ids=["Z2+Z4+Z8", "Z3^4", "Z2^6", "Q8xQ8", "Z4*Z4"])
+def test_canonicalization_reads_the_invariants_of_the_table(g):
+    # product(Q8, Q8) has B of rank 2, and the abelian tables have several
+    # invariant factors: both presentations go through `abelian._present`.
+    # Renumbered at random, the greedy generators are no basis, so some
+    # multiple m g_j lands in the span of the earlier ones off N
+    oracle = nil2.table_of(g)
+    n = len(oracle)
+    new = [0] + random.Random(n).sample(range(1, n), n - 1)    # new index -> old
+    old = {x: i for i, x in enumerate(new)}
+    renumbered = ingest.GroupOracle([oracle.labels[x] for x in new],
+                                    [[old[oracle.table[x][y]] for y in new] for x in new], 0)
+    for o in (oracle, renumbered):
+        h = ingest.canonicalize_finite(o).group
+        assert h.A.invariant_factors() == g.A.invariant_factors()
+        assert h.B.invariant_factors() == g.B.invariant_factors()
+        assert h.exponent() == g.exponent()
+        assert nil2.center(h).order() == nil2.center(g).order()
+
+
+class _CountingRow(tuple):
+    lookups = 0
+
+    def __getitem__(self, i):
+        _CountingRow.lookups += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("nmk", [(4096, 1, 1), (2, 1468, 5)])
+def test_canonicalization_makes_few_lookups_per_element(nmk):
+    # the walks over [G,G] and G/[G,G] take a bounded number of table
+    # lookups per element, never a sweep over every cyclic subgroup
+    oracle = ingest.semidirect(*nmk)
+    oracle.table = tuple(map(_CountingRow, oracle.table))
+    _CountingRow.lookups = 0
+    ingest.canonicalize_finite(oracle)
+    assert _CountingRow.lookups <= 16 * len(oracle)
 
 
 def reduced_latin_squares(n):
@@ -804,6 +842,16 @@ def test_oracle_rejects_entries_that_are_not_integers(entry):
     table[1][0] = entry
     with pytest.raises(NotAGroup, match=re.escape(f"table entry {entry!r} is not an integer")):
         ingest.GroupOracle(["0", "1"], table, 0)
+
+
+@pytest.mark.parametrize("identity", [0.0, "0", "x", True, 5, -1],
+                         ids=["float", "str", "word", "bool", "past", "negative"])
+def test_oracle_rejects_an_identity_that_is_not_an_element_index(identity):
+    # Z2's table: the identity is an int in range(n), like a table entry,
+    # never coerced, wrapped around or left to fail with another error
+    with pytest.raises(NotAGroup, match=re.escape(f"identity {identity!r} is not an "
+                                                  "element index")):
+        ingest.GroupOracle(["0", "1"], [[0, 1], [1, 0]], identity)
 
 
 def dihedral16_oracle():
