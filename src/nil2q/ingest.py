@@ -31,7 +31,7 @@ class GroupOracle:
         self.labels = tuple(str(x) for x in labels)
         self.table = tuple(row if type(row) is tuple else tuple(row) for row in table)
         self.identity = identity
-        self._inv = None
+        self._inv = self._gens = None
         self._validate()
 
     def _validate(self):
@@ -62,10 +62,11 @@ class GroupOracle:
                 raise NotAGroup(f"'{self.labels[x]}' has no inverse") from None
             inv.append(y)
         self._inv = tuple(inv)
+        self._gens = tuple(nil2._greedy_generators(self.table, e))
         # Light's test: {a : (xa)y = x(ay) for all x, y} holds e and is closed
         # under the product, so it is everything once it holds a generating set
         t = self.table
-        for a in self.generating_set():
+        for a in self._gens:
             right = itemgetter(*t[a])       # row of x -> the row of x(ay) over y
             for x in range(n):
                 xa = t[x][a]
@@ -89,14 +90,10 @@ class GroupOracle:
             acc = self.table[acc][x]
         return acc
 
-    def subgroup_closure(self, gens):
-        return nil2._closure(self.table, self.identity, list(gens))
-
     def generating_set(self):
-        return nil2._greedy_generators(self.table, self.identity)
-
-    def commutator_subgroup(self):
-        return nil2._derived(self.table, self._inv, self.identity, self.generating_set())
+        """The greedy generators (`nil2._greedy_generators`), found once by
+        the validation."""
+        return self._gens
 
     def is_class_two(self) -> bool:
         """Each [s, t] over the generating set S commutes with S: then the

@@ -57,7 +57,7 @@ def _quadratic(x):
 class Nil2Element:
     """Element (a, u) of a central extension, both components canonical.
     Elements are immutable values and may be shared: `QMap.eval` returns
-    one object for equal values of the maps sharing a plan."""
+    one object for equal values of the maps of one enumeration."""
 
     __slots__ = ("group", "a", "b")
 

@@ -24,12 +24,14 @@ Evaluation is the closed form of the ascending generator expansion: as
 + C(x_i, 2) delta_ii] + sum_{p<i} x_p x_i delta_pi + fcomm(u - kappa(x))),
 base_fab(x) and kappa(x) the B-parts of x_1 (fab e_1, 0) + ... in H and of
 x_1 (e_1, 0) + ... in G, both `nil2`'s closed form for sums of generator
-lifts: per B-coordinate, dot products with monomials.  What depends on the
-source alone (G's lift rows, and per point quad(x), kappa(x) and the
-monomials x + quad(x) + (u - kappa(x))) lives in one source table that
-every per-fab plan of an enumeration shares; a plan entry keeps fab(x),
-base_fab(x) and the values it has returned, by their B-coordinates, so the
-maps that share a plan share their values: elements are immutable.
+lifts: per B-coordinate, dot products with monomials.  A map an
+enumeration yields is tabulated at its first evaluation: each monomial's
+values at all of G are packed into one int, so per B-coordinate one
+multiply-add per monomial and one reduction cover G (the kernel is in
+`qmap_constructions`, built once per enumeration and once per fab).  Its
+values come from one memo of H's elements per enumeration, so equal values
+are one object: elements are immutable.  Other maps evaluate per point
+(`QMap.eval`).
 The identity and `classify`'s abelianization projection are `_hom`, the
 one zero-cross-effect constructor, over generator-shift maps `_shift`;
 the other fixed q-maps (zero, power, addition, the structural maps of
@@ -95,13 +97,13 @@ def _source_table(source):
 
 
 class _FabPlan(dict):
-    """x -> (fab(x), base_fab(x), the source table's `_Monomials` of x,
-    values) for the q-maps G -> H with one fab, filled on first lookup:
-    base_fab(x) is `CentralExtension._lift_sum` over H with the fab
-    columns, on rows kept here; `values` keeps each value (fab(x), u) that
-    `QMap.eval` has returned at a point over x, by u's coordinates, for
-    every map sharing the plan.  The plans of one enumeration share one
-    `_source_table` of G."""
+    """x -> (fab(x), base_fab(x), the source table's `_Monomials` of x) for
+    the q-maps G -> H with one fab, filled on first lookup: base_fab(x) is
+    `CentralExtension._lift_sum` over H with the fab columns, on rows kept
+    here.  The plans of an enumeration (`qmap_constructions._TablePlan`)
+    share one source table of G."""
+
+    __slots__ = ("table", "target", "fab", "rows")
 
     def __init__(self, table, target, fab):
         self.table, self.target, self.fab = table, target, fab
@@ -109,18 +111,17 @@ class _FabPlan(dict):
                                        for j in range(fab.source.rank)])
 
     def __missing__(self, x):
-        monos, s = self.table[x], ab.mat_vec(self.fab.matrix, x)
+        monos, s = self.table[x], [sum(map(mul, row, x)) for row in self.fab.matrix]
         self[x] = hit = (self.target.A._trusted(s),
-                         self.target._lift_sum(self.rows, monos.quad, s), monos, {})
+                         self.target._lift_sum(self.rows, monos.quad, s), monos)
         return hit
-
 
 class QMap:
     """Finite presentation of a q-map between nil_2-groups, or between any
     central extensions; values are built as the target's `element_class`."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
-                 "_plan", "_rows", "_deltac")
+                 "_plan", "_rows", "_table", "_deltac")
 
     def __init__(self, source, target, fab, fcomm, gamma, delta,
                  _validated=False, _plan=None):
@@ -137,15 +138,16 @@ class QMap:
             nil2._check_entries("gamma", self.gamma, source.rank, target.B)
             nil2._check_entries("delta", self.delta, source.rank, target.B)
             self._validate()
+        # an enumeration's maps share its plans and are tabulated (`eval`);
+        # any other map gets a plan of its own and evaluates per point
+        self._plan, self._table, self._rows, self._deltac = _plan, None, None, None
         if _plan is None:
-            _plan = _FabPlan(_source_table(source), target, fab)
-        self._plan = _plan
-        # eval's coefficients, per B-coordinate: the source table's monomials, fcomm
-        cols = [e.coords for e in self.gamma]
-        cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
-        cols += zip(*fcomm.matrix)
-        self._rows = list(zip(*cols)) if cols else [()] * target.B.rank
-        self._deltac = None
+            self._plan = _FabPlan(_source_table(source), target, fab)
+            # eval's coefficients, per B-coordinate: the source table's monomials, fcomm
+            cols = [e.coords for e in self.gamma]
+            cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
+            cols += zip(*fcomm.matrix)
+            self._rows = list(zip(*cols)) if cols else [()] * target.B.rank
 
     # -- validation ----------------------------------------------------------
 
@@ -193,23 +195,29 @@ class QMap:
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
         """Evaluate by the fixed generator expansion (ascending index), in
-        closed form (module docstring): a plan lookup for fab(x) and
-        base_fab(x), a lookup of the monomials of x and u - kappa(x) in the
-        source table, then per B-coordinate base_fab(x) plus the coefficient
-        row times those monomials, reduced; the value is built once per
-        plan entry and B-coordinates and then shared (elements are
-        immutable)."""
-        G, H = self.source, self.target
+        closed form (module docstring).  A map an enumeration yields is
+        tabulated on its first call (`qmap_constructions._TablePlan`),
+        then read at z's position.  Every other map (constructors, sums,
+        composites, `classify`'s searches, infinite groups) evaluates per
+        point, as its callers read a few points of sources that may be huge
+        (`is_qsplit` composes maps on a group of order 387,420,489), where a
+        table costs O(|G|): base_fab(x) plus the coefficient rows times the
+        monomials of x and u - kappa(x), from its own plan and source
+        table."""
+        G = self.source
         if z.group is not G and z.group != G:
             raise InvalidArgument("element not in the source group")
-        a, base, monos, values = self._plan[z.a.coords]
-        mono = monos[z.b.coords]
-        u = tuple([v % d if d else v for s, row, d in zip(base, self._rows, H._borders)
-                   for v in (s + sum(map(mul, row, mono)),)])
-        w = values.get(u)
-        if w is None:
-            w = values[u] = H.element_class(H, a, ab.AbElement(H.B, u))
-        return w
+        table = self._table
+        if table is None:
+            if self._rows is not None:
+                H = self.target
+                a, base, monos = self._plan[z.a.coords]
+                mono = monos[z.b.coords]
+                return H.element_class(H, a, ab.AbElement(H.B, tuple(
+                    [v % d if d else v for s, row, d in zip(base, self._rows, H._borders)
+                     for v in (s + sum(map(mul, row, mono)),)])))
+            table = self._table = self._plan.tabulate(self)
+        return table[self._plan.index[z.b.coords, z.a.coords]]
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""
@@ -317,8 +325,8 @@ def _lazy(items):
 
 def _product(lists):
     """itertools.product over `_lazy` lists, reading each only as needed."""
-    if not lists:
-        return iter([()])
+    if len(lists) < 2:
+        return zip(lists[0].__copy__()) if lists else iter([()])
     return ((x,) + rest for x in lists[0].__copy__() for rest in _product(lists[1:]))
 
 
@@ -398,14 +406,17 @@ def _presentations(g: nil2.CentralExtension, h: nil2.CentralExtension, fabs, fco
 
 def _enumerate(g, h, what, homs=False):
     """The q-maps of `_presentations`; the maps with one fab share a plan,
-    and all plans share one source table of G."""
+    and all plans share one `qmap_constructions._Kernel`, which tabulates
+    them (loaded here, so a process that enumerates nothing compiles none
+    of it)."""
     if not (g.is_finite() and h.is_finite()):
         raise UnsupportedEnumeration(f"{what} enumeration needs finite groups")
-    table, plan = _source_table(g), None
+    from .qmap_constructions import _Kernel, _TablePlan
+    kernel, plan = _Kernel(g, h), None
     for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A),
                                list(ab.enumerate_homs(g.B, h.B)), homs):
         if plan is None or plan.fab is not data[0]:
-            plan = _FabPlan(table, h, data[0])
+            plan = _TablePlan(kernel, data[0])
         yield QMap(g, h, *data, _validated=True, _plan=plan)
 
 

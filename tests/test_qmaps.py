@@ -1130,10 +1130,19 @@ BOTH_ENUMS = (qmaps.enumerate_qmaps, qmaps.enumerate_homs)
     (BOTH_ENUMS, nil2.product(Q8, Z2), V4),
     (BOTH_ENUMS, nil2.coproduct(Z2, Z2), nil2.product(Q8, Z2)),
     # 729 homomorphisms over 81 fabs; the 59049 q-maps would take seconds
-    ((qmaps.enumerate_homs,), HEIS3, HEIS3)])
+    ((qmaps.enumerate_homs,), HEIS3, HEIS3),
+    # [H,H] = Z/4, a non-prime exponent: 512 q-maps
+    (BOTH_ENUMS, V4, nil2.coproduct(Z4, Z4)),
+    # Z/9 coordinates, with B: 297 homomorphisms, four-byte fields
+    ((qmaps.enumerate_homs,), ingest.canonicalize_finite(ingest.semidirect(9, 9, 4)).group,
+     HEIS3),
+    (BOTH_ENUMS, catalog.cyclic(9), HEIS3),
+    # fields wider than eight bytes
+    (BOTH_ENUMS, Z2, catalog.heisenberg(2 ** 65))])
 def test_shared_plan_eval_matches_fresh_map(enums, g, h):
-    # the maps of one enumeration share a per-fab plan; each must evaluate
-    # exactly as a fresh map with the same generator data and its own plan
+    # the maps of one enumeration share a per-fab plan and are tabulated;
+    # each must evaluate exactly as a fresh map with the same generator data,
+    # which evaluates per point
     pts = list(g.elements())
     for enum in enums:
         for q in enum(g, h):
@@ -1257,9 +1266,10 @@ def test_validation_does_no_element_arithmetic(monkeypatch):
 
 
 def test_enumerated_eval_shares_values_per_plan_entry(monkeypatch):
-    # a plan entry keeps the values it returns: tabulating all 256 D4 -> Q8
-    # maps builds at most one element per fab, point of A and value in B
-    # (128 over 16 fabs), not one per map and point (2048)
+    # an enumeration builds each value of H once: tabulating all 256 D4 -> Q8
+    # maps builds at most |Q8| = 8 elements, not one per map and point
+    # (2048), and equal values of any two maps, with one plan or not, are
+    # one object
     maps, pts = list(qmaps.enumerate_qmaps(D4, Q8)), list(D4.elements())
     built = []
     init = nil2.Nil2Element.__init__
@@ -1270,16 +1280,13 @@ def test_enumerated_eval_shares_values_per_plan_entry(monkeypatch):
 
     monkeypatch.setattr(nil2.Nil2Element, "__init__", counting_init)
     tables = [[q.eval(z) for z in pts] for q in maps]
-    assert len(maps) == 256 and built
-    assert len(built) <= len({q.fab for q in maps}) * D4.A.order() * Q8.B.order() == 128
-    # equal values of two maps with one plan are one object
-    shared = 0
-    for (p, tp), (q, tq) in itertools.combinations(zip(maps[:64], tables[:64]), 2):
-        if p._plan is q._plan:
-            for v, w in zip(tp, tq):
-                assert (v is w) == (v == w), (p, q, v, w)
-                shared += v is w
-    assert shared
+    assert len(maps) == 256 and 0 < len(built) <= Q8.order() == 8
+    shared = collections.Counter()
+    for (p, tp), (q, tq) in itertools.combinations(zip(maps[::8], tables[::8]), 2):
+        for v, w in zip(tp, tq):
+            assert (v is w) == (v == w), (p, q, v, w)
+            shared[p._plan is q._plan] += v is w
+    assert shared[True] and shared[False]
 
 
 def test_bruteforce_leaves_no_cyclic_garbage():
