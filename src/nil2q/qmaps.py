@@ -116,6 +116,7 @@ class _FabPlan(dict):
                          self.target._lift_sum(self.rows, monos.quad, s), monos)
         return hit
 
+
 class QMap:
     """Finite presentation of a q-map between nil_2-groups, or between any
     central extensions; values are built as the target's `element_class`."""
