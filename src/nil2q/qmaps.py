@@ -27,10 +27,12 @@ x_1 (e_1, 0) + ... in G, both `nil2`'s closed form for sums of generator
 lifts: per B-coordinate, dot products with monomials.  A map an
 enumeration yields is tabulated at its first evaluation: each monomial's
 values at all of G are packed into one int, so per B-coordinate one
-multiply-add per monomial and one reduction cover G (the kernel is in
-`qmap_constructions`, built once per enumeration and once per fab).  Its
-values come from one memo of H's elements per enumeration, so equal values
-are one object: elements are immutable.  Other maps evaluate per point
+multiply-add per monomial and one reduction cover G.  fab(x) and
+base_fab(x) are computed from the same packed monomials, once per fab,
+and the maps with one (fcomm, delta) share their partial sum; none of it
+runs per point (the kernel is in `qmap_constructions`).  Its values come
+from one memo of H's elements per enumeration, so equal values are one
+object: elements are immutable.  Other maps evaluate per point
 (`QMap.eval`).
 The identity and `classify`'s abelianization projection are `_hom`, the
 one zero-cross-effect constructor, over generator-shift maps `_shift`;
@@ -90,18 +92,19 @@ class _Monomials(dict):
 
 def _source_table(source):
     """x -> the `_Monomials` of the A-point x of G (its coordinates are the
-    `_Memo` key), on G's lift rows, built once here.  Nothing in it depends
-    on fab, so one table serves every fab plan of an enumeration."""
+    `_Memo` key), on G's lift rows, built once here, for a map that
+    evaluates per point."""
     rows = source._lift_rows(ab._identity(source.rank))
     return _Memo(lambda *x: _Monomials(x, source, rows))
 
 
 class _FabPlan(dict):
     """x -> (fab(x), base_fab(x), the source table's `_Monomials` of x) for
-    the q-maps G -> H with one fab, filled on first lookup: base_fab(x) is
-    `CentralExtension._lift_sum` over H with the fab columns, on rows kept
-    here.  The plans of an enumeration (`qmap_constructions._TablePlan`)
-    share one source table of G."""
+    a q-map G -> H that evaluates per point, filled on first lookup:
+    base_fab(x) is `CentralExtension._lift_sum` over H with the fab
+    columns, on rows kept here.  No enumeration uses it: the plans of its
+    maps (`qmap_constructions._TablePlan`) compute both over all of G at
+    once."""
 
     __slots__ = ("table", "target", "fab", "rows")
 

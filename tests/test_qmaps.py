@@ -1154,29 +1154,29 @@ def test_shared_plan_eval_matches_fresh_map(enums, g, h):
 
 @pytest.mark.parametrize("g, h, count", [
     (nil2.product(Q8, Z2), V4, 64),
-    (D4, Q8, 256)])  # 16 fabs: a plan per map would fill 1024 times
+    (D4, Q8, 256)])  # 16 fabs: a plan per map would pack 256 times
 def test_enumeration_fills_plan_once_per_fab_and_point(monkeypatch, g, h, count):
-    fills = []
-    fill = qmaps._FabPlan.__missing__
-
-    def counting_fill(plan, x):
-        fills.append(x)
-        return fill(plan, x)
-
-    monkeypatch.setattr(qmaps._FabPlan, "__missing__", counting_fill)
+    # an enumeration's plans fill no per-point entry: each packs its fab's
+    # s_i, fab(x) and base_fab(x) over all of G at once, once per fab
+    calls = collections.Counter()
+    for cls, name in ((qmaps._FabPlan, "__missing__"), (qmc._TablePlan, "pack")):
+        def counting(self, *args, _name=name, _call=getattr(cls, name)):
+            calls[_name] += 1
+            return _call(self, *args)
+        monkeypatch.setattr(cls, name, counting)
     pts = list(g.elements())
     maps = list(qmaps.enumerate_qmaps(g, h))
     for q in maps:
         for z in pts:
             q.eval(z)
-    assert len(maps) == count and fills
-    assert len(fills) <= len({q.fab for q in maps}) * g.A.order()
+    assert len(maps) == count
+    assert calls == {"pack": len({q.fab for q in maps})}
 
 
 def test_enumeration_fills_source_side_once(monkeypatch):
-    # G's lift rows and kappa(x) depend on G alone: an enumeration builds
-    # the rows once and fills kappa once per point of A, however many fabs
-    # it has (a plan per fab fills kappa 64 times for D4 -> Q8's 16 fabs)
+    # G's lift rows and kappa(x) depend on G alone: an enumeration's kernel
+    # fills once, at its first tabulation, reading G's lift rows once and
+    # no per-point lift sum, however many fabs it has
     calls = collections.Counter()
     for name in ("_lift_rows", "_lift_sum"):
         def counting(self, *args, _name=name, _call=getattr(nil2.CentralExtension, name)):
@@ -1184,18 +1184,53 @@ def test_enumeration_fills_source_side_once(monkeypatch):
                 calls[_name] += 1
             return _call(self, *args)
         monkeypatch.setattr(nil2.CentralExtension, name, counting)
+    fill = qmc._Kernel.fill
+
+    def counting_fill(kernel):
+        calls["fill"] += 1
+        return fill(kernel)
+
+    monkeypatch.setattr(qmc._Kernel, "fill", counting_fill)
     pts, seen = list(D4.elements()), {}
     for h in (Z2, Q8):
         calls.clear()
         maps = list(qmaps.enumerate_qmaps(D4, h))
-        setup = dict(calls)     # the solver's torsion multiples and the table
+        setup = dict(calls)     # the solver's torsion multiples
         for q in maps:
             for z in pts:
                 q.eval(z)
         calls.subtract(setup)
         seen[len({q.fab for q in maps})] = setup, +calls
     assert sorted(seen) == [4, 16] and seen[4] == seen[16]
-    assert seen[16][1] == {"_lift_sum": D4.A.order()}
+    assert seen[16][1] == {"_lift_rows": 1, "fill": 1}
+
+
+@pytest.mark.parametrize("g, h, field, b", [
+    (catalog.cyclic(9), catalog.cyclic(9), "s", 7),     # s_0 = 8 * 8 at x = 8
+    (catalog.cyclic(49), catalog.modular_semidirect(7), "base", 13),
+    (catalog.cyclic(7), catalog.heisenberg(7), "V", 8)])
+def test_kernel_fields_come_near_their_bound(g, h, field, b):
+    # every packed field stays below 2^b, b the bit length of the largest of
+    # three bounds (`qmap_constructions._Kernel`): on each target one field
+    # reaches 2^(b-1), so a reduction exact only further below 2^b, or a b
+    # that leaves a bound out, changes a table here
+    maps, pts = list(qmaps.enumerate_qmaps(g, h)), list(g.elements())
+    for q in maps:
+        fresh = qmaps.QMap(g, h, q.fab, q.fcomm, q.gamma, q.delta)
+        assert [q.eval(z) for z in pts] == [fresh.eval(z) for z in pts], q
+    # the fields at x in the cyclic source: s_i, base_t before its
+    # reduction (rows reduced mod e_t) and V_t
+    top = 0
+    for q in maps:
+        rows = [[y % e for y in row] for row, e in zip(
+            h._lift_rows(list(zip(*q.fab.matrix))), h._borders)]
+        for x in range(g.A.orders[0]):
+            quad, s = nil2._quadratic((x,)), [row[0] * x for row in q.fab.matrix]
+            base = h._lift_sum(rows, quad, s)
+            top = max([top] + {"s": s, "base": base, "V": [
+                v % e + q.gamma[0].coords[t] * x + q.delta[0][0].coords[t] * quad[0]
+                for t, (v, e) in enumerate(zip(base, h._borders))]}[field])
+    assert maps[0]._plan.kernel.bits == b and 2 ** (b - 1) <= top < 2 ** b
 
 
 def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
