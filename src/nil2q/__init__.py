@@ -12,8 +12,8 @@ Subpackages that load on first use:
   ingest                 multiplication tables, semidirect products,
                          canonicalization
   qmap_constructions     zero, power and addition maps, the structural maps
-                         of products and coproducts, maps read off a function,
-                         the value tables of enumerated maps
+                         of products and coproducts, maps read off a function
+  qmap_tables            the value tables of enumerated maps
   maltsev    class-two Lie rings and the exp/log correspondence
   linext     linear extensions: ~ and ==, beta, P2(G) and its factorization
   catalog    the worked example groups

@@ -25,15 +25,13 @@ Evaluation is the closed form of the ascending generator expansion: as
 base_fab(x) and kappa(x) the B-parts of x_1 (fab e_1, 0) + ... in H and of
 x_1 (e_1, 0) + ... in G, both `nil2`'s closed form for sums of generator
 lifts: per B-coordinate, dot products with monomials.  A map an
-enumeration yields is tabulated at its first evaluation: each monomial's
-values at all of G are packed into one int, so per B-coordinate one
-multiply-add per monomial and one reduction cover G.  fab(x) and
-base_fab(x) are computed from the same packed monomials, once per fab,
-and the maps with one (fcomm, delta) share their partial sum; none of it
-runs per point (the kernel is in `qmap_constructions`).  Its values come
-from one memo of H's elements per enumeration, so equal values are one
-object: elements are immutable.  Other maps evaluate per point
-(`QMap.eval`).
+enumeration yields is tabulated at its first evaluation, with the maps of
+its fab built but not yet yielded: each monomial's values at all of G,
+and each coefficient's values over those maps, are packed into one int,
+so per B-coordinate one multiply-add per monomial and one reduction cover
+the batch (`qmap_tables`).  Its values come from one memo of H's elements
+per enumeration, so equal values are one object: elements are immutable.
+Other maps evaluate per point (`QMap.eval`).
 The identity and `classify`'s abelianization projection are `_hom`, the
 one zero-cross-effect constructor, over generator-shift maps `_shift`;
 the other fixed q-maps (zero, power, addition, the structural maps of
@@ -54,6 +52,7 @@ membership, and run the search's additivity test `_additive` on them
 from __future__ import annotations
 
 import itertools
+import weakref
 from math import gcd
 from operator import add, mul, sub
 
@@ -103,7 +102,7 @@ class _FabPlan(dict):
     a q-map G -> H that evaluates per point, filled on first lookup:
     base_fab(x) is `CentralExtension._lift_sum` over H with the fab
     columns, on rows kept here.  No enumeration uses it: the plans of its
-    maps (`qmap_constructions._TablePlan`) compute both over all of G at
+    maps (`qmap_tables._TablePlan`) compute both over all of G at
     once."""
 
     __slots__ = ("table", "target", "fab", "rows")
@@ -200,10 +199,11 @@ class QMap:
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
         """Evaluate by the fixed generator expansion (ascending index), in
         closed form (module docstring).  A map an enumeration yields is
-        tabulated on its first call (`qmap_constructions._TablePlan`),
-        then read at z's position.  Every other map (constructors, sums,
-        composites, `classify`'s searches, infinite groups) evaluates per
-        point, as its callers read a few points of sources that may be huge
+        tabulated on its first call, with the maps its plan holds unyielded
+        (`qmap_tables`), then read at z's position.  Every other map
+        (constructors, sums, composites, `classify`'s searches, infinite
+        groups) evaluates per point, as its callers read a few points of
+        sources that may be huge
         (`is_qsplit` composes maps on a group of order 387,420,489), where a
         table costs O(|G|): base_fab(x) plus the coefficient rows times the
         monomials of x and u - kappa(x), from its own plan and source
@@ -220,7 +220,8 @@ class QMap:
                 return H.element_class(H, a, ab.AbElement(H.B, tuple(
                     [v % d if d else v for s, row, d in zip(base, self._rows, H._borders)
                      for v in (s + sum(map(mul, row, mono)),)])))
-            table = self._table = self._plan.tabulate(self)
+            self._plan.tabulate(self)
+            table = self._table
         return table[self._plan.index[z.b.coords, z.a.coords]]
 
     def cross(self, z, zp) -> nil2.Nil2Element:
@@ -322,16 +323,34 @@ def identity_qmap(g: nil2.Nil2Group) -> QMap:
 # ---------------------------------------------------------------------------
 # Enumeration.
 
-def _lazy(items):
-    """A lazy choice list: each copy of the tee iterates `items` from the start."""
-    return itertools.tee(items, 1)[0]
+class _lazy:
+    """A choice list read on demand; `done`: its tuple once read to its end."""
+
+    __slots__ = ("tee", "done", "__weakref__")
+
+    def __init__(self, items):
+        self.tee, self.done = itertools.tee(_record(weakref.ref(self), items), 1)[0], None
+
+
+def _record(ref, items):
+    """Yield `items`, then make them `done` of the `_lazy` list `ref()`."""
+    seen = []
+    for x in items:
+        seen.append(x)
+        yield x
+    if (lazy := ref()) is not None:
+        lazy.tee, lazy.done = None, tuple(seen)
 
 
 def _product(lists):
     """itertools.product over `_lazy` lists, reading each only as needed."""
-    if len(lists) < 2:
-        return zip(lists[0].__copy__()) if lists else iter([()])
-    return ((x,) + rest for x in lists[0].__copy__() for rest in _product(lists[1:]))
+    if len(lists) == 1:
+        return zip(lists[0].tee.__copy__() if lists[0].done is None else lists[0].done)
+    done = [c.done for c in lists]
+    if None not in done:
+        return itertools.product(*done)
+    head = lists[0].tee.__copy__() if done[0] is None else done[0]
+    return ((x,) + rest for x in head for rest in _product(lists[1:]))
 
 
 def _relations(g: nil2.CentralExtension, h: nil2.CentralExtension, homs: bool):
@@ -409,19 +428,25 @@ def _presentations(g: nil2.CentralExtension, h: nil2.CentralExtension, fabs, fco
 
 
 def _enumerate(g, h, what, homs=False):
-    """The q-maps of `_presentations`; the maps with one fab share a plan,
-    and all plans share one `qmap_constructions._Kernel`, which tabulates
-    them (loaded here, so a process that enumerates nothing compiles none
-    of it)."""
+    """The q-maps of `_presentations`, a fab's in chunks no longer than the
+    count already yielded; their plan holds those not yet yielded, and one
+    `qmap_tables._Kernel` (loaded here) tabulates them (`QMap.eval`)."""
     if not (g.is_finite() and h.is_finite()):
         raise UnsupportedEnumeration(f"{what} enumeration needs finite groups")
-    from .qmap_constructions import _Kernel, _TablePlan
-    kernel, plan = _Kernel(g, h), None
-    for data in _presentations(g, h, ab.enumerate_homs(g.A, h.A),
-                               list(ab.enumerate_homs(g.B, h.B)), homs):
-        if plan is None or plan.fab is not data[0]:
-            plan = _TablePlan(kernel, data[0])
-        yield QMap(g, h, *data, _validated=True, _plan=plan)
+    from .qmap_tables import _Kernel, _TablePlan
+    kernel, fab, chunk, done = _Kernel(g, h), None, [], 0
+    for data in itertools.chain(_presentations(g, h, ab.enumerate_homs(g.A, h.A), list(
+            ab.enumerate_homs(g.B, h.B)), homs), [(None,)]):
+        if chunk and (data[0] is not fab or len(chunk) >= done):
+            done, pending = done + len(chunk), chunk[::-1]
+            plan.pending, chunk = pending, []       # until a tabulation takes them
+            while pending:
+                yield pending.pop()
+        if data[0] is not fab:
+            if data[0] is None:
+                return
+            fab, plan = data[0], _TablePlan(kernel, data[0])
+        chunk.append(QMap(g, h, *data, True, plan))     # _validated, _plan
 
 
 def enumerate_qmaps(g: nil2.Nil2Group, h: nil2.Nil2Group):

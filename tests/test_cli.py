@@ -439,7 +439,8 @@ def test_fresh_import_loads_no_lazy_module(tmp_path):
 
 
 def test_fresh_queries_load_the_cold_blocks_on_first_use():
-    blocks = ("nil2q.abelian_constructions", "nil2q.ingest", "nil2q.qmap_constructions")
+    blocks = ("nil2q.abelian_constructions", "nil2q.ingest", "nil2q.qmap_constructions",
+              "nil2q.qmap_tables")
     for argv, code, loaded in ((["info", "Q8"], 0, []),
                                (["iso", "D4", "Q8", "--category", "nil"], 1, []),
                                (["info", "semidirect(9,3,4)"], 0, ["nil2q.ingest"]),

@@ -14,6 +14,7 @@ from nil2q import abelian as ab
 from nil2q import abelian_constructions as abx
 from nil2q import catalog, classify, ingest, linext, maltsev, nil2, qmaps
 from nil2q import qmap_constructions as qmc
+from nil2q import qmap_tables as qmt
 from nil2q.errors import InvalidArgument, NotAQMap, UnsupportedEnumeration
 
 Q8 = catalog.quaternion()
@@ -1140,16 +1141,19 @@ BOTH_ENUMS = (qmaps.enumerate_qmaps, qmaps.enumerate_homs)
     # fields wider than eight bytes
     (BOTH_ENUMS, Z2, catalog.heisenberg(2 ** 65))])
 def test_shared_plan_eval_matches_fresh_map(enums, g, h):
-    # the maps of one enumeration share a per-fab plan and are tabulated;
-    # each must evaluate exactly as a fresh map with the same generator data,
-    # which evaluates per point
+    # the maps of one enumeration share a per-fab plan and are tabulated
+    # in batches; each must evaluate exactly as a fresh map with the same
+    # generator data, which evaluates per point, whether it is evaluated as
+    # it is yielded (a batch holds the rest of its chunk), after the whole
+    # list (a batch of one map) or in reverse order after it
     pts = list(g.elements())
     for enum in enums:
-        for q in enum(g, h):
-            fresh = qmaps.QMap(g, h, q.fab, q.fcomm, q.gamma, q.delta)
-            for z in pts:
-                got, want = q.eval(z), fresh.eval(z)
-                assert got.a.coords == want.a.coords and got.b.coords == want.b.coords
+        for order in (enum(g, h), list(enum(g, h)), list(enum(g, h))[::-1]):
+            for q in order:
+                fresh = qmaps.QMap(g, h, q.fab, q.fcomm, q.gamma, q.delta)
+                for z in pts:
+                    got, want = q.eval(z), fresh.eval(z)
+                    assert got.a.coords == want.a.coords and got.b.coords == want.b.coords
 
 
 @pytest.mark.parametrize("g, h, count", [
@@ -1159,7 +1163,7 @@ def test_enumeration_fills_plan_once_per_fab_and_point(monkeypatch, g, h, count)
     # an enumeration's plans fill no per-point entry: each packs its fab's
     # s_i, fab(x) and base_fab(x) over all of G at once, once per fab
     calls = collections.Counter()
-    for cls, name in ((qmaps._FabPlan, "__missing__"), (qmc._TablePlan, "pack")):
+    for cls, name in ((qmaps._FabPlan, "__missing__"), (qmt._TablePlan, "pack")):
         def counting(self, *args, _name=name, _call=getattr(cls, name)):
             calls[_name] += 1
             return _call(self, *args)
@@ -1184,13 +1188,13 @@ def test_enumeration_fills_source_side_once(monkeypatch):
                 calls[_name] += 1
             return _call(self, *args)
         monkeypatch.setattr(nil2.CentralExtension, name, counting)
-    fill = qmc._Kernel.fill
+    fill = qmt._Kernel.fill
 
     def counting_fill(kernel):
         calls["fill"] += 1
         return fill(kernel)
 
-    monkeypatch.setattr(qmc._Kernel, "fill", counting_fill)
+    monkeypatch.setattr(qmt._Kernel, "fill", counting_fill)
     pts, seen = list(D4.elements()), {}
     for h in (Z2, Q8):
         calls.clear()
@@ -1211,10 +1215,16 @@ def test_enumeration_fills_source_side_once(monkeypatch):
     (catalog.cyclic(7), catalog.heisenberg(7), "V", 8)])
 def test_kernel_fields_come_near_their_bound(g, h, field, b):
     # every packed field stays below 2^b, b the bit length of the largest of
-    # three bounds (`qmap_constructions._Kernel`): on each target one field
+    # three bounds (`qmap_tables._Kernel`): on each target one field
     # reaches 2^(b-1), so a reduction exact only further below 2^b, or a b
     # that leaves a bound out, changes a table here
-    maps, pts = list(qmaps.enumerate_qmaps(g, h)), list(g.elements())
+    # as yielded, so that those fields share an int with other maps' fields,
+    # and after the whole list, one map a batch
+    pts = list(g.elements())
+    for q in qmaps.enumerate_qmaps(g, h):
+        fresh = qmaps.QMap(g, h, q.fab, q.fcomm, q.gamma, q.delta)
+        assert [q.eval(z) for z in pts] == [fresh.eval(z) for z in pts], q
+    maps = list(qmaps.enumerate_qmaps(g, h))
     for q in maps:
         fresh = qmaps.QMap(g, h, q.fab, q.fcomm, q.gamma, q.delta)
         assert [q.eval(z) for z in pts] == [fresh.eval(z) for z in pts], q
@@ -1231,6 +1241,59 @@ def test_kernel_fields_come_near_their_bound(g, h, field, b):
                 v % e + q.gamma[0].coords[t] * x + q.delta[0][0].coords[t] * quad[0]
                 for t, (v, e) in enumerate(zip(base, h._borders))]}[field])
     assert maps[0]._plan.kernel.bits == b and 2 ** (b - 1) <= top < 2 ** b
+
+
+def test_streamed_enumeration_tabulates_a_chunk_per_call(monkeypatch):
+    # a map's first eval tabulates it with the maps of its chunk that the
+    # enumeration has built but not yet yielded; a chunk holds at most as
+    # many maps as were yielded before it (the first holds one), and never
+    # maps of two fabs
+    batches = []
+    tabulate = qmt._TablePlan.tabulate
+
+    def counting(plan, q):
+        batches.append(1 + len(plan.pending))
+        return tabulate(plan, q)
+
+    monkeypatch.setattr(qmt._TablePlan, "tabulate", counting)
+    pts = list(D4.elements())
+    # D4 -> Q8, each map evaluated as it is yielded: 16 fabs of 16 maps, the
+    # first in chunks of 1, 1, 2, 4 and 8, each later one in one chunk
+    for q in qmaps.enumerate_qmaps(D4, Q8):
+        for z in pts:
+            q.eval(z)
+    assert batches == [1, 1, 2, 4, 8] + [16] * 15
+    # a consumer that stops early: 120 of the first fab's 729 maps are taken
+    # and evaluated, and at most twice that many are tabulated
+    batches.clear()
+    for q in list(itertools.islice(qmaps.enumerate_qmaps(HEIS3, HEIS3), 120)):
+        q.eval(HEIS3.zero())
+    assert 120 <= sum(batches) <= 240
+    # a consumer that lists every map first: one map a call
+    batches.clear()
+    maps = list(qmaps.enumerate_qmaps(D4, Q8))
+    for q in maps:
+        for z in pts:
+            q.eval(z)
+    assert batches == [1] * 256
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # an enumeration's plans, kernel and buffered choice lists are freed by
+    # reference counting: with the collector off, enumerations evaluated as
+    # yielded and after listing, and a section search that reads one choice
+    # of each list, leave nothing for it to collect
+    gc.collect()
+    gc.disable()
+    try:
+        for q in qmaps.enumerate_qmaps(D4, Q8):
+            q.eval(D4.zero())
+        for q in list(qmaps.enumerate_homs(HEIS3, HEIS3)):
+            q.eval(HEIS3.zero())
+        classify.is_qsplit(HEIS3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerated_eval_does_no_element_arithmetic(monkeypatch):
