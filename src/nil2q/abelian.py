@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm, prod
 
-from .errors import InvalidArgument, InvalidHomomorphism, UnsupportedEnumeration
+from .errors import InternalInvariant, InvalidArgument, InvalidHomomorphism, UnsupportedEnumeration
 
 # ---------------------------------------------------------------------------
 # Integer matrices.  Tiny dense lists of lists; everything desk scale.
@@ -63,7 +63,9 @@ class SmithForm:
         if ncols is None:
             ncols = len(mat[0]) if mat else 0
         d = [list(row) for row in mat]
-        assert all(len(row) == ncols for row in d)
+        if any(len(row) != ncols for row in d):
+            raise InvalidArgument(f"Smith form needs rows of length {ncols}: "
+                                  f"{[len(row) for row in d]}")
         u, uinv = (_identity(nrows), _identity(nrows)) if rows else (None, None)
         v = _identity(ncols)
 
@@ -500,7 +502,8 @@ def kernel(h: AbHom):
     w = [[col[i] for col in lat] for i in range(r)]  # r x s
     wsnf = SmithForm(w, r, len(lat))
     rel_in_w = [wsnf.solve(col) for col in _relation_columns(src)]
-    assert None not in rel_in_w, "source relations must lie in the kernel lattice"
+    if None in rel_in_w:
+        raise InternalInvariant("source relations must lie in the kernel lattice")
     # K = Z^s / <rel_in_w>, its generators mapped back to the source through W
     k, _, section = _present(len(lat), rel_in_w)
     return k, AbHom(k, src, mat_mul(w, section))

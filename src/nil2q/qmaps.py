@@ -31,7 +31,9 @@ and each coefficient's values over those maps, are packed into one int,
 so per B-coordinate one multiply-add per monomial and one reduction cover
 the batch (`qmap_tables`).  Its values come from one memo of H's elements
 per enumeration, so equal values are one object: elements are immutable.
-Other maps evaluate per point (`QMap.eval`).
+Every other map evaluates per point (`QMap._at`): its first evaluation
+builds G's lift rows, H's over the fab columns and the coefficient rows,
+and a memo keeps fab(x), base_fab(x), quad(x) and kappa(x) per A-point x.
 The identity and `classify`'s abelianization projection are `_hom`, the
 one zero-cross-effect constructor, over generator-shift maps `_shift`;
 the other fixed q-maps (zero, power, addition, the structural maps of
@@ -72,59 +74,12 @@ class _Memo(dict):
         return value
 
 
-class _Monomials(dict):
-    """u -> the monomials x + `nil2._quadratic(x)` + (u - kappa(x)) of
-    `QMap.eval` at the source element (x, u), for one A-point x of G, filled
-    on first lookup; `quad` is `nil2._quadratic(x)`, `kappa` is kappa(x):
-    `CentralExtension._lift_sum` over G with the unit vectors, on `rows`."""
-
-    __slots__ = ("quad", "kappa", "head")
-
-    def __init__(self, x, source, rows):
-        self.quad = quad = nil2._quadratic(x)
-        self.kappa, self.head = source._lift_sum(rows, quad, x), x + quad
-
-    def __missing__(self, u):
-        self[u] = mono = self.head + tuple(map(sub, u, self.kappa))
-        return mono
-
-
-def _source_table(source):
-    """x -> the `_Monomials` of the A-point x of G (its coordinates are the
-    `_Memo` key), on G's lift rows, built once here, for a map that
-    evaluates per point."""
-    rows = source._lift_rows(ab._identity(source.rank))
-    return _Memo(lambda *x: _Monomials(x, source, rows))
-
-
-class _FabPlan(dict):
-    """x -> (fab(x), base_fab(x), the source table's `_Monomials` of x) for
-    a q-map G -> H that evaluates per point, filled on first lookup:
-    base_fab(x) is `CentralExtension._lift_sum` over H with the fab
-    columns, on rows kept here.  No enumeration uses it: the plans of its
-    maps (`qmap_tables._TablePlan`) compute both over all of G at
-    once."""
-
-    __slots__ = ("table", "target", "fab", "rows")
-
-    def __init__(self, table, target, fab):
-        self.table, self.target, self.fab = table, target, fab
-        self.rows = target._lift_rows([[row[j] for row in fab.matrix]
-                                       for j in range(fab.source.rank)])
-
-    def __missing__(self, x):
-        monos, s = self.table[x], [sum(map(mul, row, x)) for row in self.fab.matrix]
-        self[x] = hit = (self.target.A._trusted(s),
-                         self.target._lift_sum(self.rows, monos.quad, s), monos)
-        return hit
-
-
 class QMap:
     """Finite presentation of a q-map between nil_2-groups, or between any
     central extensions; values are built as the target's `element_class`."""
 
     __slots__ = ("source", "target", "fab", "fcomm", "gamma", "delta",
-                 "_plan", "_rows", "_table", "_deltac")
+                 "_plan", "_table", "_form", "_deltac")
 
     def __init__(self, source, target, fab, fcomm, gamma, delta,
                  _validated=False, _plan=None):
@@ -142,15 +97,8 @@ class QMap:
             nil2._check_entries("delta", self.delta, source.rank, target.B)
             self._validate()
         # an enumeration's maps share its plans and are tabulated (`eval`);
-        # any other map gets a plan of its own and evaluates per point
-        self._plan, self._table, self._rows, self._deltac = _plan, None, None, None
-        if _plan is None:
-            self._plan = _FabPlan(_source_table(source), target, fab)
-            # eval's coefficients, per B-coordinate: the source table's monomials, fcomm
-            cols = [e.coords for e in self.gamma]
-            cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
-            cols += zip(*fcomm.matrix)
-            self._rows = list(zip(*cols)) if cols else [()] * target.B.rank
+        # any other map evaluates per point (`_at`)
+        self._plan, self._table, self._form, self._deltac = _plan, None, None, None
 
     # -- validation ----------------------------------------------------------
 
@@ -202,27 +150,47 @@ class QMap:
         tabulated on its first call, with the maps its plan holds unyielded
         (`qmap_tables`), then read at z's position.  Every other map
         (constructors, sums, composites, `classify`'s searches, infinite
-        groups) evaluates per point, as its callers read a few points of
-        sources that may be huge
-        (`is_qsplit` composes maps on a group of order 387,420,489), where a
-        table costs O(|G|): base_fab(x) plus the coefficient rows times the
-        monomials of x and u - kappa(x), from its own plan and source
-        table."""
+        groups) evaluates per point (`_at`), as its callers read a few
+        points of sources that may be huge (`is_qsplit` composes maps on a
+        group of order 387,420,489), where a table costs O(|G|): its rows
+        are built at its first call, and each A-point's terms once."""
         G = self.source
         if z.group is not G and z.group != G:
             raise InvalidArgument("element not in the source group")
         table = self._table
         if table is None:
-            if self._rows is not None:
-                H = self.target
-                a, base, monos = self._plan[z.a.coords]
-                mono = monos[z.b.coords]
-                return H.element_class(H, a, ab.AbElement(H.B, tuple(
-                    [v % d if d else v for s, row, d in zip(base, self._rows, H._borders)
-                     for v in (s + sum(map(mul, row, mono)),)])))
+            if self._plan is None:
+                return self._at(z.a.coords, z.b.coords)
             self._plan.tabulate(self)
             table = self._table
         return table[self._plan.index[z.b.coords, z.a.coords]]
+
+    def _at(self, x, u):
+        """f(x, u), base_fab(x) plus the coefficient rows times the
+        monomials x, quad(x) and u - kappa(x) (`nil2._quadratic`).  The
+        first call builds `_form`: G's lift rows, H's over the fab columns,
+        the coefficient rows per B_H-coordinate (gamma, delta_pi for p <= i,
+        fcomm) and a memo x -> (fab(x), base_fab(x), x + quad(x), kappa(x)),
+        both lift sums by `CentralExtension._lift_sum`."""
+        G, H = self.source, self.target
+        if self._form is None:
+            cols = [e.coords for e in self.gamma]
+            cols += [self.delta[p][i].coords for i in range(len(cols)) for p in range(i + 1)]
+            cols += zip(*self.fcomm.matrix)
+            self._form = (G._lift_rows(ab._identity(G.rank)), H._lift_rows(
+                [[row[j] for row in self.fab.matrix] for j in range(G.rank)]),
+                list(zip(*cols)) if cols else [()] * H.B.rank, {})
+        grows, hrows, rows, memo = self._form
+        hit = memo.get(x)
+        if hit is None:
+            quad, s = nil2._quadratic(x), [sum(map(mul, row, x)) for row in self.fab.matrix]
+            memo[x] = hit = (H.A._trusted(s), H._lift_sum(hrows, quad, s), x + quad,
+                             G._lift_sum(grows, quad, x))
+        a, base, head, kappa = hit
+        mono = head + tuple(map(sub, u, kappa))
+        return H.element_class(H, a, ab.AbElement(H.B, tuple(
+            [v % d if d else v for s, row, d in zip(base, rows, H._borders)
+             for v in (s + sum(map(mul, row, mono)),)])))
 
     def cross(self, z, zp) -> nil2.Nil2Element:
         """(z | z')_f as an element of (0, [H,H])."""

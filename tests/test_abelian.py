@@ -72,6 +72,12 @@ def test_smith_solve_and_kernel():
     assert ab.mat_vec(mk, basis[0]) == [0]
 
 
+def test_smith_form_rejects_ragged_rows():
+    # a shape error is an input error, also under `python -O`
+    with pytest.raises(InvalidArgument, match="rows of length 2"):
+        ab.SmithForm([[1, 2], [3]])
+
+
 def test_smith_form_without_rows_matches_full_form():
     # the form without row transforms, as `_preimage_lattice` builds it,
     # has the full form's diag, v and kernel basis on a fixed set of

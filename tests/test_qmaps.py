@@ -1160,10 +1160,10 @@ def test_shared_plan_eval_matches_fresh_map(enums, g, h):
     (nil2.product(Q8, Z2), V4, 64),
     (D4, Q8, 256)])  # 16 fabs: a plan per map would pack 256 times
 def test_enumeration_fills_plan_once_per_fab_and_point(monkeypatch, g, h, count):
-    # an enumeration's plans fill no per-point entry: each packs its fab's
-    # s_i, fab(x) and base_fab(x) over all of G at once, once per fab
+    # an enumeration's maps never evaluate per point: each plan packs its
+    # fab's s_i, fab(x) and base_fab(x) over all of G at once, once per fab
     calls = collections.Counter()
-    for cls, name in ((qmaps._FabPlan, "__missing__"), (qmt._TablePlan, "pack")):
+    for cls, name in ((qmaps.QMap, "_at"), (qmt._TablePlan, "pack")):
         def counting(self, *args, _name=name, _call=getattr(cls, name)):
             calls[_name] += 1
             return _call(self, *args)
@@ -1207,6 +1207,40 @@ def test_enumeration_fills_source_side_once(monkeypatch):
         seen[len({q.fab for q in maps})] = setup, +calls
     assert sorted(seen) == [4, 16] and seen[4] == seen[16]
     assert seen[16][1] == {"_lift_rows": 1, "fill": 1}
+
+
+def test_per_point_rows_are_built_at_first_eval(monkeypatch):
+    # (a) a constructed map builds no evaluation state: the 256 sums of
+    # the 16 D4 -> Q8 maps of the first fab read lift rows as often as the
+    # one sum of its first map does, on fresh groups (the solver's terms of
+    # the pair, which validation fills, read them per fab column);
+    # (b) a fresh Heis3 -> G27 map builds G's and H's lift rows at its
+    # first eval and two lift sums per A-point of Heis3, kept for later calls
+    calls = collections.Counter()
+    for name in ("_lift_rows", "_lift_sum"):
+        def counting(self, *args, _name=name, _call=getattr(nil2.CentralExtension, name)):
+            calls[_name] += 1
+            return _call(self, *args)
+        monkeypatch.setattr(nil2.CentralExtension, name, counting)
+    seen = []
+    for n in (1, 16):
+        g, h = catalog.dihedral4(), catalog.quaternion()
+        maps = list(itertools.islice(qmaps.enumerate_qmaps(g, h), n))
+        calls.clear()
+        sums = [p + q for p in maps for q in maps]
+        seen.append((len(sums), calls["_lift_rows"]))
+    assert len({q.fab for q in maps}) == 1
+    assert seen[0][0] == 1 and seen[1][0] == 256 and seen[0][1] == seen[1][1]
+    g = catalog.modular_semidirect(3)
+    q = list(qmaps.enumerate_qmaps(HEIS3, g))[-1]
+    fresh = qmaps.QMap(HEIS3, g, q.fab, q.fcomm, q.gamma, q.delta)
+    pts = list(HEIS3.elements())
+    table = [q.eval(z) for z in pts]
+    calls.clear()
+    for _ in range(2):
+        assert [fresh.eval(z) for z in pts] == table
+    assert len(pts) == 27 and len({z.a for z in pts}) == 9
+    assert calls == {"_lift_rows": 2, "_lift_sum": 18}
 
 
 @pytest.mark.parametrize("g, h, field, b", [
