@@ -16,6 +16,9 @@ The odd-order Niq-isomorphism criterion (log G and log H isomorphic as
 abelian groups, B onto B) is `classify`'s iso-pair search on the logs:
 as central extensions their homomorphisms are the additive maps carrying
 B into B, and `qmaps` solves and evaluates them as it does for groups.
+So is the linear part g of a q-map's (g, h) decomposition: a
+zero-cross-effect `qmaps.QMap` log G -> log H, evaluated on group
+elements through each group's `LogCorrespondence`.
 """
 
 from __future__ import annotations
@@ -194,55 +197,43 @@ def lie_sub(x: nil2.Nil2Element, y: nil2.Nil2Element) -> nil2.Nil2Element:
 class QMapDecomposition:
     """f(a) = g(a) + half h(a^, a^): linear part and symmetric cross part.
 
-    `g` is stored by images of the source generator lifts and of the
-    commutator-subgroup generators (it is linear for the Lie additions
-    and carries [G,G] into [H,H]); `h` is a symmetric matrix over the
-    target's commutator subgroup indexed by abelianization generators.
+    `g` is a homomorphism of the logs' additive groups carrying B into B,
+    a `qmaps.QMap` lie_log(G) -> lie_log(H) with zero cross-effect, read
+    on group elements through the correspondences `cg` and `ch`; `h` is a
+    symmetric matrix over the target's commutator subgroup indexed by
+    abelianization generators.
     """
 
-    def __init__(self, source, target, gen_images, bgen_images, h):
-        self.source, self.target = source, target
-        self.gen_images = tuple(gen_images)
-        self.bgen_images = tuple(bgen_images)
+    def __init__(self, cg: LogCorrespondence, ch: LogCorrespondence, g: qmaps.QMap, h):
+        self.cg, self.ch, self.g = cg, ch, g
+        self.source, self.target = cg.group, ch.group
         self.h = tuple(tuple(row) for row in h)
-        r = source.rank
+        r = self.source.rank
         for i in range(r):
             for j in range(r):
                 if self.h[i][j] != self.h[j][i]:
                     raise InvalidArgument(f"h is not symmetric at ({i+1}, {j+1})")
-        for w in self.bgen_images:
-            if not w.a.is_zero():
-                raise InvalidArgument("g does not carry [G,G] into [H,H]")
 
     def g_value(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
-        """The linear part at z, expanded over the Lie additive structure."""
-        G = self.source
-        acc = self.target.zero()
-        lift = G.zero()
-        for i, m in enumerate(z.a.coords):
-            if m:
-                acc = lie_add(acc, m * self.gen_images[i])
-                lift = lie_add(lift, m * G.gen(i))
-        rest = z.b - lift.b
-        for j, c in enumerate(rest.coords):
-            if c:
-                acc = lie_add(acc, c * self.bgen_images[j])
-        return acc
-
-    def h_value(self, a: ab.AbElement, b: ab.AbElement) -> nil2.Nil2Element:
-        return self.target.central(self.target.B._bilinear(a.coords, b.coords, self.h))
+        """The linear part at z: g at z's log, read back in H."""
+        return self.ch.from_lie(self.g.eval(self.cg.to_lie(z)))
 
     def eval(self, z: nil2.Nil2Element) -> nil2.Nil2Element:
-        half = _group_half(self.target)
-        return lie_add(self.g_value(z), half * self.h_value(z.a, z.a))
+        """g(z) + half h(z^, z^): the second term is central, so the Lie
+        sum is the group sum."""
+        H = self.target
+        return self.g_value(z) + H.central(
+            self.ch._half * H.B._bilinear(z.a.coords, z.a.coords, self.h))
 
 
 def lie_qmap_decompose(q: qmaps.QMap) -> QMapDecomposition:
     """g(a) = 2 f(a) - half f(2a), h(a^, b^) = f(a + b) - f(a) - f(b),
-    with all operations on the Lie side."""
+    with all operations on the Lie side.  g is read off at the logs'
+    generator lifts and at B's generators (where the logs' coordinates
+    are the groups'), and `qmaps._hom` validates it on the solver's terms."""
     G, H = q.source, q.target
+    cg, ch = LogCorrespondence(G), LogCorrespondence(H)
     g_fn = linear_part(q)
-    _group_half(G)
 
     def h_fn(x, y):
         w = lie_sub(lie_sub(q.eval(lie_add(x, y)), q.eval(x)), q.eval(y))
@@ -250,11 +241,16 @@ def lie_qmap_decompose(q: qmaps.QMap) -> QMapDecomposition:
             raise Unsupported("cross part leaves the commutator subgroup")
         return w
 
-    gen_images = [g_fn(G.gen(i)) for i in range(G.rank)]
-    bgen_images = [g_fn(G.central(G.B.gen(j))) for j in range(G.B.rank)]
+    lifts = [ch.to_lie(g_fn(cg.from_lie(cg.ring.gen(i)))) for i in range(G.rank)]
+    bimages = [g_fn(G.central(G.B.gen(j))) for j in range(G.B.rank)]
+    if any(not w.a.is_zero() for w in bimages):
+        raise InvalidArgument("g does not carry [G,G] into [H,H]")
+    g = qmaps._hom(cg.ring, ch.ring, ab.AbHom.from_columns(G.A, H.A, [w.a for w in lifts]),
+                   ab.AbHom.from_columns(G.B, H.B, [w.b for w in bimages]),
+                   [w.b for w in lifts])
     h = [[h_fn(G.gen(i), G.gen(j)).b for j in range(G.rank)]
          for i in range(G.rank)]
-    return QMapDecomposition(G, H, gen_images, bgen_images, h)
+    return QMapDecomposition(cg, ch, g, h)
 
 
 def lie_qmap_recompose(d: QMapDecomposition) -> qmaps.QMap:

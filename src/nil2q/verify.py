@@ -13,7 +13,6 @@ order 125, whatever the caller's order cap.
 from __future__ import annotations
 
 import itertools
-from math import gcd
 
 from . import abelian as ab
 from . import abelian_constructions as abx
@@ -67,8 +66,8 @@ def suite_element_identities():
     results = []
     for name, g in catalog.standard_catalog(125):
         add, _, comm, at = _law(g)
-        elems = list(g.elements())
-        ok_def = all(at(elems[x].comm(elems[y])) == c for x, y, c in _pairs(comm))
+        elems, pairs = list(g.elements()), list(_pairs(comm))
+        ok_def = all(at(elems[x].comm(elems[y])) == c for x, y, c in pairs)
         results.append(CheckResult("commutator-definition", name, ok_def))
         cen = [at(g.central(b)) for b in g.B.elements()]
         ok_central = all(e == 0 for c in cen for e in comm[c])
@@ -77,15 +76,15 @@ def suite_element_identities():
         # antisymmetrized cocycle data; `elements` is A x B lexicographic
         avals, nb = list(g.A.elements()), len(cen)
         pairing = [[at(g.central(g.commutator_pairing(a, b))) for b in avals] for a in avals]
-        ok_pairing = all(c == pairing[x // nb][y // nb] for x, y, c in _pairs(comm))
+        ok_pairing = all(c == pairing[x // nb][y // nb] for x, y, c in pairs)
         results.append(CheckResult("commutator-pairing-data", name, ok_pairing))
-        ok_anti = all(add[c][comm[y][x]] == 0 for x, y, c in _pairs(comm))
+        ok_anti = all(add[c][comm[y][x]] == 0 for x, y, c in pairs)
         results.append(CheckResult("commutator-antisymmetric", name, ok_anti))
         mult = {n: [at(n * z) for z in elems]
                 for m in MULTIPLE_RANGE for n in (m, m * (m - 1) // 2)}
-        ok_mult = all(add[mult[n][x]][mult[n][y]]
-                      == add[mult[n][add[x][y]]][mult[n * (n - 1) // 2][c]]
-                      for n in MULTIPLE_RANGE for x, y, c in _pairs(comm))
+        ok_mult = all(add[m[x]][m[y]] == add[m[add[x][y]]][m2[c]]
+                      for m, m2 in [(mult[n], mult[n * (n - 1) // 2]) for n in MULTIPLE_RANGE]
+                      for x, y, c in pairs)
         results.append(CheckResult("multiple-identity", name, ok_mult,
                                    f"n in {list(MULTIPLE_RANGE)}"))
         ok_triple = all(row[c] == 0 for row in comm for c in cen)
@@ -107,7 +106,8 @@ def _catalog_map(max_order=200):
 
 def suite_qmap_identities():
     """The weakly-quadratic identity family over all element pairs, for
-    deterministically sampled q-maps of each catalog pair, on the integer
+    up to QMAP_IDENTITY_CAP q-maps of each catalog pair strided over its
+    whole enumeration (its first maps share one fab), on the integer
     tables of both groups: per q-map the index of each value, and of each
     cross value once per pair of A-classes."""
     cat = _catalog_map()
@@ -115,25 +115,26 @@ def suite_qmap_identities():
     for gn, hn in QMAP_PAIRS_SMALL + QMAP_PAIRS_27:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        qs = list(itertools.islice(qmaps.enumerate_qmaps(g, h), QMAP_IDENTITY_CAP))
+        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), QMAP_IDENTITY_CAP)
         (gadd, gneg, gcomm, gat), (hadd, hneg, hcomm, at) = _law(g), _law(h)
-        avals = [a.coords for a in g.A.elements()]
+        avals, gel = [a.coords for a in g.A.elements()], list(g.elements())
         cen = [gat(g.central(b)) for b in g.B.elements()]
-        idx = range(len(gadd))
+        idx, cpairs = range(len(gadd)), list(_pairs(gcomm))
+        hz, hindex = (0,) * h.A.rank, h.table().index      # a cross value's index
         cls, six = [x // len(cen) for x in idx], idx[:6]    # A-classes, as above
         ok_zero = ok_neg = ok_shift = ok_comm = ok_cross = ok_triple = True
         for q in qs:
-            v = [at(q.eval(z)) for z in g.elements()]
-            byclass = [[at(h.central(q.cross_data(a, b))) for b in avals] for a in avals]
+            v = [at(q.eval(z)) for z in gel]
+            byclass = [[hindex[hz, q.cross_data(a, b).coords] for b in avals] for a in avals]
             cross = [[byclass[p][r] for r in cls] for p in cls]
             ok_zero &= v[0] == 0
             ok_neg &= all(v[gneg[x]] == hadd[hneg[v[x]]][cross[x][x]] for x in idx)
             ok_shift &= all(v[gadd[x][c]] == hadd[v[x]][v[c]] for x in idx for c in cen)
             # cross-effect of the function matches the bilinear data
-            ok_cross &= all(hadd[hneg[hadd[v[x]][v[y]]]][v[s]] == cross[x][y]
-                            for x, y, s in _pairs(gadd))
+            ok_cross &= all([hadd[hneg[hadd[vx][vy]]][v[s]] for vy, s in zip(v, row)] == cx
+                            for vx, row, cx in zip(v, gadd, cross))
             ok_comm &= all(v[c] == hadd[hadd[hcomm[v[x]][v[y]]][cross[x][y]]][hneg[cross[y][x]]]
-                           for x, y, c in _pairs(gcomm))
+                           for x, y, c in cpairs)
             ok_triple &= all(v[gcomm[x][gcomm[y][z]]] == hcomm[v[x]][hcomm[v[y]][v[z]]]
                              for x in six for y in six for z in six)
         checks = [("qmap-zero-value", ok_zero), ("qmap-negation-identity", ok_neg),
@@ -164,18 +165,14 @@ def suite_coproduct():
         c = nil2.coproduct(g1, g2)
         i1, i2 = qmc.coproduct_inclusion(c, 0), qmc.coproduct_inclusion(c, 1)
         for _, x in targets:
-            homs1 = list(qmaps.enumerate_homs(g1, x))
-            homs2 = list(qmaps.enumerate_homs(g2, x))
-            all_homs = list(qmaps.enumerate_homs(c, x))
-            for u in homs1:
-                for v in homs2:
-                    uv = qmc.coproduct_couniversal(c, u, v)
-                    if uv.compose(i1) != u or uv.compose(i2) != v:
-                        ok_univ = False
-                    matches = [t for t in all_homs
-                               if t.compose(i1) == u and t.compose(i2) == v]
-                    if matches != [uv]:
-                        ok_univ = False
+            # each hom out of the coproduct, filed once by its restrictions
+            restrictions = {}
+            for t in qmaps.enumerate_homs(c, x):
+                restrictions.setdefault((t.compose(i1), t.compose(i2)), []).append(t)
+            for u in qmaps.enumerate_homs(g1, x):
+                for v in qmaps.enumerate_homs(g2, x):
+                    # the one hom restricting to (u, v) is the couniversal map
+                    ok_univ &= restrictions.get((u, v)) == [qmc.coproduct_couniversal(c, u, v)]
                     checked += 1
     results.append(CheckResult("coproduct-universal-property", "pairs",
                                ok_univ, f"{checked} hom pairs"))
@@ -450,11 +447,11 @@ def suite_maltsev(max_order: int = 125):
     # (linear part, symmetric part) pairs, with sampled pointwise round trips
     for gn, hn in [("Heis3", "Heis3"), ("Heis3", "G27"), ("G27", "Heis3")]:
         g, h = cat[gn], cat[hn]
-        total = sum(1 for _ in qmaps.enumerate_qmaps(g, h))
+        qs = list(qmaps.enumerate_qmaps(g, h))
         gh = _count_linear_symmetric_pairs(g, h)
         results.append(CheckResult("qmap-count-equals-gh-pairs", f"{gn}->{hn}",
-                                   total == gh, f"{total} vs {gh}"))
-        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), ROUNDTRIP_SAMPLE)
+                                   len(qs) == gh, f"{len(qs)} vs {gh}"))
+        qs = _stride_sample(qs, ROUNDTRIP_SAMPLE)
         ok_rt = True
         for q in qs:
             d = maltsev.lie_qmap_decompose(q)
@@ -479,18 +476,8 @@ def suite_maltsev(max_order: int = 125):
 def _count_linear_symmetric_pairs(g: nil2.Nil2Group, h: nil2.Nil2Group) -> int:
     """Number of pairs (g0, h0): g0 additive on the logs carrying [G,G]
     into [H,H], h0 symmetric bilinear into [H,H]."""
-    lg, lh = maltsev.lie_log(g), maltsev.lie_log(h)
-    r = lg.A.rank
-    count_g = sum(1 for _ in qmaps.enumerate_homs(lg, lh))
-    count_h = 1
-    for i in range(r):
-        for j in range(i, r):
-            d = gcd(g.A.orders[i], g.A.orders[j])
-            n = 1
-            for e in h.B.orders:
-                n *= gcd(e, d)
-            count_h *= n
-    return count_g * count_h
+    count_g = sum(1 for _ in qmaps.enumerate_homs(maltsev.lie_log(g), maltsev.lie_log(h)))
+    return count_g * abx.hom_count(abx.sym_square(g.A).group, h.B)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,13 @@ def test_decompose_recompose_round_trip():
     qs += [qmc.power_qmap(HEIS3, 2), qmc.power_qmap(G27, 2)]
     for q in qs:
         d = maltsev.lie_qmap_decompose(q)
+        # g is a homomorphism of the logs, and reads back in H as the
+        # element-arithmetic linear part
+        assert isinstance(d.g, qmaps.QMap) and d.g.is_hom()
+        assert d.g.source == maltsev.lie_log(q.source)
+        assert d.g.target == maltsev.lie_log(q.target)
+        lin = maltsev.linear_part(q)
+        assert all(d.g_value(z) == lin(z) for z in q.source.elements())
         back = maltsev.lie_qmap_recompose(d)
         assert back.source == q.source and back.target == q.target
         for z in q.source.elements():

@@ -40,12 +40,15 @@ def test_lemma_suites_catch_planted_faults(monkeypatch):
         assert ("commutator-pairing-data", "Heis3") in _failed(
             verify.suite_element_identities())
 
-    # (c) the cross data transposed: (x|y) read as (y|x)
+    # (c) the cross data transposed: (x|y) read as (y|x).  The first maps of
+    # each order-27 pair all have fab = fcomm = 0, so a symmetric delta that
+    # transposing keeps: the family strides over the whole enumeration
     cross = qmaps.QMap.cross_data
     with monkeypatch.context() as m:
         m.setattr(qmaps.QMap, "cross_data", lambda q, a, b: cross(q, b, a))
-        assert ("qmap-cross-matches-data", "D4->Q8") in _failed(
-            verify.suite_qmap_identities())
+        failed = _failed(verify.suite_qmap_identities())
+    for g, h in [("D4", "Q8")] + verify.QMAP_PAIRS_27:
+        assert ("qmap-cross-matches-data", f"{g}->{h}") in failed
 
     # (d) (-2)·z shifted by a central generator; n·z is __rmul__ for int n
     mul = nil2.Nil2Element.__mul__
@@ -60,3 +63,4 @@ def test_lemma_suites_catch_planted_faults(monkeypatch):
         m.setattr(nil2.Nil2Element, "__mul__", bad_mul)
         m.setattr(nil2.Nil2Element, "__rmul__", bad_mul)
         assert ("multiple-identity", "Q8") in _failed(verify.suite_element_identities())
+
