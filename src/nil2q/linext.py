@@ -8,6 +8,8 @@ A homomorphism alpha : G_ab (x) G_ab -> [H,H] translates a q-map G -> H,
 homomorphism; f ~ g when g is a translate of f, f == g when both induce the
 same (fab, fcomm).  No `info` or `iso` query reaches this module: only the
 `linext` suite of `verify` imports it, so the queries do not compile it.
+The verifiers draw the members of families too large to sweep with
+`report.pick`, up to the per-factor counts named next to each check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     InvalidHomomorphism,
     UnsupportedEnumeration,
 )
-from .report import CheckResult
+from .report import CheckResult, pick
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +160,6 @@ def qmap_p2_factorize(qmap: qmaps.QMap) -> P2Factorization:
 # ---------------------------------------------------------------------------
 # The ~ and == equivalences on q-maps.
 
-class EquivalenceWitness:
-    __slots__ = ("kind", "alpha")  # "sim" (alpha: G_ab (x) G_ab -> [H,H]) or "approx"
-
-    def __init__(self, kind: str, alpha: ab.AbHom = None):
-        self.kind, self.alpha = kind, alpha
-
-
 def translate_qmap(f: qmaps.QMap, alpha: ab.AbHom) -> qmaps.QMap:
     """The action (f + alpha)(z) = f(z) + alpha(z^ (x) z^)."""
     g, h = f.source, f.target
@@ -189,7 +184,7 @@ def translate_hom(f: qmaps.QMap, k: ab.AbHom) -> qmaps.QMap:
 
 def qmap_sim_equiv(f: qmaps.QMap, g: qmaps.QMap):
     """Decide f ~ g (g = f + alpha for a homomorphism alpha on the tensor
-    square); returns (bool, EquivalenceWitness or None)."""
+    square); returns (True, alpha) or (False, None)."""
     if f.source != g.source or f.target != g.target:
         raise InvalidArgument("equivalence needs equal endpoints")
     if f.fab != g.fab or f.fcomm != g.fcomm:
@@ -215,7 +210,7 @@ def qmap_sim_equiv(f: qmaps.QMap, g: qmaps.QMap):
         return False, None
     if translate_qmap(f, alpha) != g:
         raise InternalInvariant("translation witness failed to reproduce g")
-    return True, EquivalenceWitness("sim", alpha)
+    return True, alpha
 
 
 def qmap_approx_equiv(f: qmaps.QMap, g: qmaps.QMap) -> bool:
@@ -241,8 +236,16 @@ def _null_tensor_hom(alpha: ab.AbHom, src: nil2.Nil2Group, tens) -> bool:
     return True
 
 
+# Picks per factor: (morphism, actor) for action-additive, with both actors
+# from the same picks; the morphisms whose orbits are matched pairwise
+# against the ~ decision; and (f, g', a, b) for distributivity, 5·5·4·3.
+ACTION_PICKS = (5, 4)
+SIM_PICKS = 40
+DISTRIBUTIVITY_PICKS = (5, 5, 4, 3)
+
+
 def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
-                            max_quads: int = 400, instance: str = None):
+                            instance: str = None):
     """Verify the linear-extension axioms on enumerated morphisms.
 
     level "nil": homomorphisms with Hom(G_ab, [H,H]) acting; the fibers
@@ -251,8 +254,10 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
     effective group is the quotient by the null subgroup (homomorphisms
     vanishing on all squares), and the fibers are the ~ classes, checked
     against the pairwise decision procedure.
-    The distributivity law is checked on composable quadruples through
-    G -> H -> H, the first `max_quads` in product order.
+    The distributivity law is checked on composable quadruples
+    (f, g', a, b) through G -> H -> H, the product of `report.pick`'s
+    DISTRIBUTIVITY_PICKS of each factor, so the outer f is not only the
+    first (zero) map.
     """
     inst = instance or f"{level}:{g}|{h}"
     results = []
@@ -289,7 +294,6 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
     morph_set = set(morphisms)
     closed = True
     free = True
-    is_action = True
     orbits = {}
     for f in morphisms:
         if f in orbits:
@@ -304,11 +308,9 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
             free = False
         for f2 in orbit:
             orbits[f2] = orbit
-    for f in itertools.islice(morphisms, 5):
-        for a in itertools.islice(actors, 4):
-            for b in itertools.islice(actors, 4):
-                if act(act(f, a), b) != act(f, a + b):
-                    is_action = False
+    picked = pick(actors, ACTION_PICKS[1])
+    is_action = all(act(act(f, a), b) == act(f, a + b) for f, a, b in
+                    itertools.product(pick(morphisms, ACTION_PICKS[0]), picked, picked))
     results.append(CheckResult("action-closed", inst, closed))
     results.append(CheckResult("action-additive", inst, is_action))
     results.append(CheckResult("action-free-on-fibers", inst, free,
@@ -324,18 +326,14 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
     else:
         # fibers are the ~ classes: orbit membership must agree with the
         # pairwise decision procedure
-        agree = True
-        sample = morphisms[: min(len(morphisms), 40)]
-        for f in sample:
-            for f2 in sample:
-                if (f2 in orbits[f]) != qmap_sim_equiv(f, f2)[0]:
-                    agree = False
+        agree = all((f2 in orbits[f]) == qmap_sim_equiv(f, f2)[0]
+                    for f, f2 in itertools.product(pick(morphisms, SIM_PICKS), repeat=2))
         results.append(CheckResult("orbits-match-sim-decision", inst, agree))
 
     # distributivity: (f + a)(g' + b) = f g' + f_* b + g'^* a
     ok, quads = True, 0
-    for f, gq, a, b in itertools.islice(
-            itertools.product(morphisms_hh, morphisms, actors_hh, actors), max_quads):
+    factors = (morphisms_hh, morphisms, actors_hh, actors)
+    for f, gq, a, b in itertools.product(*map(pick, factors, DISTRIBUTIVITY_PICKS)):
         quads += 1
         if act(f, a).compose(act(gq, b)) != act(f.compose(gq), push(f, b) + pull(gq, a)):
             ok = False
@@ -346,19 +344,22 @@ def linear_extension_verify(level: str, g: nil2.Nil2Group, h: nil2.Nil2Group,
     return results
 
 
+# Picks per factor of the pairs (f1, f2): 7·7 = 49.
+COPRODUCT_PICKS = 7
+
+
 def weak_coproduct_verify(x1: nil2.Nil2Group, x2: nil2.Nil2Group,
-                          z: nil2.Nil2Group, max_pairs: int = 400,
-                          instance: str = None):
+                          z: nil2.Nil2Group, instance: str = None):
     """W = X1 x X2 with f = f1 p1 + f2 p2 satisfies f i_k = f_k for the
-    first `max_pairs` enumerated pairs (f1, f2) in product order."""
+    pairs (f1, f2) of `report.pick`'s COPRODUCT_PICKS of each factor."""
     w = nil2.product(x1, x2)
     p1, p2 = qmc.product_projection(w, 0), qmc.product_projection(w, 1)
     i1, i2 = qmc.product_inclusion(w, 0), qmc.product_inclusion(w, 1)
-    f1s = list(qmaps.enumerate_qmaps(x1, z))
-    f2s = list(qmaps.enumerate_qmaps(x2, z))
+    f1s = pick(qmaps.enumerate_qmaps(x1, z), COPRODUCT_PICKS)
+    f2s = pick(qmaps.enumerate_qmaps(x2, z), COPRODUCT_PICKS)
     inst = instance or f"{x1}|{x2}->{z}"
     ok, count = True, 0
-    for f1, f2 in itertools.islice(itertools.product(f1s, f2s), max_pairs):
+    for f1, f2 in itertools.product(f1s, f2s):
         f = f1.compose(p1) + f2.compose(p2)
         count += 1
         if f.compose(i1) != f1 or f.compose(i2) != f2:

@@ -475,7 +475,7 @@ class CenterInfo:
                 for k in range(group.rank) for t in range(group.B.rank)]
         target = ab.FGAbelian(group.B.orders * group.rank)
         pairing = ab.AbHom(group.A, target, rows)
-        self.a_kernel, self.a_incl = ab.kernel(pairing)
+        self.a_kernel = ab.kernel(pairing)[0]
         self._pairing = pairing
 
     def contains(self, z: Nil2Element) -> bool:

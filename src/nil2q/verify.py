@@ -3,11 +3,12 @@
 Each suite returns a list of CheckResult records in a fixed order; the
 CLI selftest renders them as PASS/FAIL lines and the acceptance tests
 assert on them.  Exhaustive loops are bounded by the catalog order caps;
-where a morphism space is too large to sweep completely, couples are
-sampled deterministically (fixed stride, no randomness) and the caps are
-recorded in the result details.  The element-pair sweeps read the integer
-Cayley tables (`_law`); the lemma suites have one scale, the catalog up to
-order 125, whatever the caller's order cap.
+where a morphism space is too large to sweep completely, its members are
+drawn by `report.pick` (golden-ratio positions, no randomness) up to the
+caps below, and the counts are recorded in the result details.  The
+element-pair sweeps read the integer Cayley tables (`_law`); the lemma
+suites have one scale, the catalog up to order 125, whatever the caller's
+order cap.
 """
 
 from __future__ import annotations
@@ -18,24 +19,18 @@ from . import abelian as ab
 from . import abelian_constructions as abx
 from . import catalog, classify, maltsev, nil2, qmaps
 from . import qmap_constructions as qmc
-from .report import CheckResult
+from .report import CheckResult, pick
 
 # The fixed scales of the suites; only the catalog order caps vary by caller.
 MULTIPLE_RANGE = range(-5, 6)     # the n of the multiple identity
 QMAP_IDENTITY_CAP = 120           # q-maps per pair in the identity family
 COPRODUCT_TARGET_ORDER = 16       # targets of the universal-property sweep
-COUPLE_CAP = 30                   # sampled q-maps per pair in the algebra suite
+FREE_WINDOW = 6                   # elements of a free group tested against its centre
+COUPLE_CAP = 30                   # picked q-maps per pair in the algebra suite
 POINTWISE_COUPLES = 6             # of those, the ones summed pointwise
-LINEXT_MAX_QUADS = 300            # quadruples per linear-extension instance
-ROUNDTRIP_SAMPLE = 60             # sampled q-maps per decompose round trip
-
-
-def _stride_sample(seq, cap):
-    seq = list(seq)
-    if len(seq) <= cap:
-        return seq
-    step = len(seq) // cap + 1
-    return seq[::step]
+COMPOSE_CAP = 8                   # picked q-maps per side of a composition triple
+TRIPLE_ELEMENTS = 6               # elements per slot of the triple commutator
+ROUNDTRIP_SAMPLE = 60             # picked q-maps per decompose round trip
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +101,7 @@ def _catalog_map(max_order=200):
 
 def suite_qmap_identities():
     """The weakly-quadratic identity family over all element pairs, for
-    up to QMAP_IDENTITY_CAP q-maps of each catalog pair strided over its
+    up to QMAP_IDENTITY_CAP q-maps of each catalog pair picked over its
     whole enumeration (its first maps share one fab), on the integer
     tables of both groups: per q-map the index of each value, and of each
     cross value once per pair of A-classes."""
@@ -115,13 +110,13 @@ def suite_qmap_identities():
     for gn, hn in QMAP_PAIRS_SMALL + QMAP_PAIRS_27:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), QMAP_IDENTITY_CAP)
+        qs = pick(qmaps.enumerate_qmaps(g, h), QMAP_IDENTITY_CAP)
         (gadd, gneg, gcomm, gat), (hadd, hneg, hcomm, at) = _law(g), _law(h)
         avals, gel = [a.coords for a in g.A.elements()], list(g.elements())
         cen = [gat(g.central(b)) for b in g.B.elements()]
         idx, cpairs = range(len(gadd)), list(_pairs(gcomm))
         hz, hindex = (0,) * h.A.rank, h.table().index      # a cross value's index
-        cls, six = [x // len(cen) for x in idx], idx[:6]    # A-classes, as above
+        cls, six = [x // len(cen) for x in idx], pick(idx, TRIPLE_ELEMENTS)  # A-classes, as above
         ok_zero = ok_neg = ok_shift = ok_comm = ok_cross = ok_triple = True
         for q in qs:
             v = [at(q.eval(z)) for z in gel]
@@ -182,7 +177,7 @@ def suite_coproduct():
         ext = abx.exterior_square(ab.FGAbelian([0] * n))
         ok = f.B.invariant_factors() == ext.group.invariant_factors()
         # centrality of the kernel on a finite window
-        window = list(itertools.product([-1, 0, 1, 2], repeat=n))[:6]
+        window = pick(itertools.product([-1, 0, 1, 2], repeat=n), FREE_WINDOW)
         bco = [0] * f.B.rank
         for u in range(f.B.rank):
             b1 = [1 if t == u else 0 for t in range(f.B.rank)]
@@ -206,10 +201,10 @@ def suite_qmap_algebra():
     for gn, hn in QMAP_PAIRS_SMALL:
         g, h = cat[gn], cat[hn]
         inst = f"{gn}->{hn}"
-        qs = _stride_sample(qmaps.enumerate_qmaps(g, h), COUPLE_CAP)
+        qs = pick(qmaps.enumerate_qmaps(g, h), COUPLE_CAP)
         elems = list(g.elements())
         ok_add = ok_neg = ok_cross = True
-        for i, f in enumerate(qs):
+        for f in qs:
             try:
                 nf = -f
             except Exception:
@@ -219,23 +214,17 @@ def suite_qmap_algebra():
                 ok_neg = False
             for q2 in qs:
                 try:
-                    s = f + q2    # constructor validation = closure
+                    f + q2    # constructor validation = closure
                 except Exception:
                     ok_add = False
                     break
-            if i < POINTWISE_COUPLES:
-                for q2 in qs[:POINTWISE_COUPLES]:
-                    s = f + q2
-                    for x in elems:
-                        if s.eval(x) != f.eval(x) + q2.eval(x):
-                            ok_add = False
-                    for x in elems:
-                        for y in elems:
-                            expect = (f.cross(x, y) + q2.cross(x, y)
-                                      + f.eval(y).comm(q2.eval(x)))
-                            if s.cross(x, y) != expect:
-                                ok_cross = False
-        detail = f"{len(qs)} sampled maps"
+        pointwise = pick(qs, POINTWISE_COUPLES)
+        for f, q2 in itertools.product(pointwise, repeat=2):
+            s = f + q2
+            ok_add &= all(s.eval(x) == f.eval(x) + q2.eval(x) for x in elems)
+            ok_cross &= all(s.cross(x, y) == f.cross(x, y) + q2.cross(x, y)
+                            + f.eval(y).comm(q2.eval(x)) for x in elems for y in elems)
+        detail = f"{len(qs)} picked maps"
         results.append(CheckResult("qw-closed-under-sum", inst, ok_add, detail))
         results.append(CheckResult("qw-closed-under-negation", inst, ok_neg, detail))
         results.append(CheckResult("qw-sum-cross-formula", inst, ok_cross, detail))
@@ -244,28 +233,17 @@ def suite_qmap_algebra():
     for an, bn, cn in trip:
         A, B, C = cat[an], cat[bn], cat[cn]
         inst = f"{an}->{bn}->{cn}"
-        gs = _stride_sample(qmaps.enumerate_qmaps(A, B), 8)
-        fs = _stride_sample(qmaps.enumerate_qmaps(B, C), 8)
+        gs = pick(qmaps.enumerate_qmaps(A, B), COMPOSE_CAP)
+        fs = pick(qmaps.enumerate_qmaps(B, C), COMPOSE_CAP)
         elems = list(A.elements())
-        ok_comp = ok_dist = True
-        for f in fs:
-            for gq in gs:
-                c = f.compose(gq)
-                for z in elems:
-                    if c.eval(z) != f.eval(gq.eval(z)):
-                        ok_comp = False
-                for x in elems:
-                    for y in elems:
-                        expect = f.eval(gq.cross(x, y)) + f.cross(gq.eval(x), gq.eval(y))
-                        if c.cross(x, y) != expect:
-                            ok_comp = False
-        for f in fs:
-            for f2 in fs:
-                for gq in gs:
-                    lhs = (f + f2).compose(gq)
-                    rhs = f.compose(gq) + f2.compose(gq)
-                    if lhs != rhs:
-                        ok_dist = False
+        ok_comp = True
+        for f, gq in itertools.product(fs, gs):
+            c = f.compose(gq)
+            ok_comp &= all(c.eval(z) == f.eval(gq.eval(z)) for z in elems)
+            ok_comp &= all(c.cross(x, y) == f.eval(gq.cross(x, y))
+                           + f.cross(gq.eval(x), gq.eval(y)) for x in elems for y in elems)
+        ok_dist = all((f + f2).compose(gq) == f.compose(gq) + f2.compose(gq)
+                      for f, f2, gq in itertools.product(fs, fs, gs))
         results.append(CheckResult("compose-cross-formula", inst, ok_comp))
         results.append(CheckResult("compose-left-distributive", inst, ok_dist))
     return results
@@ -402,12 +380,11 @@ def suite_linext():
     results = []
     for level, gn, hn in LINEXT_INSTANCES:
         results.extend(linext.linear_extension_verify(
-            level, cat[gn], cat[hn], max_quads=LINEXT_MAX_QUADS,
-            instance=f"{level}:{gn}|{hn}"))
+            level, cat[gn], cat[hn], instance=f"{level}:{gn}|{hn}"))
     results.extend(linext.weak_coproduct_verify(
         cat["Z2"], cat["Z2"], cat["Z2"], instance="Z2|Z2->Z2"))
     results.extend(linext.weak_coproduct_verify(
-        cat["Q8"], cat["Q8"], cat["Q8"], max_pairs=60, instance="Q8|Q8->Q8"))
+        cat["Q8"], cat["Q8"], cat["Q8"], instance="Q8|Q8->Q8"))
     return results
 
 
@@ -444,14 +421,14 @@ def suite_maltsev(max_order: int = 125):
         results.append(CheckResult("commutator-equals-bracket", name, ok_br))
 
     # the (g, h) characterization: |qw(G,H)| equals the number of admissible
-    # (linear part, symmetric part) pairs, with sampled pointwise round trips
+    # (linear part, symmetric part) pairs, with picked pointwise round trips
     for gn, hn in [("Heis3", "Heis3"), ("Heis3", "G27"), ("G27", "Heis3")]:
         g, h = cat[gn], cat[hn]
         qs = list(qmaps.enumerate_qmaps(g, h))
         gh = _count_linear_symmetric_pairs(g, h)
         results.append(CheckResult("qmap-count-equals-gh-pairs", f"{gn}->{hn}",
                                    len(qs) == gh, f"{len(qs)} vs {gh}"))
-        qs = _stride_sample(qs, ROUNDTRIP_SAMPLE)
+        qs = pick(qs, ROUNDTRIP_SAMPLE)
         ok_rt = True
         for q in qs:
             d = maltsev.lie_qmap_decompose(q)
@@ -459,7 +436,7 @@ def suite_maltsev(max_order: int = 125):
             if any(back.eval(z) != q.eval(z) for z in g.elements()):
                 ok_rt = False
         results.append(CheckResult("decompose-recompose-identity", f"{gn}->{hn}",
-                                   ok_rt, f"{len(qs)} sampled maps"))
+                                   ok_rt, f"{len(qs)} picked maps"))
 
     # the log criterion agrees with direct witness search on order-27 pairs
     order27 = [(n, g) for n, g in cat.items() if g.order() == 27]

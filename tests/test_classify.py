@@ -409,19 +409,19 @@ def test_canonicalized_table_is_isomorphic_to_the_group(g):
 
 def test_sim_equiv_basics():
     f = qmaps.identity_qmap(Q8)
-    ok, wit = linext.qmap_sim_equiv(f, f)
-    assert ok and wit.alpha.is_zero()
+    ok, alpha = linext.qmap_sim_equiv(f, f)
+    assert ok and alpha.is_zero()
     # cubing induces the identity on Q8_ab and [Q8,Q8] and differs from the
     # identity by a translation, so it is ~-equivalent to it
     g = qmc.power_qmap(Q8, 3)
     assert g.fab == f.fab and g.fcomm == f.fcomm
-    ok2, wit2 = linext.qmap_sim_equiv(f, g)
+    ok2, alpha2 = linext.qmap_sim_equiv(f, g)
     assert ok2
-    assert linext.translate_qmap(f, wit2.alpha) == g
+    assert linext.translate_qmap(f, alpha2) == g
     # pointwise witness validation
     for z in Q8.elements():
         tens = abx.tensor(Q8.A, Q8.A)
-        corr = wit2.alpha.apply(tens.pure(z.a, z.a))
+        corr = alpha2.apply(tens.pure(z.a, z.a))
         assert f.eval(z) + Q8.central(corr) == g.eval(z)
 
 
@@ -430,9 +430,9 @@ def test_sim_equiv_sum_commutes():
     qs = list(itertools.islice(qmaps.enumerate_qmaps(Q8, Q8), 12))
     for f in qs[:6]:
         for g in qs[:6]:
-            ok, wit = linext.qmap_sim_equiv(f + g, g + f)
+            ok, alpha = linext.qmap_sim_equiv(f + g, g + f)
             assert ok
-            fg = linext.translate_qmap(f + g, wit.alpha)
+            fg = linext.translate_qmap(f + g, alpha)
             assert fg == g + f
 
 
@@ -469,8 +469,7 @@ def test_approx_without_sim_separating_pair():
     g = qmaps.QMap(src, h, ab.AbHom.zero(src.A, h.A), ab.AbHom.zero(src.B, h.B),
                    [b.element([1])], [[b.element([2])]])
     assert linext.qmap_approx_equiv(f, g)
-    ok, _ = linext.qmap_sim_equiv(f, g)
-    assert not ok
+    assert linext.qmap_sim_equiv(f, g) == (False, None)
     # sanity: g really is that q-map pointwise
     assert g.eval(src.element([1], [])) == h.central(b.element([1]))
 
@@ -484,18 +483,20 @@ def distributivity_detail(res):
     return next(r.detail for r in res if r.check_id == "distributivity")
 
 
+# (f, g', a, b) picks 5·5·4·3; Hom(Z4_ab, [Q8,Q8]) and Hom(Z4_ab (x) Z4_ab,
+# [Q8,Q8]) have 2 elements, so b has 2 there
 def test_linear_extension_nil_level():
     res = linext.linear_extension_verify("nil", Q8, Q8)
-    assert all_ok(res) and distributivity_detail(res) == "400 quadruples"
+    assert all_ok(res) and distributivity_detail(res) == "300 quadruples"
     res2 = linext.linear_extension_verify("nil", Z4, Q8)
-    assert all_ok(res2) and distributivity_detail(res2) == "400 quadruples"
+    assert all_ok(res2) and distributivity_detail(res2) == "200 quadruples"
 
 
 def test_linear_extension_niq_level():
     res = linext.linear_extension_verify("niq", D4, D4)
-    assert all_ok(res) and distributivity_detail(res) == "400 quadruples"
+    assert all_ok(res) and distributivity_detail(res) == "300 quadruples"
     res2 = linext.linear_extension_verify("niq", Z4, Q8)
-    assert all_ok(res2) and distributivity_detail(res2) == "400 quadruples"
+    assert all_ok(res2) and distributivity_detail(res2) == "200 quadruples"
 
 
 def test_linear_extension_trivial_target():
@@ -507,16 +508,15 @@ def test_linear_extension_trivial_target():
 def test_weak_coproduct():
     res = linext.weak_coproduct_verify(Z2, Z2, Z2)
     assert all_ok(res) and res[0].detail == "4 pairs"
-    res2 = linext.weak_coproduct_verify(Q8, Q8, Q8, max_pairs=60)
-    assert all_ok(res2) and res2[0].detail == "60 pairs"
-    res3 = linext.weak_coproduct_verify(Z2, Z4, Q8, max_pairs=200)
-    assert all_ok(res3) and res3[0].detail == "128 pairs"
+    res2 = linext.weak_coproduct_verify(Q8, Q8, Q8)
+    assert all_ok(res2) and res2[0].detail == "49 pairs"
+    res3 = linext.weak_coproduct_verify(Z2, Z4, Q8)     # 7 of 8 times 7 of 16 maps
+    assert all_ok(res3) and res3[0].detail == "49 pairs"
 
 
 def test_record_classes_keep_fields_and_defaults():
     assert bool(classify.QSplitResult(False, "search")) is False
     assert classify.QSplitResult(True, "structural").section is None
     assert classify.IsoDecision(True, {}).witness is None
-    assert linext.EquivalenceWitness("approx").alpha is None
     assert CheckResult("x", "y", False, "why").line() == "FAIL x y  # why"
     assert CheckResult("x", "y", True).detail == ""

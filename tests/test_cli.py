@@ -282,6 +282,32 @@ def test_selftest_negative_suite():
     assert "PASS not-isomorphic-in-niq Z2^3|Z2vZ2" in text
 
 
+def test_selftest_suite_that_raises_is_an_internal_error(monkeypatch):
+    # a library error inside a suite is an invariant violation (3), not an
+    # input error (2); the message names the suite, with no traceback
+    from nil2q import qmaps, verify
+    from nil2q.errors import NotAQMap
+
+    def broken(f, g):
+        raise NotAQMap("planted")
+
+    with monkeypatch.context() as m:
+        m.setattr(qmaps.QMap, "compose", broken)
+        code, text = run(["selftest", "--suite", "qmaps"])
+    assert code == 3 and "Traceback" not in text
+    assert "internal error: suite qmaps raised NotAQMap: planted" in text
+    # under `all`, the other suites still run and report their lines
+    fake = {tag: (lambda max_order, tag=tag: [verify.CheckResult("fake", tag, True)])
+            for tag in cli.SUITE_ORDER}
+    fake["qmaps"] = lambda max_order: broken(None, None)
+    monkeypatch.setattr(verify, "SUITES", fake)
+    code, text = run(["selftest"])
+    assert code == 3
+    assert [ln for ln in text.splitlines() if ln.startswith("PASS")] == [
+        f"PASS fake {tag}" for tag in cli.SUITE_ORDER if tag != "qmaps"]
+    assert text.endswith("selftest: 7/7 checks passed; suites raised: qmaps\n")
+
+
 def test_info_infinite_file_group_without_guarantee(tmp_path):
     # an infinite group with no structural q-split answer: the verdict is
     # reported as unknown, not a traceback
